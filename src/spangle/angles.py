@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOLERANCES,
+    HALF_PI,
     Field,
     ToleranceConfig,
     arccos_clamped,
@@ -28,24 +29,8 @@ from .linalg import (
     principal_phase,
     stack_columns,
 )
-from .principal import principal_cosines
+from .principal import _ZERO_ANGLE_COS_BAND, pair_spectrum
 from .subspace import Subspace, _check_pair, realify, sum_subspace, zero_subspace
-
-HALF_PI = math.pi / 2
-
-# Cosines above this band are indistinguishable from 1 at SVD backward
-# error, so the corresponding angles count as exact zeros when forming
-# products of sines (otherwise every genuinely shared direction would
-# contribute a spurious sqrt(eps)-sized sine).
-_ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * np.finfo(np.float64).eps
-
-
-def sines_from_cosines(sigma: np.ndarray) -> np.ndarray:
-    """Sines of the angles whose cosines are given, with cosines inside
-    the roundoff band at 1 treated as exact zero angles."""
-    sines = np.sqrt(np.clip((1.0 - sigma) * (1.0 + sigma), 0.0, 1.0))
-    sines[sigma >= _ZERO_ANGLE_COS_BAND] = 0.0
-    return sines
 
 
 def _angle_from_cos(value: float, cfg: ToleranceConfig) -> float:
@@ -109,9 +94,9 @@ def vector_angles(v, w, field: Field, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     nv = float(np.linalg.norm(v))
     nw = float(np.linalg.norm(w))
     if nv == 0.0:
-        return VectorAngles(theta=0.0, gamma=0.0, zeta_cos=_one(field), phase=None)
+        return VectorAngles(theta=0.0, gamma=0.0, zeta_cos=1.0 + 0j if field is Field.COMPLEX else 1.0, phase=None)
     if nw == 0.0:
-        return VectorAngles(theta=HALF_PI, gamma=HALF_PI, zeta_cos=_zero(field), phase=None)
+        return VectorAngles(theta=HALF_PI, gamma=HALF_PI, zeta_cos=0j if field is Field.COMPLEX else 0.0, phase=None)
     ip = np.vdot(v, w)
     zeta_cos = complex(ip) / (nv * nw) if field is Field.COMPLEX else float(ip) / (nv * nw)
     cos_theta = (zeta_cos.real if field is Field.COMPLEX else zeta_cos)
@@ -119,14 +104,6 @@ def vector_angles(v, w, field: Field, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     gamma = arccos_clamped(abs(zeta_cos), cfg)
     phase = principal_phase(complex(zeta_cos)) if abs(ip) > cfg.compare_tol else None
     return VectorAngles(theta=theta, gamma=gamma, zeta_cos=zeta_cos, phase=phase)
-
-
-def _one(field: Field):
-    return 1.0 + 0.0j if field is Field.COMPLEX else 1.0
-
-
-def _zero(field: Field):
-    return 0.0 + 0.0j if field is Field.COMPLEX else 0.0
 
 
 def grassmann_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -141,7 +118,7 @@ def grassmann_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOL
         return 0.0
     if V.dim > W.dim:
         return HALF_PI
-    return _angle_from_cos(clamped_product(principal_cosines(V, W, cfg)), cfg)
+    return _angle_from_cos(clamped_product(pair_spectrum(V, W).cosines), cfg)
 
 
 def complementary_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -151,11 +128,7 @@ def complementary_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT
     equals the directed angle against complement(W) and is symmetric in
     V and W.  Zero when either subspace is {0}.
     """
-    _check_pair(V, W)
-    if V.is_zero or W.is_zero:
-        return 0.0
-    sines = sines_from_cosines(principal_cosines(V, W, cfg))
-    return _angle_from_cos(clamped_product(sines), cfg)
+    return _angle_from_cos(clamped_product(pair_spectrum(V, W).sines), cfg)
 
 
 def angle_from_complement(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -170,9 +143,9 @@ def angle_from_complement(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAU
         raise ValueError("both subspaces must be nonzero")
     if sum_subspace(V, W, cfg).dim < V.ambient_dim:
         return HALF_PI
-    sigma = principal_cosines(V, W, cfg)
-    nonzero = sigma[sigma < 1.0 - cfg.compare_tol]  # skip intersection directions
-    return _angle_from_cos(clamped_product(sines_from_cosines(nonzero)), cfg)
+    s = pair_spectrum(V, W)
+    nonzero = s.cosines < 1.0 - cfg.compare_tol  # skip intersection directions
+    return _angle_from_cos(clamped_product(s.sines[nonzero]), cfg)
 
 
 def min_symmetrized_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:

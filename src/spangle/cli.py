@@ -23,6 +23,7 @@ from .angles import (
 )
 from .io import (
     SubspaceDocumentError,
+    _sigdigits as _sig,
     dump_json,
     load_subspace_file,
     subspace_document,
@@ -38,10 +39,6 @@ from .verify import SUITE_NAMES, run_suites
 def _fail(field_name: str, message: str) -> None:
     click.echo(dump_json({"error": message, "field": field_name}), nl=False)
     sys.exit(2)
-
-
-def _sig(x: float) -> float:
-    return float(f"{x:.15g}")
 
 
 def _angle_out(x: float, degrees: bool) -> float:

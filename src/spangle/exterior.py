@@ -108,11 +108,6 @@ class Multivector:
         nz = np.nonzero(self.coeffs)[0]
         return sorted(set(int(g) for g in _grades(self.ambient_dim)[nz]))
 
-    def grade_component(self, p: int) -> "Multivector":
-        mask = _grades(self.ambient_dim) == p
-        out = np.where(mask, self.coeffs, 0)
-        return Multivector(self.ambient_dim, self.field, out)
-
     def scale(self, c) -> "Multivector":
         return Multivector(self.ambient_dim, self.field, self.coeffs * c)
 

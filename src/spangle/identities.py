@@ -19,13 +19,12 @@ from .angles import (
     complementary_angle,
     grassmann_angle,
     oriented_angle,
-    sines_from_cosines,
 )
-from .linalg import DEFAULT_TOLERANCES, Field, ToleranceConfig, clamped_product
+from .linalg import DEFAULT_TOLERANCES, HALF_PI, Field, ToleranceConfig, clamped_product
 from .principal import (
     is_partially_orthogonal,
+    pair_spectrum,
     principal_angles,
-    principal_cosines,
     principal_decomposition,
 )
 from .subspace import (
@@ -37,8 +36,6 @@ from .subspace import (
     spans_equal,
     sum_subspace,
 )
-
-HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ def angular_range(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLER
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
         raise ValueError("the angular range requires nonzero subspaces")
-    angles = principal_angles(V, W, cfg)
+    angles = principal_angles(V, W)
     theta_min = float(angles[0])
     theta_max = float(angles[-1]) if V.dim <= W.dim else HALF_PI
     return AngularRange(theta_min=theta_min, theta_max=theta_max, delta=theta_max - theta_min)
@@ -206,7 +203,7 @@ def check_principal_coordinate(
     if not is_subspace_of(U, V, cfg):
         raise ValueError("U must be contained in V")
     r = U.dim
-    decomp = principal_decomposition(V, W, cfg)
+    decomp = principal_decomposition(V, W)
     lhs = math.cos(grassmann_angle(U, W, cfg)) ** 2
     total = 0.0
     for combo in itertools.combinations(range(V.dim), r):
@@ -337,7 +334,7 @@ class FeasibilityReport:
     equal_angle_curve_residual: float | None
 
 
-def _angle_profile(V: Subspace, W: Subspace, cfg: ToleranceConfig):
+def _angle_profile(V: Subspace, W: Subspace):
     """(cos theta, cos theta_perp, robust cos of the angular spread).
 
     Everything is computed at the singular-value level; in particular the
@@ -345,10 +342,10 @@ def _angle_profile(V: Subspace, W: Subspace, cfg: ToleranceConfig):
     cosine/sine pairs instead of differencing two arccos values, which
     would lose sqrt(eps) near zero angles.
     """
-    sigma = principal_cosines(V, W, cfg)
-    sines = sines_from_cosines(sigma)
+    s = pair_spectrum(V, W)
+    sigma, sines = s.cosines, s.sines
     cos_theta_perp = clamped_product(sines)
-    if V.dim <= W.dim:
+    if s.p <= s.q:
         cos_theta = clamped_product(sigma)
         cos_delta = float(sigma[-1] * sigma[0] + sines[-1] * sines[0])
     else:
@@ -403,7 +400,7 @@ def theta_pair_feasibility(
     if not W.is_zero:
         spread = angular_range(V, W, cfg)
         delta = spread.delta
-        sigma, sines, cos_theta, cos_theta_perp, cos_delta = _angle_profile(V, W, cfg)
+        sigma, sines, cos_theta, cos_theta_perp, cos_delta = _angle_profile(V, W)
         cos_sum = cos_theta + cos_theta_perp
         if p == 1:
             if abs(cos_theta_perp - float(sines[0])) > tol:
@@ -482,7 +479,7 @@ def complexifiability_obstruction(
         raise ValueError("all dimensions must be even")
     if V.dim <= 2 or W.is_zero:
         return ComplexifiabilityVerdict.INCONCLUSIVE
-    _, _, cos_theta, cos_theta_perp, cos_delta = _angle_profile(V, W, cfg)
+    _, _, cos_theta, cos_theta_perp, cos_delta = _angle_profile(V, W)
     lhs = math.sqrt(cos_theta) + math.sqrt(cos_theta_perp)
     if V.dim == 4:
         if abs(lhs - cos_delta) > tol:

@@ -17,6 +17,7 @@ indent, trailing newline, floats at 15 significant digits.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -53,10 +54,18 @@ def _decode_entry(entry: Any, field: Field, where: str):
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise SubspaceDocumentError(where, "complex entries must be [re, im] number pairs")
-        return complex(entry[0], entry[1])
-    if not isinstance(entry, (int, float)) or isinstance(entry, bool):
+    elif not isinstance(entry, (int, float)) or isinstance(entry, bool):
         raise SubspaceDocumentError(where, "real entries must be numbers")
-    return float(entry)
+    # json reads NaN, Infinity, -Infinity and out-of-range literals such
+    # as 1e400 as non-finite floats, and huge integer literals overflow
+    # the conversion.
+    try:
+        value = complex(entry[0], entry[1]) if field is Field.COMPLEX else float(entry)
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise SubspaceDocumentError(where, "entries must be finite (no NaN, Infinity or overflow)")
+    return value
 
 
 def parse_subspace_document(doc: Any) -> tuple[Field, int, list[np.ndarray]]:

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+HALF_PI = math.pi / 2
+
 
 class Field(enum.Enum):
     """Ground field of a subspace: real or complex scalars."""
@@ -54,17 +56,17 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def as_field_array(values: Iterable, field: Field) -> np.ndarray:
-    """Convert to the dtype of ``field``, rejecting complex data under REAL."""
+    """Convert to the dtype of ``field``, rejecting complex data under REAL
+    and non-finite entries (NaN or infinity) under either field."""
     arr = np.asarray(values)
     if field is Field.REAL and np.iscomplexobj(arr):
         if np.any(arr.imag != 0):
             raise ValueError("complex entries are not allowed in a REAL-tagged value")
         arr = arr.real
-    return np.ascontiguousarray(arr.astype(field.dtype))
-
-
-def infer_field(arr: np.ndarray) -> Field:
-    return Field.COMPLEX if np.iscomplexobj(arr) else Field.REAL
+    arr = np.ascontiguousarray(arr.astype(field.dtype))
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+        raise ValueError("entries must be finite (no NaN or infinity)")
+    return arr
 
 
 def clamp01(x: float) -> float:
@@ -84,7 +86,7 @@ def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = Non
     Empty input is allowed when ``ambient_dim`` is given and yields an
     ``(ambient_dim, 0)`` matrix.
     """
-    vecs = [as_field_array(v, field) for v in vectors]
+    vecs = [np.asarray(v) for v in vectors]
     for v in vecs:
         if v.ndim != 1:
             raise ValueError("each spanning vector must be one-dimensional")
@@ -98,7 +100,7 @@ def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = Non
             raise ValueError(f"dimension mismatch: expected vectors of length {n}, got {v.shape[0]}")
     if ambient_dim is not None and n != ambient_dim:
         raise ValueError(f"dimension mismatch: vectors have length {n}, ambient_dim is {ambient_dim}")
-    return np.column_stack(vecs)
+    return as_field_array(np.column_stack(vecs), field)
 
 
 def numerical_rank(sigma: np.ndarray, shape: tuple[int, int], cfg: ToleranceConfig) -> int:
@@ -171,31 +173,17 @@ def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, B)
 
 
-def conj_transpose(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
-
-
 def clamped_product(values: np.ndarray) -> float:
     """Product of factors clamped into [0, 1], in log-space beyond 20
     factors (many small factors underflow a direct product)."""
-    v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+    v = np.minimum(np.maximum(np.asarray(values, dtype=np.float64), 0.0), 1.0)
     if v.size == 0:
         return 1.0
-    if np.any(v == 0.0):
+    if (v == 0.0).any():
         return 0.0
     if v.size <= 20:
-        return float(np.prod(v))
-    return float(math.exp(np.sum(np.log(v))))
-
-
-def product_of_cosines(angles: np.ndarray) -> float:
-    """prod(cos(theta_i)) with clamping and the log-space guard."""
-    return clamped_product(np.cos(np.asarray(angles, dtype=np.float64)))
-
-
-def product_of_sines(angles: np.ndarray) -> float:
-    """prod(sin(theta_i)) with clamping and the log-space guard."""
-    return clamped_product(np.sin(np.asarray(angles, dtype=np.float64)))
+        return float(v.prod())
+    return float(math.exp(np.log(v).sum()))
 
 
 def principal_phase(z: complex) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import grassmann_angle, max_symmetrized_angle, vector_angles
-from .linalg import DEFAULT_TOLERANCES, Field, ToleranceConfig
+from .linalg import DEFAULT_TOLERANCES, HALF_PI, Field, ToleranceConfig
 from .principal import is_partially_orthogonal
 from .subspace import (
     Subspace,
@@ -31,8 +31,6 @@ from .subspace import (
     project_vector,
     sum_subspace,
 )
-
-HALF_PI = math.pi / 2
 
 
 def fubini_study(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:

@@ -8,14 +8,73 @@ Principal vectors are not unique; only angles and spans are comparable.
 
 from __future__ import annotations
 
-import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
+from .linalg import DEFAULT_TOLERANCES, HALF_PI, Field, ToleranceConfig
 from .subspace import Subspace, _check_pair, project_subspace, spans_equal, sum_subspace
+
+# Cosines above this band are indistinguishable from 1 at SVD backward
+# error, so their angles count as exact zeros, with zero sines (else every
+# genuinely shared direction would contribute a spurious sqrt(eps) sine).
+_ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * np.finfo(np.float64).eps
+
+
+@dataclass(frozen=True)
+class PairSpectrum:
+    """Principal cosines (descending, clamped into [0, 1]) and sines of an
+    ordered pair of subspaces of dimensions p and q over ``field``; both
+    arrays are read-only and have length min(p, q).  Built only by
+    :func:`pair_spectrum`."""
+
+    cosines: np.ndarray
+    p: int
+    q: int
+    field: Field
+
+    @cached_property
+    def sines(self) -> np.ndarray:
+        """Taken on first use, since the directed angle needs none.
+        (1 - c)(1 + c) is never negative, so only the upper clamp acts."""
+        c = self.cosines
+        sines = np.sqrt(np.minimum((1.0 - c) * (1.0 + c), 1.0))
+        sines[c >= _ZERO_ANGLE_COS_BAND] = 0.0
+        sines.setflags(write=False)
+        return sines
+
+
+# (weakref(V), weakref(W), spectrum of (V, W)), read and replaced whole, so
+# threads sharing it see one consistent slot; it keeps no pair alive.
+_last_pair: tuple | None = None
+
+
+def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
+    """Spectrum of (V, W) from one SVD of the tall cross-Gram, with the
+    higher-dimensional side (W on a tie) conjugate-transposed.  Repeat
+    calls on the same two objects, in either order, reuse it."""
+    global _last_pair
+    memo = _last_pair
+    if memo is not None:
+        a, b = memo[0](), memo[1]()
+        if a is V and b is W:
+            return memo[2]
+        if a is W and b is V:
+            return PairSpectrum(memo[2].cosines, V.dim, W.dim, V.field)
+    _check_pair(V, W)
+    if V.is_zero or W.is_zero:
+        cosines = np.zeros(0)
+    else:
+        M = W.basis.conj().T @ V.basis if V.dim <= W.dim else V.basis.conj().T @ W.basis
+        # Singular values are never negative: only the upper clamp acts.
+        cosines = np.minimum(np.linalg.svd(M, compute_uv=False), 1.0)
+    cosines.setflags(write=False)
+    spectrum = PairSpectrum(cosines, V.dim, W.dim, V.field)
+    _last_pair = (weakref.ref(V), weakref.ref(W), spectrum)
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -33,10 +92,6 @@ class PrincipalDecomposition:
     left_basis: np.ndarray
     right_basis: np.ndarray
 
-    @property
-    def cosines(self) -> np.ndarray:
-        return np.cos(self.angles)
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -48,46 +103,30 @@ class Partition:
         object.__setattr__(self, "parts", tuple(parts))
 
 
-def principal_decomposition(
-    V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> PrincipalDecomposition:
+def principal_decomposition(V: Subspace, W: Subspace) -> PrincipalDecomposition:
     """Principal angles and bases of a pair of nonzero subspaces."""
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
         raise ValueError("principal bases are undefined for the zero subspace")
     M = W.basis.conj().T @ V.basis  # (q, p) cross-Gram
     U, sigma, Vh = np.linalg.svd(M, full_matrices=True)
-    cos = np.clip(sigma, 0.0, 1.0)
-    angles = np.arccos(cos)  # descending sigma -> ascending angles
+    angles = np.arccos(np.clip(sigma, 0.0, 1.0))  # descending sigma -> ascending angles
     left = V.basis @ Vh.conj().T
     right = W.basis @ U
     return PrincipalDecomposition(angles=angles, left_basis=left, right_basis=right)
 
 
-def principal_cosines(
-    V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """Descending principal cosines: the singular values of the
-    cross-Gram, clamped into [0, 1].  Working with the cosines avoids the
-    arccos precision loss near zero angles."""
-    _check_pair(V, W)
-    if V.is_zero or W.is_zero:
-        return np.zeros(0)
-    M = W.basis.conj().T @ V.basis
-    sigma = np.linalg.svd(M, compute_uv=False)
-    return np.clip(sigma, 0.0, 1.0)
+def principal_cosines(V: Subspace, W: Subspace) -> np.ndarray:
+    """Descending principal cosines, clamped into [0, 1] (read-only)."""
+    return pair_spectrum(V, W).cosines
 
 
-def principal_angles(
-    V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def principal_angles(V: Subspace, W: Subspace) -> np.ndarray:
     """Just the ascending principal angles (empty when either space is {0})."""
-    return np.arccos(principal_cosines(V, W, cfg))
+    return np.arccos(pair_spectrum(V, W).cosines)
 
 
-def is_partially_orthogonal(
-    V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> bool:
+def is_partially_orthogonal(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when V contains a nonzero vector orthogonal to all of W.
 
     Equivalent to dim V > dim W or some principal angle being pi/2.
@@ -98,8 +137,7 @@ def is_partially_orthogonal(
         return False
     if V.dim > W.dim:
         return True
-    angles = principal_angles(V, W, cfg)
-    return bool(angles.size and angles[-1] >= math.pi / 2 - cfg.compare_tol)
+    return bool(principal_angles(V, W)[-1] >= HALF_PI - cfg.compare_tol)
 
 
 def _parts_sum_to(parts: Sequence[Subspace], V: Subspace, cfg: ToleranceConfig) -> bool:

@@ -160,13 +160,6 @@ def intersect(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCE
     return Subspace(V.ambient_dim, V.field, Q)
 
 
-def contains_vector(V: Subspace, v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    v = as_field_array(v, V.field)
-    residual = v - project_vector(V, v)
-    scale = max(float(np.linalg.norm(v)), 1.0)
-    return float(np.linalg.norm(residual)) <= cfg.compare_tol * scale
-
-
 def is_subspace_of(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when every basis direction of V lies in W."""
     _check_pair(V, W)

@@ -69,6 +69,30 @@ class TestAngleCommand:
         out = json.loads(result.output)
         assert out["field"] == "right:vectors[0][1]"
 
+    # The bad entry sits at vectors[1][2] (real) or vectors[1][1] (complex).
+    NON_FINITE_DOCS = {
+        "real": ('[[1, 0, 0], [1, 0, {}]]', "vectors[1][2]", [[1, 0, 0]]),
+        "complex": (
+            '[[[0, 1], [0, 0], [0, 0]], [[1, 0], [0, {}], [0, 0]]]',
+            "vectors[1][1]",
+            [[[1, 0], [0, 0], [0, 0]]],
+        ),
+    }
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_non_finite_entry_exit_2_names_entry(self, runner, tmp_path, token, field):
+        vectors, where, good_vectors = self.NON_FINITE_DOCS[field]
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"field": "{field}", "ambient_dim": 3, "vectors": {vectors.format(token)}}}')
+        good = write_doc(tmp_path / "good.json", field, 3, good_vectors)
+        for args, side in (([str(bad), good], "left"), ([good, str(bad)], "right")):
+            result = runner.invoke(main, ["angle", *args])
+            assert result.exit_code == 2, result.output
+            out = json.loads(result.output)
+            assert out["field"] == f"{side}:{where}"
+            assert "finite" in out["error"]
+
     def test_oriented_flag(self, runner, tmp_path):
         left = write_doc(
             tmp_path / "a.json",

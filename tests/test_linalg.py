@@ -61,6 +61,15 @@ class TestOrthonormalize:
         with pytest.raises(ValueError, match="REAL"):
             orthonormalize([[1j, 0]], cfg, field=Field.REAL)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [(f, x) for f in (Field.REAL, Field.COMPLEX) for x in (math.nan, math.inf, -math.inf)]
+        + [(Field.COMPLEX, complex(0, math.inf))],
+    )
+    def test_non_finite_entries_rejected(self, cfg, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            orthonormalize([[1, 0, 0], [0, bad, 0]], cfg, field=field)
+
     def test_idempotent_on_own_output(self, cfg, rng):
         for field in (Field.REAL, Field.COMPLEX):
             M = gaussian_matrix(rng, 7, 4, field)
