@@ -46,7 +46,7 @@ from .identities import (
     partition_angle_product,
     theta_pair_feasibility,
 )
-from .linalg import DEFAULT_TOLERANCES, Field, ToleranceConfig, det, orthonormalize, svd
+from .linalg import Field, det, orthonormalize, svd
 from .metrics import (
     TriangleCase,
     TriangleTag,

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOLERANCES,
+    COMPARE_TOL,
     HALF_PI,
+    RANK_REL_TOL,
     Field,
-    ToleranceConfig,
     arccos_clamped,
     as_field_array,
     clamped_product,
@@ -33,12 +33,12 @@ from .principal import _ZERO_ANGLE_COS_BAND, pair_spectrum
 from .subspace import Subspace, _check_pair, realify, sum_subspace, zero_subspace
 
 
-def _angle_from_cos(value: float, cfg: ToleranceConfig) -> float:
+def _angle_from_cos(value: float) -> float:
     """arccos that returns an exact 0 inside the roundoff band at 1,
     so that contained/orthogonal configurations produce exact angles."""
     if value >= _ZERO_ANGLE_COS_BAND:
         return 0.0
-    return arccos_clamped(value, cfg)
+    return arccos_clamped(value)
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class AngleReport:
     projection_factor: float
 
 
-def vector_angles(v, w, field: Field, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> VectorAngles:
+def vector_angles(v, w, field: Field) -> VectorAngles:
     """All vector angles at once, with the zero-vector conventions
     theta(0, w) = 0 and theta(v, 0) = pi/2."""
     v = as_field_array(v, field)
@@ -101,12 +101,12 @@ def vector_angles(v, w, field: Field, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     zeta_cos = complex(ip) / (nv * nw) if field is Field.COMPLEX else float(ip) / (nv * nw)
     cos_theta = (zeta_cos.real if field is Field.COMPLEX else zeta_cos)
     theta = math.acos(min(1.0, max(-1.0, cos_theta)))
-    gamma = arccos_clamped(abs(zeta_cos), cfg)
-    phase = principal_phase(complex(zeta_cos)) if abs(ip) > cfg.compare_tol else None
+    gamma = arccos_clamped(abs(zeta_cos))
+    phase = principal_phase(complex(zeta_cos)) if abs(ip) > COMPARE_TOL else None
     return VectorAngles(theta=theta, gamma=gamma, zeta_cos=zeta_cos, phase=phase)
 
 
-def grassmann_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def grassmann_angle(V: Subspace, W: Subspace) -> float:
     """Directed angle of V with W, in [0, pi/2].
 
     arccos of the product of principal cosines when dim V <= dim W;
@@ -118,20 +118,20 @@ def grassmann_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOL
         return 0.0
     if V.dim > W.dim:
         return HALF_PI
-    return _angle_from_cos(clamped_product(pair_spectrum(V, W).cosines), cfg)
+    return _angle_from_cos(clamped_product(pair_spectrum(V, W).cosines))
 
 
-def complementary_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def complementary_angle(V: Subspace, W: Subspace) -> float:
     """Angle of V with the orthogonal complement of W, in [0, pi/2].
 
     Computed as arccos of the product of principal sines of (V, W); this
     equals the directed angle against complement(W) and is symmetric in
     V and W.  Zero when either subspace is {0}.
     """
-    return _angle_from_cos(clamped_product(pair_spectrum(V, W).sines), cfg)
+    return _angle_from_cos(clamped_product(pair_spectrum(V, W).sines))
 
 
-def angle_from_complement(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def angle_from_complement(V: Subspace, W: Subspace) -> float:
     """Directed angle of complement(V) with W, without forming the complement.
 
     Equals arccos of the product of sines of the *nonzero* principal
@@ -141,33 +141,31 @@ def angle_from_complement(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAU
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
         raise ValueError("both subspaces must be nonzero")
-    if sum_subspace(V, W, cfg).dim < V.ambient_dim:
+    if sum_subspace(V, W).dim < V.ambient_dim:
         return HALF_PI
     s = pair_spectrum(V, W)
-    nonzero = s.cosines < 1.0 - cfg.compare_tol  # skip intersection directions
-    return _angle_from_cos(clamped_product(s.sines[nonzero]), cfg)
+    nonzero = s.cosines < 1.0 - COMPARE_TOL  # skip intersection directions
+    return _angle_from_cos(clamped_product(s.sines[nonzero]))
 
 
-def min_symmetrized_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    return min(grassmann_angle(V, W, cfg), grassmann_angle(W, V, cfg))
+def min_symmetrized_angle(V: Subspace, W: Subspace) -> float:
+    return min(grassmann_angle(V, W), grassmann_angle(W, V))
 
 
-def max_symmetrized_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    return max(grassmann_angle(V, W, cfg), grassmann_angle(W, V, cfg))
+def max_symmetrized_angle(V: Subspace, W: Subspace) -> float:
+    return max(grassmann_angle(V, W), grassmann_angle(W, V))
 
 
-def projection_factor(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def projection_factor(V: Subspace, W: Subspace) -> float:
     """Factor by which top-dimensional volumes of V contract when
     orthogonally projected on W: cos(angle) over the reals, cos^2 over
     the complexes (each principal cosine contracts two real axes)."""
-    theta = grassmann_angle(V, W, cfg)
+    theta = grassmann_angle(V, W)
     c = math.cos(theta)
     return c * c if V.field is Field.COMPLEX else c
 
 
-def real_complex_relation(
-    V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[float, float]:
+def real_complex_relation(V: Subspace, W: Subspace) -> tuple[float, float]:
     """(cos of the complex angle, cos of the realified angle).
 
     The realified cosine is the square of the complex one; both values
@@ -176,8 +174,8 @@ def real_complex_relation(
     if V.field is not Field.COMPLEX:
         raise ValueError("real_complex_relation expects COMPLEX subspaces")
     _check_pair(V, W)
-    cos_complex = math.cos(grassmann_angle(V, W, cfg))
-    cos_real = math.cos(grassmann_angle(realify(V), realify(W), cfg))
+    cos_complex = math.cos(grassmann_angle(V, W))
+    cos_real = math.cos(grassmann_angle(realify(V), realify(W)))
     return cos_complex, cos_real
 
 
@@ -195,19 +193,14 @@ class OrientedSubspace:
 
     def __post_init__(self) -> None:
         c = complex(self.coefficient)
-        if abs(abs(c) - 1.0) > 1e-9:
+        if abs(abs(c) - 1.0) > COMPARE_TOL:
             raise ValueError("orientation coefficient must have unit modulus")
         if self.space.field is Field.REAL and abs(c.imag) > 1e-12:
             raise ValueError("a real subspace admits only +1/-1 orientation coefficients")
         object.__setattr__(self, "coefficient", c)
 
 
-def oriented_from_spanning(
-    vectors,
-    field: Field,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    ambient_dim: int | None = None,
-) -> OrientedSubspace:
+def oriented_from_spanning(vectors, field: Field, ambient_dim: int | None = None) -> OrientedSubspace:
     """Oriented subspace whose orientation is the wedge of the given
     ordered vectors (which must be independent)."""
     M = stack_columns(vectors, field, ambient_dim=ambient_dim)
@@ -215,16 +208,14 @@ def oriented_from_spanning(
         return OrientedSubspace(zero_subspace(M.shape[0], field), 1.0)
     Q, R = np.linalg.qr(M)
     diag = np.abs(np.diagonal(R))
-    if float(np.min(diag)) <= cfg.rank_rel_tol * max(M.shape) * float(np.max(diag)):
+    if float(np.min(diag)) <= RANK_REL_TOL * max(M.shape) * float(np.max(diag)):
         raise ValueError("orientation requires linearly independent vectors")
     det_r = np.prod(np.diagonal(R))
     coeff = det_r / abs(det_r)
     return OrientedSubspace(Subspace(M.shape[0], field, Q), complex(coeff))
 
 
-def oriented_angle(
-    V: OrientedSubspace, W: OrientedSubspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> OrientedAngle:
+def oriented_angle(V: OrientedSubspace, W: OrientedSubspace) -> OrientedAngle:
     """Oriented angle between equal-dimension oriented subspaces.
 
     cos_value is the inner product of the unit orientation blades, a
@@ -241,18 +232,18 @@ def oriented_angle(
     cos_value = np.conj(V.coefficient) * W.coefficient * det
     if A.field is Field.REAL:
         cos_value = complex(cos_value).real
-    magnitude = arccos_clamped(abs(cos_value), cfg)
-    phase = principal_phase(complex(cos_value)) if abs(cos_value) > cfg.compare_tol else None
+    magnitude = arccos_clamped(abs(cos_value))
+    phase = principal_phase(complex(cos_value)) if abs(cos_value) > COMPARE_TOL else None
     return OrientedAngle(magnitude=magnitude, phase=phase, cos_value=cos_value)
 
 
-def angle_report(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> AngleReport:
-    forward = grassmann_angle(V, W, cfg)
-    backward = grassmann_angle(W, V, cfg)
+def angle_report(V: Subspace, W: Subspace) -> AngleReport:
+    forward = grassmann_angle(V, W)
+    backward = grassmann_angle(W, V)
     return AngleReport(
         theta=forward,
-        theta_perp=complementary_angle(V, W, cfg),
+        theta_perp=complementary_angle(V, W),
         theta_min_sym=min(forward, backward),
         theta_max_sym=max(forward, backward),
-        projection_factor=projection_factor(V, W, cfg),
+        projection_factor=projection_factor(V, W),
     )

@@ -19,13 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Field,
-    ToleranceConfig,
-    arccos_clamped,
-    as_field_array,
-)
+from .linalg import Field, arccos_clamped, as_field_array
 from .subspace import Subspace
 
 REAL_AMBIENT_CAP = 12
@@ -217,19 +211,7 @@ def contract(nu: Multivector, omega: Multivector) -> Multivector:
     return Multivector(nu.ambient_dim, nu.field, out)
 
 
-@dataclass(frozen=True)
-class Blade:
-    """A multivector known (by construction) to be simple, plus its grade."""
-
-    multivector: Multivector
-    grade: int
-
-    @property
-    def norm(self) -> float:
-        return self.multivector.norm
-
-
-def blade_of(V: Subspace) -> Blade:
+def blade_of(V: Subspace) -> Multivector:
     """Unit blade representing a subspace: the wedge of its orthonormal
     basis columns.  The zero subspace is represented by the scalar 1."""
     _check_cap(V.ambient_dim, V.field)
@@ -239,7 +221,7 @@ def blade_of(V: Subspace) -> Blade:
     nrm = acc.norm
     if V.dim and abs(nrm - 1.0) > 1e-12:
         acc = acc.scale(1.0 / nrm)
-    return Blade(multivector=acc, grade=V.dim)
+    return acc
 
 
 def project_multivector(W: Subspace, x: Multivector) -> Multivector:
@@ -270,27 +252,27 @@ def project_multivector(W: Subspace, x: Multivector) -> Multivector:
     return Multivector(x.ambient_dim, x.field, out)
 
 
-def oracle_grassmann_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def oracle_grassmann_angle(V: Subspace, W: Subspace) -> float:
     """Angle from the norm of the projected blade: the projection of a
     unit blade of V onto the algebra of W has norm cos(angle)."""
-    nu = blade_of(V).multivector
+    nu = blade_of(V)
     projected = project_multivector(W, nu)
-    return arccos_clamped(projected.norm, cfg)
+    return arccos_clamped(projected.norm)
 
 
-def oracle_complementary_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def oracle_complementary_angle(V: Subspace, W: Subspace) -> float:
     """Angle from the norm of the wedge of unit blades."""
-    nu = blade_of(V).multivector
-    om = blade_of(W).multivector
-    return arccos_clamped(wedge(nu, om).norm, cfg)
+    nu = blade_of(V)
+    om = blade_of(W)
+    return arccos_clamped(wedge(nu, om).norm)
 
 
-def oracle_contraction_angle(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def oracle_contraction_angle(V: Subspace, W: Subspace) -> float:
     """Angle from the norm of the contraction of unit blades; agrees with
     the projected-blade route for all inputs."""
-    nu = blade_of(V).multivector
-    om = blade_of(W).multivector
-    return arccos_clamped(contract(nu, om).norm, cfg)
+    nu = blade_of(V)
+    om = blade_of(W)
+    return arccos_clamped(contract(nu, om).norm)
 
 
 # ---------------------------------------------------------------------------

@@ -15,28 +15,20 @@ import math
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Field,
-    ToleranceConfig,
-    arccos_clamped,
-    clamp01,
-    det,
-    solve,
-    stack_columns,
-)
+from .linalg import RANK_REL_TOL, Field, arccos_clamped, clamp01, det, solve, stack_columns
+from .principal import _ZERO_ANGLE_COS_BAND
 
 GRAM_CONDITION_LIMIT = 1e12
 
-_ZERO_ANGLE_COS_SQ_BAND = (1.0 - 256.0 * np.finfo(np.float64).eps) ** 2
+_ZERO_ANGLE_COS_SQ_BAND = _ZERO_ANGLE_COS_BAND**2
 
 
-def _angle_from_cos_sq(cos_sq: float, cfg: ToleranceConfig) -> float:
+def _angle_from_cos_sq(cos_sq: float) -> float:
     """arccos of the square root, with an exact 0 inside the roundoff
     band at 1 (matching the principal-angle fast path)."""
     if cos_sq >= _ZERO_ANGLE_COS_SQ_BAND:
         return 0.0
-    return arccos_clamped(math.sqrt(cos_sq), cfg)
+    return arccos_clamped(math.sqrt(cos_sq))
 
 
 class ProjectionAngleMode(enum.Enum):
@@ -44,7 +36,7 @@ class ProjectionAngleMode(enum.Enum):
     PERP = "perp"
 
 
-def _gram_matrices(basis_v, basis_w, field: Field, cfg: ToleranceConfig, ambient_dim: int | None):
+def _gram_matrices(basis_v, basis_w, field: Field, ambient_dim: int | None):
     # Empty lists denote the zero subspace; the ambient size then comes
     # from the other list or from an explicit ambient_dim.
     if ambient_dim is None:
@@ -75,7 +67,7 @@ def _check_conditioning(G: np.ndarray, which: str) -> None:
         )
 
 
-def _psd_det_rank_floored(M: np.ndarray, reference: np.ndarray, cfg: ToleranceConfig) -> float:
+def _psd_det_rank_floored(M: np.ndarray, reference: np.ndarray) -> float:
     """Determinant of a Hermitian PSD matrix with noise eigenvalues
     zeroed.
 
@@ -93,38 +85,26 @@ def _psd_det_rank_floored(M: np.ndarray, reference: np.ndarray, cfg: ToleranceCo
     ref_top = float(np.linalg.eigvalsh((reference + reference.conj().T) / 2.0)[-1])
     if ref_top <= 0.0:
         return 0.0
-    floor = cfg.rank_rel_tol * ref_top * M.shape[0]
+    floor = RANK_REL_TOL * ref_top * M.shape[0]
     eigs = np.where(eigs > floor, eigs, 0.0)
     return float(np.prod(eigs))
 
 
-def angle_from_gram(
-    basis_v,
-    basis_w,
-    field: Field,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    ambient_dim: int | None = None,
-) -> float:
+def angle_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
     """Directed angle of span(basis_v) with span(basis_w) from raw bases.
 
     When p > q the product matrix is rank deficient and its floored
     determinant vanishes, giving pi/2 as it must.
     """
-    A, B, D = _gram_matrices(basis_v, basis_w, field, cfg, ambient_dim)
-    numerator = _psd_det_rank_floored(B.conj().T @ solve(A, B), D, cfg)
+    A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
+    numerator = _psd_det_rank_floored(B.conj().T @ solve(A, B), D)
     cos_sq = clamp01(numerator / float(np.real(det(D))))
-    return _angle_from_cos_sq(cos_sq, cfg)
+    return _angle_from_cos_sq(cos_sq)
 
 
-def angle_from_gram_equal_dim(
-    basis_v,
-    basis_w,
-    field: Field,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    ambient_dim: int | None = None,
-) -> float:
+def angle_from_gram_equal_dim(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
     """Equal-dimension shortcut: cos^2 = |det B|^2 / (det A det D)."""
-    A, B, D = _gram_matrices(basis_v, basis_w, field, cfg, ambient_dim)
+    A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
     if B.shape[0] != B.shape[1]:
         raise ValueError(
             f"the equal-dimension shortcut needs equally many vectors, got {B.shape[1]} and {B.shape[0]}"
@@ -134,28 +114,18 @@ def angle_from_gram_equal_dim(
         if B.shape[0]
         else 1.0
     )
-    return _angle_from_cos_sq(cos_sq, cfg)
+    return _angle_from_cos_sq(cos_sq)
 
 
-def complementary_from_gram(
-    basis_v,
-    basis_w,
-    field: Field,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    ambient_dim: int | None = None,
-) -> float:
+def complementary_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
     """Complementary angle from raw bases via the Schur complement."""
-    A, B, D = _gram_matrices(basis_v, basis_w, field, cfg, ambient_dim)
+    A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
     schur = A - B @ solve(D, B.conj().T)
-    cos_sq = clamp01(_psd_det_rank_floored(schur, A, cfg) / float(np.real(det(A))))
-    return _angle_from_cos_sq(cos_sq, cfg)
+    cos_sq = clamp01(_psd_det_rank_floored(schur, A) / float(np.real(det(A))))
+    return _angle_from_cos_sq(cos_sq)
 
 
-def angle_from_projection_matrix(
-    P: np.ndarray,
-    mode: ProjectionAngleMode,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> float:
+def angle_from_projection_matrix(P: np.ndarray, mode: ProjectionAngleMode) -> float:
     """Angles from a (q, p) matrix representing the orthogonal projection
     V -> W in orthonormal bases.
 
@@ -172,4 +142,4 @@ def angle_from_projection_matrix(
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     cos_sq = clamp01(float(np.real(value)))
-    return arccos_clamped(math.sqrt(cos_sq), cfg)
+    return arccos_clamped(math.sqrt(cos_sq))

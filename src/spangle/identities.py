@@ -3,6 +3,11 @@
 Each check computes both sides of one identity and reports them with the
 residual; the randomized harnesses in the verification suites drive
 these over seeded configurations.  Binomial targets are integer-exact.
+
+The residual tolerances are fixed here, for these checks and for the
+suites alike: RESIDUAL_TOL for identities, SLACK_TOL for the joint
+bounds, ANGLE_TOL for raw angle sums near the ends of the arccos range
+(where double precision cannot do better).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .angles import (
     grassmann_angle,
     oriented_angle,
 )
-from .linalg import DEFAULT_TOLERANCES, HALF_PI, Field, ToleranceConfig, clamped_product
+from .linalg import COMPARE_TOL, HALF_PI, Field, clamped_product
 from .principal import (
     is_partially_orthogonal,
     pair_spectrum,
@@ -30,12 +35,18 @@ from .principal import (
 from .subspace import (
     Subspace,
     _check_pair,
+    _pairwise_orthogonal,
+    _sum_all,
     intersect,
     is_subspace_of,
     project_subspace,
     spans_equal,
     sum_subspace,
 )
+
+RESIDUAL_TOL = 1e-9
+SLACK_TOL = 1e-12
+ANGLE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,9 @@ class IdentityResult:
     passed: bool
 
 
-def _result(lhs, rhs, tol: float) -> IdentityResult:
+def _result(lhs, rhs) -> IdentityResult:
     residual = abs(lhs - rhs)
-    return IdentityResult(lhs=lhs, rhs=rhs, residual=float(residual), passed=bool(residual <= tol))
+    return IdentityResult(lhs=lhs, rhs=rhs, residual=float(residual), passed=bool(residual <= RESIDUAL_TOL))
 
 
 @dataclass(frozen=True)
@@ -64,7 +75,7 @@ class AngularRange:
     delta: float
 
 
-def angular_range(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> AngularRange:
+def angular_range(V: Subspace, W: Subspace) -> AngularRange:
     """theta_min is the smallest principal angle; theta_max is the largest
     when dim V <= dim W and pi/2 otherwise."""
     _check_pair(V, W)
@@ -76,34 +87,38 @@ def angular_range(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLER
     return AngularRange(theta_min=theta_min, theta_max=theta_max, delta=theta_max - theta_min)
 
 
-def _check_orthogonal_partition(parts, total_dim: int, what: str, cfg: ToleranceConfig) -> None:
+def _check_orthogonal_partition(parts, total_dim: int, what: str) -> None:
     dims = sum(p.dim for p in parts)
     if dims != total_dim:
         raise ValueError(f"partition does not span {what}: dimensions sum to {dims}, need {total_dim}")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if parts[i].dim == 0 or parts[j].dim == 0:
-                continue
-            cross = parts[i].basis.conj().T @ parts[j].basis
-            if float(np.max(np.abs(cross))) > cfg.compare_tol:
-                raise ValueError(f"partition of {what} is not orthogonal")
+    if not _pairwise_orthogonal(parts):
+        raise ValueError(f"partition of {what} is not orthogonal")
 
 
-def check_line_partition(
-    L: Subspace, parts, cfg: ToleranceConfig = DEFAULT_TOLERANCES, tol: float = 1e-9
-) -> IdentityResult:
+def _cos_and_product_over_parts(V: Subspace, parts: list[Subspace], W: Subspace) -> tuple[float, float]:
+    """cos(V, W) and the product of cos(part, W) over the parts, which
+    must sum to V."""
+    if not parts:
+        raise ValueError("partition must have at least one part")
+    if not spans_equal(_sum_all(parts), V):
+        raise ValueError("partition parts do not sum to V")
+    lhs = math.cos(grassmann_angle(V, W))
+    return lhs, math.prod(math.cos(grassmann_angle(part, W)) for part in parts)
+
+
+def check_line_partition(L: Subspace, parts) -> IdentityResult:
     """Squared cosines of a line against an orthogonal partition of the
     ambient space sum to 1."""
     if L.dim != 1:
         raise ValueError(f"expected a line, got dimension {L.dim}")
     for p in parts:
         _check_pair(L, p)
-    _check_orthogonal_partition(parts, L.ambient_dim, "the ambient space", cfg)
-    lhs = sum(math.cos(grassmann_angle(L, Wi, cfg)) ** 2 for Wi in parts)
-    return _result(lhs, 1.0, tol)
+    _check_orthogonal_partition(parts, L.ambient_dim, "the ambient space")
+    lhs = sum(math.cos(grassmann_angle(L, Wi)) ** 2 for Wi in parts)
+    return _result(lhs, 1.0)
 
 
-def coordinate_subspaces(basis: np.ndarray, q: int, field: Field, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+def coordinate_subspaces(basis: np.ndarray, q: int, field: Field):
     """All q-column coordinate subspaces of an orthogonal basis, in
     lexicographic index order (matching the bit-mask order of the
     exterior module).  Yields (indices, Subspace)."""
@@ -113,20 +128,14 @@ def coordinate_subspaces(basis: np.ndarray, q: int, field: Field, cfg: Tolerance
         raise ValueError("basis contains a zero vector")
     unit = basis / norms
     cross = np.abs(unit.conj().T @ unit - np.eye(n))
-    if float(np.max(cross)) > 1e-9:
+    if float(np.max(cross)) > COMPARE_TOL:
         raise ValueError("basis is not orthogonal")
     for combo in itertools.combinations(range(n), q):
         cols = unit[:, list(combo)] if combo else np.zeros((basis.shape[0], 0), dtype=unit.dtype)
         yield combo, Subspace(basis.shape[0], field, cols)
 
 
-def check_coordinate_identity(
-    V: Subspace,
-    basis: np.ndarray,
-    q: int,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    tol: float = 1e-9,
-) -> IdentityResult:
+def check_coordinate_identity(V: Subspace, basis: np.ndarray, q: int) -> IdentityResult:
     """Sum of squared cosines against all coordinate q-subspaces of an
     orthogonal ambient basis.
 
@@ -139,14 +148,14 @@ def check_coordinate_identity(
     n, p = V.ambient_dim, V.dim
     total = 0.0
     if p <= q:
-        for _, W_I in coordinate_subspaces(basis, q, V.field, cfg):
-            total += math.cos(grassmann_angle(V, W_I, cfg)) ** 2
+        for _, W_I in coordinate_subspaces(basis, q, V.field):
+            total += math.cos(grassmann_angle(V, W_I)) ** 2
         target = float(math.comb(n - p, n - q))
     else:
-        for _, W_I in coordinate_subspaces(basis, q, V.field, cfg):
-            total += math.cos(grassmann_angle(W_I, V, cfg)) ** 2
+        for _, W_I in coordinate_subspaces(basis, q, V.field):
+            total += math.cos(grassmann_angle(W_I, V)) ** 2
         target = float(math.comb(p, q))
-    return _result(total, target, tol)
+    return _result(total, target)
 
 
 @dataclass(frozen=True)
@@ -157,13 +166,7 @@ class OrientedSumCheck:
     bound_slack: float  # sum of |cos| products minus cos(angle); must be >= 0
 
 
-def check_oriented_sum(
-    V: OrientedSubspace,
-    W: OrientedSubspace,
-    basis: np.ndarray,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    tol: float = 1e-9,
-) -> OrientedSumCheck:
+def check_oriented_sum(V: OrientedSubspace, W: OrientedSubspace, basis: np.ndarray) -> OrientedSumCheck:
     """The oriented angle cosine equals the sum, over the coordinate
     p-subspaces of an orthogonal basis, of cos(V, X_I) * cos(X_I, W)
     (oriented cosines, order matters in the complex case).  Also reports
@@ -172,27 +175,21 @@ def check_oriented_sum(
     p = V.space.dim
     if p != W.space.dim:
         raise ValueError("oriented identity requires equal dimensions")
-    lhs = oriented_angle(V, W, cfg).cos_value
+    lhs = oriented_angle(V, W).cos_value
     total = 0.0 + 0.0j if V.space.field is Field.COMPLEX else 0.0
     bound_total = 0.0
-    for _, X_I in coordinate_subspaces(np.asarray(basis, dtype=V.space.field.dtype), p, V.space.field, cfg):
+    for _, X_I in coordinate_subspaces(np.asarray(basis, dtype=V.space.field.dtype), p, V.space.field):
         X_oriented = OrientedSubspace(X_I, 1.0)
-        left = oriented_angle(V, X_oriented, cfg).cos_value
-        right = oriented_angle(X_oriented, W, cfg).cos_value
+        left = oriented_angle(V, X_oriented).cos_value
+        right = oriented_angle(X_oriented, W).cos_value
         total += left * right
         bound_total += abs(left) * abs(right)
-    identity = _result(lhs, total, tol)
+    identity = _result(lhs, total)
     slack = bound_total - abs(lhs)
     return OrientedSumCheck(identity=identity, bound_slack=float(slack))
 
 
-def check_principal_coordinate(
-    U: Subspace,
-    V: Subspace,
-    W: Subspace,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    tol: float = 1e-9,
-) -> IdentityResult:
+def check_principal_coordinate(U: Subspace, V: Subspace, W: Subspace) -> IdentityResult:
     """For U inside V, the squared cosine towards W decomposes over the
     coordinate r-subspaces of a principal basis of V with respect to W as
     a weighted average: sum of cos^2(U, V_I) * cos^2(V_I, W)."""
@@ -200,114 +197,77 @@ def check_principal_coordinate(
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
         raise ValueError("the decomposition requires nonzero V and W")
-    if not is_subspace_of(U, V, cfg):
+    if not is_subspace_of(U, V):
         raise ValueError("U must be contained in V")
     r = U.dim
     decomp = principal_decomposition(V, W)
-    lhs = math.cos(grassmann_angle(U, W, cfg)) ** 2
+    lhs = math.cos(grassmann_angle(U, W)) ** 2
     total = 0.0
     for combo in itertools.combinations(range(V.dim), r):
         cols = decomp.left_basis[:, list(combo)] if combo else np.zeros((V.ambient_dim, 0), dtype=V.field.dtype)
         V_I = Subspace(V.ambient_dim, V.field, cols)
-        w_angle = math.cos(grassmann_angle(V_I, W, cfg)) ** 2
-        u_angle = math.cos(grassmann_angle(U, V_I, cfg)) ** 2
+        w_angle = math.cos(grassmann_angle(V_I, W)) ** 2
+        u_angle = math.cos(grassmann_angle(U, V_I)) ** 2
         total += u_angle * w_angle
-    return _result(lhs, total, tol)
+    return _result(lhs, total)
 
 
-def direct_sum_angle(
-    V1: Subspace,
-    V2: Subspace,
-    W: Subspace,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    tol: float = 1e-9,
-) -> IdentityResult:
+def direct_sum_angle(V1: Subspace, V2: Subspace, W: Subspace) -> IdentityResult:
     """cos(V1 + V2, W) as the product of the individual cosines times the
     ratio of complementary cosines of the projections and the summands.
     Both sides vanish together when either summand is partially
     orthogonal to W."""
     _check_pair(V1, V2)
     _check_pair(V1, W)
-    if not intersect(V1, V2, cfg).is_zero:
+    if not intersect(V1, V2).is_zero:
         raise ValueError("summands must be disjoint")
-    direct = sum_subspace(V1, V2, cfg)
-    lhs = math.cos(grassmann_angle(direct, W, cfg))
-    c1 = math.cos(grassmann_angle(V1, W, cfg))
-    c2 = math.cos(grassmann_angle(V2, W, cfg))
-    if c1 <= cfg.compare_tol or c2 <= cfg.compare_tol:
+    direct = sum_subspace(V1, V2)
+    lhs = math.cos(grassmann_angle(direct, W))
+    c1 = math.cos(grassmann_angle(V1, W))
+    c2 = math.cos(grassmann_angle(V2, W))
+    if c1 <= COMPARE_TOL or c2 <= COMPARE_TOL:
         rhs = 0.0
     else:
-        P1 = project_subspace(W, V1, cfg)
-        P2 = project_subspace(W, V2, cfg)
-        numerator = math.cos(complementary_angle(P1, P2, cfg))
-        denominator = math.cos(complementary_angle(V1, V2, cfg))
+        P1 = project_subspace(W, V1)
+        P2 = project_subspace(W, V2)
+        numerator = math.cos(complementary_angle(P1, P2))
+        denominator = math.cos(complementary_angle(V1, V2))
         rhs = c1 * c2 * numerator / denominator
-    return _result(lhs, rhs, tol)
+    return _result(lhs, rhs)
 
 
-def partition_angle_product(
-    V: Subspace,
-    parts,
-    W: Subspace,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    tol: float = 1e-9,
-) -> IdentityResult:
+def partition_angle_product(V: Subspace, parts, W: Subspace) -> IdentityResult:
     """Partition form of the direct-sum identity: the cosine towards W is
     the product over parts, corrected by the telescoping ratio of
     complementary cosines of projected and original tails."""
     _check_pair(V, W)
     parts = list(parts)
-    if not parts:
-        raise ValueError("partition must have at least one part")
-    joined = parts[0]
-    for p in parts[1:]:
-        if not intersect(joined, p, cfg).is_zero:
+    for i in range(1, len(parts)):
+        if not intersect(_sum_all(parts[:i]), parts[i]).is_zero:
             raise ValueError("partition parts are not disjoint")
-        joined = sum_subspace(joined, p, cfg)
-    if not spans_equal(joined, V, cfg):
-        raise ValueError("partition parts do not sum to V")
-    lhs = math.cos(grassmann_angle(V, W, cfg))
-    rhs = 1.0
-    for part in parts:
-        rhs *= math.cos(grassmann_angle(part, W, cfg))
+    lhs, rhs = _cos_and_product_over_parts(V, parts, W)
     if rhs > 0.0:
         for i in range(len(parts) - 1):
-            tail = parts[i + 1]
-            for p in parts[i + 2:]:
-                tail = sum_subspace(tail, p, cfg)
-            P_head = project_subspace(W, parts[i], cfg)
-            P_tail = project_subspace(W, tail, cfg)
-            numerator = math.cos(complementary_angle(P_head, P_tail, cfg))
-            denominator = math.cos(complementary_angle(parts[i], tail, cfg))
+            tail = _sum_all(parts[i + 1:])
+            P_head = project_subspace(W, parts[i])
+            P_tail = project_subspace(W, tail)
+            numerator = math.cos(complementary_angle(P_head, P_tail))
+            denominator = math.cos(complementary_angle(parts[i], tail))
             rhs *= numerator / denominator
-    return _result(lhs, rhs, tol)
+    return _result(lhs, rhs)
 
 
-def characterize_principal_partition(
-    V: Subspace,
-    parts,
-    W: Subspace,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    tol: float = 1e-9,
-) -> bool:
+def characterize_principal_partition(V: Subspace, parts, W: Subspace) -> bool:
     """A partition of V (orthogonal, V not partially orthogonal to W) is
     principal with respect to W exactly when the cosine towards W is the
     plain product of the parts' cosines."""
     _check_pair(V, W)
-    if is_partially_orthogonal(V, W, cfg):
+    if is_partially_orthogonal(V, W):
         raise ValueError("V must not be partially orthogonal to W")
     parts = list(parts)
-    _check_orthogonal_partition(parts, V.dim, "V", cfg)
-    joined = parts[0]
-    for p in parts[1:]:
-        joined = sum_subspace(joined, p, cfg)
-    if not spans_equal(joined, V, cfg):
-        raise ValueError("partition parts do not sum to V")
-    lhs = math.cos(grassmann_angle(V, W, cfg))
-    rhs = 1.0
-    for part in parts:
-        rhs *= math.cos(grassmann_angle(part, W, cfg))
-    return abs(lhs - rhs) <= tol
+    _check_orthogonal_partition(parts, V.dim, "V")
+    lhs, rhs = _cos_and_product_over_parts(V, parts, W)
+    return abs(lhs - rhs) <= RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -354,14 +314,9 @@ def _angle_profile(V: Subspace, W: Subspace):
     return sigma, sines, cos_theta, cos_theta_perp, min(cos_delta, 1.0)
 
 
-def theta_pair_feasibility(
-    V: Subspace,
-    W: Subspace,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    tol: float = 1e-12,
-) -> FeasibilityReport:
+def theta_pair_feasibility(V: Subspace, W: Subspace) -> FeasibilityReport:
     """Check every applicable bound tying the directed and complementary
-    angles together, flagging violations beyond ``tol``.
+    angles together, flagging violations beyond ``SLACK_TOL``.
 
     dim 1: the two angles are exact complements and the cosines sum to at
     least 1.  dim 2: the cosine sum equals cos of the angular spread.
@@ -372,24 +327,23 @@ def theta_pair_feasibility(
     _check_pair(V, W)
     if V.is_zero:
         raise ValueError("feasibility bounds require a nonzero first subspace")
-    theta = grassmann_angle(V, W, cfg)
-    theta_perp = complementary_angle(V, W, cfg)
+    theta = grassmann_angle(V, W)
+    theta_perp = complementary_angle(V, W)
     p = V.dim
     violations: list[str] = []
     cases: set[str] = set()
 
     cos_sq_sum = math.cos(theta) ** 2 + math.cos(theta_perp) ** 2
     angle_sum = theta + theta_perp
+    if cos_sq_sum > 1.0 + SLACK_TOL:
+        violations.append("cos_sq_sum_above_1")
+    if cos_sq_sum < -SLACK_TOL:
+        violations.append("cos_sq_sum_below_0")
     # Angle sums inherit the arccos conditioning near degenerate inputs,
     # so they get a looser threshold than the well-conditioned cosine sums.
-    angle_tol = max(tol, 1e-7)
-    if cos_sq_sum > 1.0 + tol:
-        violations.append("cos_sq_sum_above_1")
-    if cos_sq_sum < -tol:
-        violations.append("cos_sq_sum_below_0")
-    if angle_sum < HALF_PI - angle_tol:
+    if angle_sum < HALF_PI - ANGLE_TOL:
         violations.append("angle_sum_below_half_pi")
-    if angle_sum > math.pi + angle_tol:
+    if angle_sum > math.pi + ANGLE_TOL:
         violations.append("angle_sum_above_pi")
 
     delta = None
@@ -398,36 +352,36 @@ def theta_pair_feasibility(
     cos_theta_perp = math.cos(theta_perp)
     cos_delta = None
     if not W.is_zero:
-        spread = angular_range(V, W, cfg)
+        spread = angular_range(V, W)
         delta = spread.delta
         sigma, sines, cos_theta, cos_theta_perp, cos_delta = _angle_profile(V, W)
         cos_sum = cos_theta + cos_theta_perp
         if p == 1:
-            if abs(cos_theta_perp - float(sines[0])) > tol:
+            if abs(cos_theta_perp - float(sines[0])) > SLACK_TOL:
                 violations.append("dim1_complement_not_exact")
-            if cos_sum < 1.0 - tol:
+            if cos_sum < 1.0 - SLACK_TOL:
                 violations.append("dim1_cos_sum_below_1")
         elif p == 2:
-            if abs(cos_sum - cos_delta) > tol:
+            if abs(cos_sum - cos_delta) > SLACK_TOL:
                 violations.append("dim2_cos_sum_not_equal_spread")
-            if angle_sum < HALF_PI + delta - angle_tol:
+            if angle_sum < HALF_PI + delta - ANGLE_TOL:
                 violations.append("dim2_angle_sum_below_bound")
         else:
-            if cos_sum > cos_delta + tol:
+            if cos_sum > cos_delta + SLACK_TOL:
                 violations.append("cos_sum_above_spread")
-            if angle_sum < HALF_PI + delta - angle_tol:
+            if angle_sum < HALF_PI + delta - ANGLE_TOL:
                 violations.append("angle_sum_below_bound")
-            if abs(cos_sum - cos_delta) <= cfg.compare_tol:
+            if abs(cos_sum - cos_delta) <= COMPARE_TOL:
                 m = sigma.size
-                near_zero = sigma >= 1.0 - cfg.compare_tol
-                near_right = sigma <= cfg.compare_tol
+                near_zero = sigma >= 1.0 - COMPARE_TOL
+                near_right = sigma <= COMPARE_TOL
                 if np.count_nonzero(near_right) >= m - 1:
                     cases.add("A")
                 if np.count_nonzero(near_zero) >= p - 1:
                     cases.add("B")
                 if near_zero[0] and (V.dim > W.dim or near_right[-1]):
                     cases.add("C")
-        if delta <= cfg.compare_tol:
+        if delta <= COMPARE_TOL:
             # Exploratory: with all principal angles equal the pair sits on
             # the curve cos(theta)^(2/p) + cos(theta_perp)^(2/p) = 1.
             curve_residual = abs(
@@ -455,12 +409,7 @@ class ComplexifiabilityVerdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def complexifiability_obstruction(
-    V: Subspace,
-    W: Subspace,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    tol: float = 1e-9,
-) -> ComplexifiabilityVerdict:
+def complexifiability_obstruction(V: Subspace, W: Subspace) -> ComplexifiabilityVerdict:
     """Necessary condition for two even-dimensional real subspaces to be
     made simultaneously complex by one compatible complex structure.
 
@@ -482,9 +431,9 @@ def complexifiability_obstruction(
     _, _, cos_theta, cos_theta_perp, cos_delta = _angle_profile(V, W)
     lhs = math.sqrt(cos_theta) + math.sqrt(cos_theta_perp)
     if V.dim == 4:
-        if abs(lhs - cos_delta) > tol:
+        if abs(lhs - cos_delta) > RESIDUAL_TOL:
             return ComplexifiabilityVerdict.OBSTRUCTED
     else:
-        if lhs > cos_delta + tol:
+        if lhs > cos_delta + RESIDUAL_TOL:
             return ComplexifiabilityVerdict.OBSTRUCTED
     return ComplexifiabilityVerdict.INCONCLUSIVE

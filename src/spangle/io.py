@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLERANCES, Field, ToleranceConfig
+from .linalg import Field
 from .subspace import Subspace, from_spanning
 
 
@@ -102,7 +102,7 @@ def parse_subspace_document(doc: Any) -> tuple[Field, int, list[np.ndarray]]:
     return field, n, vectors
 
 
-def load_subspace_file(path: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Subspace, list[np.ndarray]]:
+def load_subspace_file(path: str) -> tuple[Subspace, list[np.ndarray]]:
     """Read and validate a subspace document; returns the subspace and
     the raw spanning vectors (whose order carries the orientation)."""
     try:
@@ -111,7 +111,7 @@ def load_subspace_file(path: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> 
     except json.JSONDecodeError as exc:
         raise SubspaceDocumentError("document", f"invalid JSON: {exc}") from exc
     field, n, vectors = parse_subspace_document(doc)
-    return from_spanning(vectors, field, cfg, ambient_dim=n), vectors
+    return from_spanning(vectors, field, ambient_dim=n), vectors
 
 
 def subspace_document(V: Subspace) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,29 +29,11 @@ class Field(enum.Enum):
         return np.dtype(np.complex128 if self is Field.COMPLEX else np.float64)
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical policy used by every operation.
-
-    rank_rel_tol   relative singular-value cutoff for numerical rank
-    compare_tol    tolerance for equality/orthogonality comparisons
-    clamp_cos      clamp cosines into [0, 1] before arccos (rounding can
-                   push them slightly outside)
-    """
-
-    rank_rel_tol: float = 1e-12
-    compare_tol: float = 1e-9
-    clamp_cos: bool = True
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rank_rel_tol < self.compare_tol < 1.0):
-            raise ValueError(
-                "tolerances must satisfy 0 < rank_rel_tol < compare_tol < 1, "
-                f"got rank_rel_tol={self.rank_rel_tol}, compare_tol={self.compare_tol}"
-            )
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# The numerical policy, the same for every operation: singular values at
+# or below RANK_REL_TOL * sigma_max * max(shape) count as zero, and
+# equality, orthogonality and containment are decided within COMPARE_TOL.
+RANK_REL_TOL = 1e-12
+COMPARE_TOL = 1e-9
 
 
 def as_field_array(values: Iterable, field: Field) -> np.ndarray:
@@ -73,11 +54,10 @@ def clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def arccos_clamped(x: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """arccos with the configured clamping policy applied first."""
-    if cfg.clamp_cos:
-        x = clamp01(x)
-    return math.acos(x)
+def arccos_clamped(x: float) -> float:
+    """arccos of x clamped into [0, 1] (rounding can push a cosine
+    slightly outside)."""
+    return math.acos(clamp01(x))
 
 
 def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = None) -> np.ndarray:
@@ -103,7 +83,7 @@ def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = Non
     return as_field_array(np.column_stack(vecs), field)
 
 
-def numerical_rank(sigma: np.ndarray, shape: tuple[int, int], cfg: ToleranceConfig) -> int:
+def numerical_rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
     """Rank = number of singular values above the relative threshold.
 
     The threshold scales with the largest singular value and the matrix
@@ -111,13 +91,12 @@ def numerical_rank(sigma: np.ndarray, shape: tuple[int, int], cfg: ToleranceConf
     """
     if sigma.size == 0:
         return 0
-    cutoff = cfg.rank_rel_tol * float(sigma[0]) * max(shape)
+    cutoff = RANK_REL_TOL * float(sigma[0]) * max(shape)
     return int(np.count_nonzero(sigma > cutoff))
 
 
 def orthonormalize(
     vectors: Sequence,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     field: Field | None = None,
     ambient_dim: int | None = None,
 ) -> tuple[np.ndarray, int]:
@@ -132,15 +111,15 @@ def orthonormalize(
         field = Field.COMPLEX if any(np.iscomplexobj(v) for v in probe) else Field.REAL
         vectors = probe
     M = stack_columns(vectors, field, ambient_dim=ambient_dim)
-    return orthonormalize_columns(M, cfg)
+    return orthonormalize_columns(M)
 
 
-def orthonormalize_columns(M: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, int]:
+def orthonormalize_columns(M: np.ndarray) -> tuple[np.ndarray, int]:
     """SVD-based column orthonormalization of a matrix, with rank cut."""
     if M.shape[1] == 0:
         return M.copy(), 0
     U, sigma, _ = np.linalg.svd(M, full_matrices=False)
-    rank = numerical_rank(sigma, M.shape, cfg)
+    rank = numerical_rank(sigma, M.shape)
     return np.ascontiguousarray(U[:, :rank]), rank
 
 

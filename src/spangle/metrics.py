@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import grassmann_angle, max_symmetrized_angle, vector_angles
-from .linalg import DEFAULT_TOLERANCES, HALF_PI, Field, ToleranceConfig
+from .linalg import COMPARE_TOL, HALF_PI, Field
 from .principal import is_partially_orthogonal
 from .subspace import (
     Subspace,
@@ -33,7 +33,7 @@ from .subspace import (
 )
 
 
-def fubini_study(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def fubini_study(V: Subspace, W: Subspace) -> float:
     """Fubini-Study distance on the full Grassmannian.
 
     Equal dimensions: the directed angle (symmetric there).  Different
@@ -43,32 +43,26 @@ def fubini_study(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERA
     _check_pair(V, W)
     if V.dim != W.dim:
         return HALF_PI
-    return grassmann_angle(V, W, cfg)
+    return grassmann_angle(V, W)
 
 
-def asymmetric_distance(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def asymmetric_distance(V: Subspace, W: Subspace) -> float:
     """The directed angle as an asymmetric metric on all subspaces."""
-    return grassmann_angle(V, W, cfg)
+    return grassmann_angle(V, W)
 
 
-def directed_hausdorff(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def directed_hausdorff(V: Subspace, W: Subspace) -> float:
     """Directed Hausdorff distance between the full sub-Grassmannians of
     V and W (all subspaces of each), in closed form: the directed angle."""
-    return grassmann_angle(V, W, cfg)
+    return grassmann_angle(V, W)
 
 
-def hausdorff(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def hausdorff(V: Subspace, W: Subspace) -> float:
     """Symmetrized (two-sided) Hausdorff distance: the max-symmetrized angle."""
-    return max_symmetrized_angle(V, W, cfg)
+    return max_symmetrized_angle(V, W)
 
 
-def sampled_directed_hausdorff(
-    V: Subspace,
-    W: Subspace,
-    rng: np.random.Generator,
-    samples: int = 200,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> float:
+def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generator, samples: int = 200) -> float:
     """Monte-Carlo estimate of the directed Hausdorff distance.
 
     Samples subspaces of V, measures each one's Fubini-Study distance to
@@ -82,19 +76,19 @@ def sampled_directed_hausdorff(
     for _ in range(samples):
         k = int(rng.integers(0, V.dim + 1))
         inner_coords = haar_subspace(rng, V.dim, k, V.field)
-        V_sub = from_basis_matrix(V.basis @ inner_coords.basis, V.field, cfg)
+        V_sub = from_basis_matrix(V.basis @ inner_coords.basis, V.field)
         candidates = []
-        projected = project_subspace(W, V_sub, cfg)
+        projected = project_subspace(W, V_sub)
         if projected.dim == V_sub.dim:
             candidates.append(projected)
         for _ in range(4):
             if W.dim >= V_sub.dim:
                 w_coords = haar_subspace(rng, W.dim, V_sub.dim, W.field)
-                candidates.append(from_basis_matrix(W.basis @ w_coords.basis, W.field, cfg))
+                candidates.append(from_basis_matrix(W.basis @ w_coords.basis, W.field))
         if not candidates:
             dist = HALF_PI
         else:
-            dist = min(fubini_study(V_sub, C, cfg) for C in candidates)
+            dist = min(fubini_study(V_sub, C) for C in candidates)
         best = max(best, dist)
     return best
 
@@ -126,9 +120,7 @@ class TriangleCase:
     witness: TriangleWitness | None = None
 
 
-def classify_triangle_equality(
-    U: Subspace, V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> TriangleCase:
+def classify_triangle_equality(U: Subspace, V: Subspace, W: Subspace) -> TriangleCase:
     """Classify how the triangle inequality closes for (U, V, W).
 
     Returns STRICT when angle(U, W) < angle(U, V) + angle(V, W) by more
@@ -139,22 +131,22 @@ def classify_triangle_equality(
     """
     _check_pair(U, V)
     _check_pair(V, W)
-    t_uv = grassmann_angle(U, V, cfg)
-    t_vw = grassmann_angle(V, W, cfg)
-    t_uw = grassmann_angle(U, W, cfg)
-    if t_uv + t_vw - t_uw > cfg.compare_tol:
+    t_uv = grassmann_angle(U, V)
+    t_vw = grassmann_angle(V, W)
+    t_uw = grassmann_angle(U, W)
+    if t_uv + t_vw - t_uw > COMPARE_TOL:
         return TriangleCase(TriangleTag.STRICT)
 
-    u_pperp_w = is_partially_orthogonal(U, W, cfg)
-    if is_subspace_of(U, V, cfg):
-        rest = intersect(complement(U), V, cfg)
-        if u_pperp_w or is_subspace_of(rest, W, cfg):
+    u_pperp_w = is_partially_orthogonal(U, W)
+    if is_subspace_of(U, V):
+        rest = intersect(complement(U), V)
+        if u_pperp_w or is_subspace_of(rest, W):
             return TriangleCase(TriangleTag.CASE_I)
-    if is_subspace_of(V, W, cfg):
-        if u_pperp_w or is_subspace_of(project_subspace(W, U, cfg), V, cfg):
+    if is_subspace_of(V, W):
+        if u_pperp_w or is_subspace_of(project_subspace(W, U), V):
             return TriangleCase(TriangleTag.CASE_II)
 
-    witness = _triangle_witness(U, V, W, cfg)
+    witness = _triangle_witness(U, V, W)
     if witness is not None:
         return TriangleCase(TriangleTag.CASE_III, witness)
     # Equality holds but no case could be validated numerically; report
@@ -162,72 +154,64 @@ def classify_triangle_equality(
     return TriangleCase(TriangleTag.CASE_III)
 
 
-def _unit_complement_direction(V: Subspace, A: Subspace, cfg: ToleranceConfig) -> np.ndarray | None:
+def _unit_complement_direction(V: Subspace, A: Subspace) -> np.ndarray | None:
     """The unit direction of V orthogonal to A, when it is unique."""
     if V.dim != A.dim + 1:
         return None
     residual = V.basis - A.basis @ (A.basis.conj().T @ V.basis)
-    Q = from_basis_matrix(residual, V.field, cfg)
+    Q = from_basis_matrix(residual, V.field)
     if Q.dim != 1:
         return None
     return Q.basis[:, 0]
 
 
-def _triangle_witness(
-    U: Subspace, V: Subspace, W: Subspace, cfg: ToleranceConfig
-) -> TriangleWitness | None:
-    A = intersect(intersect(U, V, cfg), W, cfg)
-    u = _unit_complement_direction(U, A, cfg)
+def _triangle_witness(U: Subspace, V: Subspace, W: Subspace) -> TriangleWitness | None:
+    A = intersect(intersect(U, V), W)
+    u = _unit_complement_direction(U, A)
     if u is None:
         return None
     v_dir = project_vector(V, u)
-    if np.linalg.norm(v_dir) <= cfg.compare_tol:
+    if np.linalg.norm(v_dir) <= COMPARE_TOL:
         return None
     v = v_dir / np.linalg.norm(v_dir)
     w_dir = project_vector(W, v)
-    if np.linalg.norm(w_dir) <= cfg.compare_tol:
+    if np.linalg.norm(w_dir) <= COMPARE_TOL:
         return None
     w = w_dir / np.linalg.norm(w_dir)
 
-    tol = math.sqrt(cfg.compare_tol)
+    witness_tol = math.sqrt(COMPARE_TOL)
     ip_uw = complex(np.vdot(u, w))
-    if abs(ip_uw.imag) > tol or ip_uw.real < -tol:
+    if abs(ip_uw.imag) > witness_tol or ip_uw.real < -witness_tol:
         return None
     # v must be a nonnegative combination of u and w.
     plane = np.column_stack([u, w])
     coeffs, residual, *_ = np.linalg.lstsq(plane, v, rcond=None)
     recon = plane @ coeffs
-    if np.linalg.norm(recon - v) > tol:
+    if np.linalg.norm(recon - v) > witness_tol:
         return None
     a, b = complex(coeffs[0]), complex(coeffs[1])
-    if abs(a.imag) > tol or abs(b.imag) > tol or a.real < -tol or b.real < -tol:
+    if abs(a.imag) > witness_tol or abs(b.imag) > witness_tol or a.real < -witness_tol or b.real < -witness_tol:
         return None
 
     # Paddings: A completes U; B completes V past span(v) + A; C completes W.
-    span_va = from_spanning([v] + [A.basis[:, j] for j in range(A.dim)], V.field, cfg, ambient_dim=V.ambient_dim)
-    B = intersect(complement(span_va), V, cfg)
-    span_wab = sum_subspace(sum_subspace(from_spanning([w], V.field, cfg, ambient_dim=V.ambient_dim), A, cfg), B, cfg)
-    C = intersect(complement(span_wab), W, cfg)
+    span_va = from_spanning([v] + [A.basis[:, j] for j in range(A.dim)], V.field, ambient_dim=V.ambient_dim)
+    B = intersect(complement(span_va), V)
+    span_wab = sum_subspace(sum_subspace(from_spanning([w], V.field, ambient_dim=V.ambient_dim), A), B)
+    C = intersect(complement(span_wab), W)
 
     # Validate the advertised angle equalities on the witness vectors.
-    t_uv = grassmann_angle(U, V, cfg)
-    t_vw = grassmann_angle(V, W, cfg)
-    t_uw = grassmann_angle(U, W, cfg)
-    g_uv = vector_angles(u, v, U.field, cfg).gamma
-    g_vw = vector_angles(v, w, U.field, cfg).gamma
-    g_uw = vector_angles(u, w, U.field, cfg).gamma
-    if max(abs(g_uv - t_uv), abs(g_vw - t_vw), abs(g_uw - t_uw)) > tol:
+    t_uv = grassmann_angle(U, V)
+    t_vw = grassmann_angle(V, W)
+    t_uw = grassmann_angle(U, W)
+    g_uv = vector_angles(u, v, U.field).gamma
+    g_vw = vector_angles(v, w, U.field).gamma
+    g_uw = vector_angles(u, w, U.field).gamma
+    if max(abs(g_uv - t_uv), abs(g_vw - t_vw), abs(g_uw - t_uw)) > witness_tol:
         return None
     return TriangleWitness(u=u, v=v, w=w, padding_a=A, padding_b=B, padding_c=C)
 
 
-def geodesic_point(
-    U: Subspace,
-    W: Subspace,
-    t: float,
-    phase: float | None = None,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> Subspace:
+def geodesic_point(U: Subspace, W: Subspace, t: float, phase: float | None = None) -> Subspace:
     """Point at arc length t on the geodesic from U towards W.
 
     Defined for distinct equal-dimension subspaces whose intersection has
@@ -242,14 +226,14 @@ def geodesic_point(
     p = U.dim
     if p != W.dim:
         raise ValueError(f"geodesics require equal dimensions, got {U.dim} and {W.dim}")
-    K = intersect(U, W, cfg)
+    K = intersect(U, W)
     if K.dim != p - 1:
         raise ValueError(
             "the intersection must have codimension 1 in each subspace for the "
             f"geodesic to stay in the Grassmannian (got dim {K.dim}, need {p - 1})"
         )
-    u = _unit_complement_direction(U, K, cfg)
-    w = _unit_complement_direction(W, K, cfg)
+    u = _unit_complement_direction(U, K)
+    w = _unit_complement_direction(W, K)
     if u is None or w is None:
         raise ValueError("could not extract the rotating directions")
     ip = complex(np.vdot(u, w))
@@ -260,17 +244,17 @@ def geodesic_point(
     c = float(np.real(np.vdot(u, w)))
     c = min(max(c, -1.0), 1.0)
     alpha = math.acos(c)
-    if alpha <= cfg.compare_tol:
+    if alpha <= COMPARE_TOL:
         raise ValueError("subspaces coincide; the geodesic is degenerate")
     tangent = (w - u * c) / math.sin(alpha)
     if phase is not None:
         if U.field is Field.REAL:
             factor = math.cos(phase)
-            if abs(abs(factor) - 1.0) > cfg.compare_tol:
+            if abs(abs(factor) - 1.0) > COMPARE_TOL:
                 raise ValueError("a real geodesic admits only phase 0 or pi")
             tangent = tangent * (1.0 if factor > 0 else -1.0)
         else:
             tangent = tangent * np.exp(1j * phase)
     moving = u * math.cos(t) + tangent * math.sin(t)
     cols = [K.basis[:, j] for j in range(K.dim)] + [moving]
-    return from_spanning(cols, U.field, cfg, ambient_dim=U.ambient_dim)
+    return from_spanning(cols, U.field, ambient_dim=U.ambient_dim)

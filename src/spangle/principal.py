@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLERANCES, HALF_PI, Field, ToleranceConfig
-from .subspace import Subspace, _check_pair, project_subspace, spans_equal, sum_subspace
+from .linalg import COMPARE_TOL, HALF_PI, Field
+from .subspace import Subspace, _check_pair, _pairwise_orthogonal, _sum_all, project_subspace, spans_equal
 
 # Cosines above this band are indistinguishable from 1 at SVD backward
 # error, so their angles count as exact zeros, with zero sines (else every
@@ -126,7 +126,7 @@ def principal_angles(V: Subspace, W: Subspace) -> np.ndarray:
     return np.arccos(pair_spectrum(V, W).cosines)
 
 
-def is_partially_orthogonal(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+def is_partially_orthogonal(V: Subspace, W: Subspace) -> bool:
     """True when V contains a nonzero vector orthogonal to all of W.
 
     Equivalent to dim V > dim W or some principal angle being pi/2.
@@ -137,38 +137,10 @@ def is_partially_orthogonal(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEF
         return False
     if V.dim > W.dim:
         return True
-    return bool(principal_angles(V, W)[-1] >= HALF_PI - cfg.compare_tol)
+    return bool(principal_angles(V, W)[-1] >= HALF_PI - COMPARE_TOL)
 
 
-def _parts_sum_to(parts: Sequence[Subspace], V: Subspace, cfg: ToleranceConfig) -> bool:
-    total = sum(p.dim for p in parts)
-    if total != V.dim:
-        return False
-    if not parts:
-        return V.is_zero
-    joined = parts[0]
-    for p in parts[1:]:
-        joined = sum_subspace(joined, p, cfg)
-    return joined.dim == V.dim and spans_equal(joined, V, cfg)
-
-
-def _pairwise_orthogonal(parts: Sequence[Subspace], cfg: ToleranceConfig) -> bool:
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if parts[i].dim == 0 or parts[j].dim == 0:
-                continue
-            cross = parts[i].basis.conj().T @ parts[j].basis
-            if float(np.max(np.abs(cross))) > cfg.compare_tol:
-                return False
-    return True
-
-
-def is_principal_partition(
-    V: Subspace,
-    partition: Partition,
-    W: Subspace,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> bool:
+def is_principal_partition(V: Subspace, partition: Partition, W: Subspace) -> bool:
     """Whether a partition of V is principal with respect to W.
 
     A partition assembled from coordinate subspaces of one principal basis
@@ -179,9 +151,9 @@ def is_principal_partition(
     if W.is_zero:
         raise ValueError("principal partitions are undefined against the zero subspace")
     parts = partition.parts
-    if not _parts_sum_to(parts, V, cfg):
+    if sum(p.dim for p in parts) != V.dim or (parts and not spans_equal(_sum_all(parts), V)):
         raise ValueError("partition parts do not sum to the given subspace")
-    if not _pairwise_orthogonal(parts, cfg):
+    if not _pairwise_orthogonal(parts):
         return False
-    projected = [project_subspace(W, p, cfg) for p in parts]
-    return _pairwise_orthogonal(projected, cfg)
+    projected = [project_subspace(W, p) for p in parts]
+    return _pairwise_orthogonal(projected)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLERANCES, Field, ToleranceConfig
+from .linalg import Field
 from .subspace import Subspace, from_basis_matrix, zero_subspace
 
 
@@ -19,19 +19,13 @@ def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, field: Field
     return rng.standard_normal((rows, cols))
 
 
-def haar_subspace(
-    rng: np.random.Generator,
-    ambient_dim: int,
-    dim: int,
-    field: Field,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> Subspace:
+def haar_subspace(rng: np.random.Generator, ambient_dim: int, dim: int, field: Field) -> Subspace:
     """Uniformly random dim-dimensional subspace of an ambient space."""
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"need 0 <= dim <= ambient_dim, got dim={dim}, ambient_dim={ambient_dim}")
     if dim == 0:
         return zero_subspace(ambient_dim, field)
-    return from_basis_matrix(gaussian_matrix(rng, ambient_dim, dim, field), field, cfg)
+    return from_basis_matrix(gaussian_matrix(rng, ambient_dim, dim, field), field)
 
 
 def random_unitary(rng: np.random.Generator, n: int, field: Field) -> np.ndarray:

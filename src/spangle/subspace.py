@@ -8,18 +8,13 @@ first-class value accepted by every operation.  Set-level operations
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Field,
-    ToleranceConfig,
-    as_field_array,
-    orthonormalize_columns,
-    stack_columns,
-)
+from .linalg import COMPARE_TOL, Field, as_field_array, orthonormalize_columns, stack_columns
 
 _ORTHO_CHECK_TOL = 1e-8
 
@@ -67,25 +62,20 @@ def full_space(ambient_dim: int, field: Field) -> Subspace:
     return Subspace(ambient_dim, field, np.eye(ambient_dim, dtype=field.dtype))
 
 
-def from_spanning(
-    vectors,
-    field: Field,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    ambient_dim: int | None = None,
-) -> Subspace:
+def from_spanning(vectors, field: Field, ambient_dim: int | None = None) -> Subspace:
     """Subspace spanned by the given vectors (not necessarily independent).
 
     An empty list needs an explicit ``ambient_dim`` and yields {0}.
     """
     M = stack_columns(vectors, field, ambient_dim=ambient_dim)
-    Q, _ = orthonormalize_columns(M, cfg)
+    Q, _ = orthonormalize_columns(M)
     return Subspace(M.shape[0], field, Q)
 
 
-def from_basis_matrix(M: np.ndarray, field: Field, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
+def from_basis_matrix(M: np.ndarray, field: Field) -> Subspace:
     """Subspace spanned by the columns of a matrix."""
     M = as_field_array(M, field)
-    Q, _ = orthonormalize_columns(M, cfg)
+    Q, _ = orthonormalize_columns(M)
     return Subspace(M.shape[0], field, Q)
 
 
@@ -106,7 +96,7 @@ def project_vector(W: Subspace, v) -> np.ndarray:
     return W.basis @ (W.basis.conj().T @ v)
 
 
-def project_subspace(W: Subspace, V: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
+def project_subspace(W: Subspace, V: Subspace) -> Subspace:
     """The image of V under orthogonal projection onto W.
 
     The singular values of the projected basis are the principal cosines,
@@ -117,7 +107,7 @@ def project_subspace(W: Subspace, V: Subspace, cfg: ToleranceConfig = DEFAULT_TO
     if V.is_zero or W.is_zero:
         return zero_subspace(V.ambient_dim, V.field)
     projected = W.basis @ (W.basis.conj().T @ V.basis)
-    Q, _ = orthonormalize_columns(projected, cfg)
+    Q, _ = orthonormalize_columns(projected)
     return Subspace(V.ambient_dim, V.field, Q)
 
 
@@ -134,19 +124,36 @@ def complement(V: Subspace) -> Subspace:
     return Subspace(n, V.field, np.ascontiguousarray(U[:, p:]))
 
 
-def sum_subspace(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
+def sum_subspace(V: Subspace, W: Subspace) -> Subspace:
     """V + W, the span of both."""
     _check_pair(V, W)
     stacked = np.hstack([V.basis, W.basis])
-    Q, _ = orthonormalize_columns(stacked, cfg)
+    Q, _ = orthonormalize_columns(stacked)
     return Subspace(V.ambient_dim, V.field, Q)
 
 
-def intersect(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
+def _sum_all(parts: Sequence[Subspace]) -> Subspace:
+    """parts[0] + parts[1] + ..., summed left to right (nonempty parts)."""
+    return functools.reduce(sum_subspace, parts)
+
+
+def _pairwise_orthogonal(parts: Sequence[Subspace]) -> bool:
+    """Whether every two of the parts are orthogonal within COMPARE_TOL."""
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            if parts[i].dim == 0 or parts[j].dim == 0:
+                continue
+            cross = parts[i].basis.conj().T @ parts[j].basis
+            if float(np.max(np.abs(cross))) > COMPARE_TOL:
+                return False
+    return True
+
+
+def intersect(V: Subspace, W: Subspace) -> Subspace:
     """V intersect W, from the principal directions at a numerically zero angle.
 
     A principal direction is counted as common when its cosine is within
-    ``compare_tol`` of 1; thresholding the angle itself is hopeless in
+    COMPARE_TOL of 1; thresholding the angle itself is hopeless in
     double precision because arccos is ill-conditioned at 0.
     """
     _check_pair(V, W)
@@ -154,27 +161,27 @@ def intersect(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCE
         return zero_subspace(V.ambient_dim, V.field)
     M = W.basis.conj().T @ V.basis
     _, sigma, Vh = np.linalg.svd(M, full_matrices=False)
-    keep = sigma >= 1.0 - cfg.compare_tol
+    keep = sigma >= 1.0 - COMPARE_TOL
     common = V.basis @ Vh.conj().T[:, keep]
-    Q, _ = orthonormalize_columns(common, cfg)
+    Q, _ = orthonormalize_columns(common)
     return Subspace(V.ambient_dim, V.field, Q)
 
 
-def is_subspace_of(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+def is_subspace_of(V: Subspace, W: Subspace) -> bool:
     """True when every basis direction of V lies in W."""
     _check_pair(V, W)
     if V.is_zero:
         return True
     residual = V.basis - W.basis @ (W.basis.conj().T @ V.basis)
-    return float(np.max(np.abs(residual))) <= cfg.compare_tol
+    return float(np.max(np.abs(residual))) <= COMPARE_TOL
 
 
-def spans_equal(V: Subspace, W: Subspace, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+def spans_equal(V: Subspace, W: Subspace) -> bool:
     """Span equality, compared through the projection matrices."""
     _check_pair(V, W)
     if V.dim != W.dim:
         return False
-    return float(np.max(np.abs(V.projector() - W.projector()))) <= cfg.compare_tol
+    return float(np.max(np.abs(V.projector() - W.projector()))) <= COMPARE_TOL
 
 
 def realify_vector(v: np.ndarray) -> np.ndarray:

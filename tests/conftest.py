@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from spangle import Field, ToleranceConfig
+from spangle import Field
 from spangle.sampling import haar_subspace
-
-
-@pytest.fixture
-def cfg():
-    return ToleranceConfig()
 
 
 @pytest.fixture

@@ -331,8 +331,8 @@ class TestOrientedAngle:
             A = oriented_from_spanning(vs, field)
             B = oriented_from_spanning(ws, field)
             oa = oriented_angle(A, B)
-            nu = blade_of(A.space).multivector.scale(A.coefficient)
-            om = blade_of(B.space).multivector.scale(B.coefficient)
+            nu = blade_of(A.space).scale(A.coefficient)
+            om = blade_of(B.space).scale(B.coefficient)
             assert oa.cos_value == pytest.approx(inner(nu, om), abs=1e-10)
 
     def test_modulus_is_unoriented_cosine(self, rng):

@@ -28,6 +28,7 @@ from spangle.subspace import (
     Subspace,
     from_basis_matrix,
     from_spanning,
+    full_space,
     intersect,
     realify,
     zero_subspace,
@@ -316,6 +317,12 @@ class TestPrincipalPartitionCharacterization:
         L = from_spanning([[1, 0, 0]], Field.REAL)
         with pytest.raises(ValueError):
             characterize_principal_partition(V, [V], L)
+
+    @pytest.mark.parametrize("check", [characterize_principal_partition, partition_angle_product])
+    def test_empty_partition_rejected(self, check):
+        V = zero_subspace(3, Field.REAL)
+        with pytest.raises(ValueError, match="at least one part"):
+            check(V, [], full_space(3, Field.REAL))
 
 
 class TestFeasibility:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spangle import Field, ToleranceConfig
+from spangle import Field
 from spangle.linalg import (
+    COMPARE_TOL,
+    RANK_REL_TOL,
     arccos_clamped,
     clamped_product,
     det,
@@ -15,66 +17,50 @@ from spangle.linalg import (
 from spangle.sampling import gaussian_matrix
 
 
-class TestToleranceConfig:
-    def test_defaults(self):
-        cfg = ToleranceConfig()
-        assert cfg.rank_rel_tol == 1e-12
-        assert cfg.compare_tol == 1e-9
-        assert cfg.clamp_cos
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rank_rel_tol": 0.0},
-            {"rank_rel_tol": 1e-6, "compare_tol": 1e-9},
-            {"compare_tol": 1.5},
-        ],
-    )
-    def test_invalid_orderings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ToleranceConfig(**kwargs)
+def test_tolerance_ordering():
+    assert 0.0 < RANK_REL_TOL < COMPARE_TOL < 1.0
 
 
 class TestOrthonormalize:
-    def test_already_orthonormal(self, cfg):
-        Q, rank = orthonormalize([[1, 0, 0], [0, 1, 0]], cfg)
+    def test_already_orthonormal(self):
+        Q, rank = orthonormalize([[1, 0, 0], [0, 1, 0]])
         assert rank == 2
         np.testing.assert_allclose(Q.T @ Q, np.eye(2), atol=1e-12)
 
-    def test_duplicate_direction_collapses(self, cfg):
-        Q, rank = orthonormalize([[1, 0, 1, 0], [2, 0, 2, 0]], cfg)
+    def test_duplicate_direction_collapses(self):
+        Q, rank = orthonormalize([[1, 0, 1, 0], [2, 0, 2, 0]])
         assert rank == 1
         expected = np.array([1, 0, 1, 0]) / np.sqrt(2)
         # column is the direction up to sign
         assert min(np.linalg.norm(Q[:, 0] - expected), np.linalg.norm(Q[:, 0] + expected)) < 1e-12
 
-    def test_independent_pair_gives_orthonormal_q(self, cfg):
-        Q, rank = orthonormalize([[1, 0, 1, 0], [0, 1, 0, 1]], cfg)
+    def test_independent_pair_gives_orthonormal_q(self):
+        Q, rank = orthonormalize([[1, 0, 1, 0], [0, 1, 0, 1]])
         assert rank == 2
         np.testing.assert_allclose(Q.conj().T @ Q, np.eye(2), atol=1e-12)
 
-    def test_dimension_mismatch(self, cfg):
+    def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            orthonormalize([[1, 0], [1, 0, 0]], cfg)
+            orthonormalize([[1, 0], [1, 0, 0]])
 
-    def test_complex_data_under_real_tag(self, cfg):
+    def test_complex_data_under_real_tag(self):
         with pytest.raises(ValueError, match="REAL"):
-            orthonormalize([[1j, 0]], cfg, field=Field.REAL)
+            orthonormalize([[1j, 0]], field=Field.REAL)
 
     @pytest.mark.parametrize(
         "field, bad",
         [(f, x) for f in (Field.REAL, Field.COMPLEX) for x in (math.nan, math.inf, -math.inf)]
         + [(Field.COMPLEX, complex(0, math.inf))],
     )
-    def test_non_finite_entries_rejected(self, cfg, field, bad):
+    def test_non_finite_entries_rejected(self, field, bad):
         with pytest.raises(ValueError, match="finite"):
-            orthonormalize([[1, 0, 0], [0, bad, 0]], cfg, field=field)
+            orthonormalize([[1, 0, 0], [0, bad, 0]], field=field)
 
-    def test_idempotent_on_own_output(self, cfg, rng):
+    def test_idempotent_on_own_output(self, rng):
         for field in (Field.REAL, Field.COMPLEX):
             M = gaussian_matrix(rng, 7, 4, field)
-            Q1, r1 = orthonormalize([M[:, j] for j in range(4)], cfg)
-            Q2, r2 = orthonormalize([Q1[:, j] for j in range(r1)], cfg)
+            Q1, r1 = orthonormalize([M[:, j] for j in range(4)])
+            Q2, r2 = orthonormalize([Q1[:, j] for j in range(r1)])
             assert r1 == r2 == 4
             # same span: projectors agree
             np.testing.assert_allclose(
@@ -101,14 +87,14 @@ class TestSvd:
         assert sigma.size == 0
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-    def test_reconstruction_random(self, field, cfg, rng):
+    def test_reconstruction_random(self, field, rng):
         for _ in range(25):
             m = int(rng.integers(1, 17))
             n = int(rng.integers(1, 17))
             M = gaussian_matrix(rng, m, n, field)
             U, sigma, V = svd(M)
             recon = U @ np.diag(sigma) @ V.conj().T
-            assert np.linalg.norm(recon - M) <= cfg.compare_tol * np.linalg.norm(M)
+            assert np.linalg.norm(recon - M) <= COMPARE_TOL * np.linalg.norm(M)
             np.testing.assert_allclose(U.conj().T @ U, np.eye(U.shape[1]), atol=1e-12)
             np.testing.assert_allclose(V.conj().T @ V, np.eye(V.shape[1]), atol=1e-12)
             assert np.all(np.diff(sigma) <= 1e-15)
@@ -145,9 +131,9 @@ class TestDet:
 
 
 class TestSmallHelpers:
-    def test_arccos_clamps_overshoot(self, cfg):
-        assert arccos_clamped(1.0 + 1e-14, cfg) == 0.0
-        assert arccos_clamped(-0.5, cfg) == math.pi / 2  # clamped up to 0
+    def test_arccos_clamps_overshoot(self):
+        assert arccos_clamped(1.0 + 1e-14) == 0.0
+        assert arccos_clamped(-0.5) == math.pi / 2  # clamped up to 0
 
     def test_clamped_product_log_space(self):
         vals = np.full(40, 0.5)

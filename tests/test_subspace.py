@@ -35,18 +35,18 @@ def pair_22_real():
 
 
 class TestConstruction:
-    def test_empty_spanning_list(self, cfg):
-        V = from_spanning([], Field.REAL, cfg, ambient_dim=4)
+    def test_empty_spanning_list(self):
+        V = from_spanning([], Field.REAL, ambient_dim=4)
         assert V.dim == 0 and V.ambient_dim == 4
 
-    def test_known_plane(self, cfg):
+    def test_known_plane(self):
         V, _ = pair_22_real()
         assert V.dim == 2
         np.testing.assert_allclose(V.basis.T @ V.basis, np.eye(2), atol=1e-12)
 
-    def test_complex_pair_dim(self, cfg):
+    def test_complex_pair_dim(self):
         V = from_spanning(
-            [np.array([1, -XI, 0]), np.array([0, XI, -XI**2])], Field.COMPLEX, cfg
+            [np.array([1, -XI, 0]), np.array([0, XI, -XI**2])], Field.COMPLEX
         )
         assert V.dim == 2
 
@@ -106,11 +106,11 @@ class TestProjectSubspace:
         V = from_spanning([[0, 1, 0, 0], [0, 0, 1, 0]], Field.REAL)
         assert project_subspace(W, V).dim == 0
 
-    def test_image_of_tilted_plane(self, cfg):
+    def test_image_of_tilted_plane(self):
         V, W = pair_22_real()
-        image = project_subspace(W, V, cfg)
+        image = project_subspace(W, V)
         assert image.dim == 2
-        assert spans_equal(image, W, cfg)
+        assert spans_equal(image, W)
 
 
 class TestComplement:
@@ -118,8 +118,8 @@ class TestComplement:
         C = complement(zero_subspace(3, Field.REAL))
         assert C.dim == 3
 
-    def test_generators_orthogonal(self, cfg):
-        V = from_spanning([[1, 0, 0, 0], [0, np.sqrt(3) / 2, 0.5, 0]], Field.REAL, cfg)
+    def test_generators_orthogonal(self):
+        V = from_spanning([[1, 0, 0, 0], [0, np.sqrt(3) / 2, 0.5, 0]], Field.REAL)
         C = complement(V)
         assert C.dim == 2
         np.testing.assert_allclose(V.basis.T @ C.basis, np.zeros((2, 2)), atol=1e-9)
@@ -149,14 +149,14 @@ class TestIntersect:
         L2 = from_spanning([[1, 1]], Field.REAL)
         assert intersect(L1, L2).dim == 0
 
-    def test_known_complex_intersection_line(self, cfg):
+    def test_known_complex_intersection_line(self):
         v1 = np.array([1, -XI, 0])
         v2 = np.array([0, XI, -(XI**2)])
-        V = from_spanning([v1, v2], Field.COMPLEX, cfg)
-        W = from_spanning([np.array([1, 0, 0], dtype=complex), np.array([0, XI, 0])], Field.COMPLEX, cfg)
-        common = intersect(V, W, cfg)
+        V = from_spanning([v1, v2], Field.COMPLEX)
+        W = from_spanning([np.array([1, 0, 0], dtype=complex), np.array([0, XI, 0])], Field.COMPLEX)
+        common = intersect(V, W)
         assert common.dim == 1
-        assert is_subspace_of(from_spanning([v1], Field.COMPLEX, cfg), common, cfg)
+        assert is_subspace_of(from_spanning([v1], Field.COMPLEX), common)
 
     def test_dim_count_matches_nonzero_angles(self, rng):
         for _ in range(15):

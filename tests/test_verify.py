@@ -10,12 +10,16 @@ class TestSuiteHarness:
         for r in reports:
             assert r.passed, [c.name for c in r.checks if not c.passed]
 
-    def test_zero_trials_vacuous(self):
-        reports = verify.run_suites("pythagorean", seed=1, trials=0, dim_max=4)
+    @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+    def test_zero_trials_vacuous(self, suite):
+        reports = verify.run_suites(suite, seed=1, trials=0, dim_max=4)
         (report,) = reports
         assert report.passed
         assert all(c.trials == 0 for c in report.checks)
         assert all("0 trials" in c.note for c in report.checks)
+        declared = verify.CHECKS[suite]
+        assert [c.name for c in report.checks] == list(declared)
+        assert all(c.tolerance == declared[c.name] for c in report.checks)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
