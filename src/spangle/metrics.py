@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import grassmann_angle, max_symmetrized_angle, vector_angles
-from .linalg import COMPARE_TOL, HALF_PI, Field
+from .angles import _angle_from_cos, grassmann_angle, max_symmetrized_angle, vector_angles
+from .linalg import COMPARE_TOL, HALF_PI, RANK_REL_TOL, Field
 from .principal import is_partially_orthogonal
+from .sampling import gaussian_matrix
 from .subspace import (
     Subspace,
     _check_pair,
@@ -66,31 +67,52 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
     """Monte-Carlo estimate of the directed Hausdorff distance.
 
     Samples subspaces of V, measures each one's Fubini-Study distance to
-    a candidate set of subspaces of W (random ones plus its own
+    a candidate set of subspaces of W (four random ones plus its own
     projection, which is the true nearest point when defined), and takes
     the max.  One-sided check: never exceeds the closed form.
-    """
-    from .sampling import haar_subspace
 
-    best = 0.0
+    Computed in the coordinates of V and W.  A k-dimensional sample is
+    V A and a random candidate is W B, for orthonormal p x k and q x k
+    coordinate frames A and B (Haar: orthonormalized Gaussians).  With
+    M = W* V formed once, the candidate's cosine is |det(B* M A)|, and the
+    projection's is the product of the singular values of M A, kept only
+    when M A has full numerical rank (the cut of ``orthonormalize_columns``
+    on the n x k projected basis).  Samples are batched by k: one stacked
+    SVD orthonormalizes each group's frames, one stacked SVD and one
+    stacked determinant give its cosines.  Random numbers are drawn sample
+    by sample: k, A, then four B only when q >= k, none when k = 0.  A
+    sample of dimension 0 is at distance 0; one above dim W has no
+    candidate and is at pi/2.
+    """
+    _check_pair(V, W)
+    p, q, field = V.dim, W.dim, V.field
+    groups: dict[int, tuple[list, list]] = {}  # k -> (A draws, [B draws] per sample)
     for _ in range(samples):
-        k = int(rng.integers(0, V.dim + 1))
-        inner_coords = haar_subspace(rng, V.dim, k, V.field)
-        V_sub = from_basis_matrix(V.basis @ inner_coords.basis, V.field)
-        candidates = []
-        projected = project_subspace(W, V_sub)
-        if projected.dim == V_sub.dim:
-            candidates.append(projected)
-        for _ in range(4):
-            if W.dim >= V_sub.dim:
-                w_coords = haar_subspace(rng, W.dim, V_sub.dim, W.field)
-                candidates.append(from_basis_matrix(W.basis @ w_coords.basis, W.field))
-        if not candidates:
-            dist = HALF_PI
-        else:
-            dist = min(fubini_study(V_sub, C) for C in candidates)
-        best = max(best, dist)
-    return best
+        k = int(rng.integers(0, p + 1))
+        if k == 0:
+            continue
+        inner = gaussian_matrix(rng, p, k, field)
+        outer = [gaussian_matrix(rng, q, k, field) for _ in range(4)] if q >= k else None
+        draws = groups.setdefault(k, ([], []))
+        draws[0].append(inner)
+        draws[1].append(outer)
+    if not groups:
+        return 0.0
+    if max(groups) > q:
+        return HALF_PI
+    M = W.basis.conj().T @ V.basis
+    worst = 1.0  # the smallest best-candidate cosine over the samples
+    for inner, outer in groups.values():
+        A = np.linalg.svd(np.stack(inner), full_matrices=False)[0]  # (m, p, k)
+        B = np.linalg.svd(np.stack(outer), full_matrices=False)[0]  # (m, 4, q, k)
+        MA = M @ A
+        sigma = np.linalg.svd(MA, compute_uv=False)
+        full_rank = sigma[:, -1] > RANK_REL_TOL * sigma[:, 0] * V.ambient_dim
+        projection = np.where(full_rank, np.minimum(sigma, 1.0).prod(axis=1), 0.0)
+        frames = np.abs(np.linalg.det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
+        best = np.maximum(projection, np.minimum(frames, 1.0).max(axis=1))
+        worst = min(worst, float(best.min()))
+    return _angle_from_cos(worst)
 
 
 class TriangleTag(enum.Enum):

@@ -26,10 +26,10 @@ _ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class PairSpectrum:
-    """Principal cosines (descending, clamped into [0, 1]) and sines of an
-    ordered pair of subspaces of dimensions p and q over ``field``; both
-    arrays are read-only and have length min(p, q).  Built only by
-    :func:`pair_spectrum`."""
+    """Principal cosines (descending, clamped into [0, 1]), sines and
+    angles of an ordered pair of subspaces of dimensions p and q over
+    ``field``; all three arrays are read-only and have length min(p, q).
+    Built only by :func:`pair_spectrum`."""
 
     cosines: np.ndarray
     p: int
@@ -45,6 +45,16 @@ class PairSpectrum:
         sines[c >= _ZERO_ANGLE_COS_BAND] = 0.0
         sines.setflags(write=False)
         return sines
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        """Ascending principal angles, with the same zero band as the
+        sines: a shared direction gets exactly 0, not an arccos of
+        roundoff that would depend on the orientation of the cross-Gram."""
+        angles = np.arccos(self.cosines)
+        angles[self.cosines >= _ZERO_ANGLE_COS_BAND] = 0.0
+        angles.setflags(write=False)
+        return angles
 
 
 # (weakref(V), weakref(W), spectrum of (V, W)), read and replaced whole, so
@@ -122,8 +132,9 @@ def principal_cosines(V: Subspace, W: Subspace) -> np.ndarray:
 
 
 def principal_angles(V: Subspace, W: Subspace) -> np.ndarray:
-    """Just the ascending principal angles (empty when either space is {0})."""
-    return np.arccos(pair_spectrum(V, W).cosines)
+    """Just the ascending principal angles (empty when either space is {0};
+    read-only)."""
+    return pair_spectrum(V, W).angles
 
 
 def is_partially_orthogonal(V: Subspace, W: Subspace) -> bool:

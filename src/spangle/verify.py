@@ -74,6 +74,10 @@ DEGENERATE_ANGLE_TOL = math.sqrt(2 * RESIDUAL_TOL)
 
 SUITE_NAMES = ("pythagorean", "oriented", "metric-axioms", "oracle-equivalence", "bounds")
 
+# The largest ambient dimension a suite draws (the exterior oracle costs
+# 4^n); some loops inside the suites cap it lower.
+DIM_MAX_LIMIT = 8
+
 # Each suite's checks, in report order, with the tolerance each is held to.
 CHECKS: dict[str, dict[str, float]] = {
     "pythagorean": {
@@ -233,7 +237,7 @@ def _sub_subspace(rng, V: Subspace, k: int) -> Subspace:
 def run_pythagorean(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("pythagorean")
-    dim_max = max(2, min(dim_max, 8))
+    dim_max = max(2, min(dim_max, DIM_MAX_LIMIT))
     for _ in range(trials):
         for field in _fields():
             n = int(rng.integers(2, dim_max + 1))
@@ -380,7 +384,7 @@ def run_oriented(seed: int, trials: int, dim_max: int) -> SuiteReport:
 def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("metric-axioms")
-    dim_max = max(2, min(dim_max, 8))
+    dim_max = max(2, min(dim_max, DIM_MAX_LIMIT))
     for _ in range(trials):
         for field in _fields():
             n = int(rng.integers(2, dim_max + 1))
@@ -487,7 +491,7 @@ def _dimension_schedule(rng, trials: int, dim_max: int):
 def run_oracle_equivalence(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("oracle-equivalence")
-    dim_max = max(2, min(dim_max, 8))
+    dim_max = max(2, min(dim_max, DIM_MAX_LIMIT))
     for field in _fields():
         for n, p, q in _dimension_schedule(rng, trials, dim_max):
             V = haar_subspace(rng, n, p, field)
@@ -550,7 +554,7 @@ def _skewed_list(rng, V: Subspace, field: Field) -> list[np.ndarray]:
 def run_bounds(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("bounds")
-    dim_max = max(2, min(dim_max, 8))
+    dim_max = max(2, min(dim_max, DIM_MAX_LIMIT))
     for _ in range(trials):
         for field in _fields():
             n = int(rng.integers(2, dim_max + 1))

@@ -183,6 +183,12 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert json.loads(result.output)["field"] == "suite"
 
+    @pytest.mark.parametrize("dim_max", ["1", "9", "40"])
+    def test_dim_max_out_of_range_exit_2(self, runner, dim_max):
+        result = runner.invoke(main, ["verify", "--suite", "oriented", "--trials", "1", "--dim-max", dim_max])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["field"] == "dim-max"
+
     def test_all_suites_smoke(self, runner):
         result = runner.invoke(
             main,

@@ -20,6 +20,7 @@ from spangle.subspace import (
     from_basis_matrix,
     from_spanning,
     intersect,
+    project_subspace,
     spans_equal,
 )
 
@@ -109,6 +110,79 @@ class TestHausdorff:
             W = haar_subspace(rng, n, int(rng.integers(1, n + 1)), Field.REAL)
             sampled = sampled_directed_hausdorff(V, W, rng, samples=35)
             assert sampled <= directed_hausdorff(V, W) + 1e-7
+
+
+def reference_sampled_hausdorff(V, W, rng, samples):
+    """The per-sample construction the coordinate sampler replaces: a
+    Subspace for each sample, its projection and four random candidates."""
+    best = 0.0
+    for _ in range(samples):
+        k = int(rng.integers(0, V.dim + 1))
+        inner_coords = haar_subspace(rng, V.dim, k, V.field)
+        V_sub = from_basis_matrix(V.basis @ inner_coords.basis, V.field)
+        candidates = []
+        projected = project_subspace(W, V_sub)
+        if projected.dim == V_sub.dim:
+            candidates.append(projected)
+        for _ in range(4):
+            if W.dim >= V_sub.dim:
+                w_coords = haar_subspace(rng, W.dim, V_sub.dim, W.field)
+                candidates.append(from_basis_matrix(W.basis @ w_coords.basis, W.field))
+        if not candidates:
+            dist = HALF_PI
+        else:
+            dist = min(fubini_study(V_sub, C) for C in candidates)
+        best = max(best, dist)
+    return best
+
+
+class TestSampledDirectedHausdorff:
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("shape", ["p<=q", "p>q", "V=0", "W=0"])
+    def test_matches_per_sample_construction(self, field, shape):
+        for seed in range(100):
+            pick = np.random.default_rng(seed)
+            n = int(pick.integers(2, 7))
+            if shape == "p<=q":
+                p = int(pick.integers(1, n + 1))
+                q = int(pick.integers(p, n + 1))
+            elif shape == "p>q":
+                q = int(pick.integers(1, n))
+                p = int(pick.integers(q + 1, n + 1))
+            elif shape == "V=0":
+                p, q = 0, int(pick.integers(0, n + 1))
+            else:
+                p, q = int(pick.integers(1, n + 1)), 0
+            V, W = haar_subspace(pick, n, p, field), haar_subspace(pick, n, q, field)
+            ours, theirs = np.random.default_rng(1000 + seed), np.random.default_rng(1000 + seed)
+            got = sampled_directed_hausdorff(V, W, ours, samples=12)
+            want = reference_sampled_hausdorff(V, W, theirs, samples=12)
+            assert abs(got - want) <= 1e-12
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_zero_samples(self, rng):
+        V = haar_subspace(rng, 4, 2, Field.REAL)
+        assert sampled_directed_hausdorff(V, V, rng, samples=0) == 0.0
+
+    @pytest.mark.parametrize(
+        "other",
+        [lambda rng: haar_subspace(rng, 4, 2, Field.COMPLEX), lambda rng: haar_subspace(rng, 5, 2, Field.REAL)],
+        ids=["field", "ambient"],
+    )
+    def test_mismatched_pair_rejected(self, rng, other):
+        V = haar_subspace(rng, 4, 2, Field.REAL)
+        with pytest.raises(ValueError):
+            sampled_directed_hausdorff(V, other(rng), rng, samples=5)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_identical_is_zero(self, rng, field):
+        V = haar_subspace(rng, 6, 3, field)
+        assert sampled_directed_hausdorff(V, V, rng, samples=40) == 0.0
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_higher_dimension_is_half_pi(self, rng, field):
+        V, W = haar_subspace(rng, 6, 3, field), haar_subspace(rng, 6, 2, field)
+        assert sampled_directed_hausdorff(V, W, rng, samples=40) == HALF_PI
 
 
 class TestTriangleClassification:

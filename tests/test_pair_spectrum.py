@@ -75,9 +75,26 @@ def test_swapped_order_hits_and_equal_contents_miss(svd_calls, rng, field):
 
 def test_spectrum_arrays_are_read_only(rng):
     s = pair_spectrum(*random_pair(rng, 4, 2, 2, Field.REAL))
-    for arr in (s.cosines, s.sines):
+    for arr in (s.cosines, s.sines, s.angles):
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_shared_directions_have_exactly_zero_angles(rng, field):
+    """Two 3-planes in 8 dimensions sharing a 2-plane: the shared
+    directions' cosines sit an ulp or two below 1, and their angles are
+    exact zeros in either argument order, whatever the spanning bases."""
+    n, shared = 8, 2
+    for _ in range(20):
+        frame = np.linalg.qr(gaussian_matrix(rng, n, shared + 2, field))[0]
+        mix_v, mix_w = gaussian_matrix(rng, 3, 3, field), gaussian_matrix(rng, 3, 3, field)
+        V = from_spanning(list((frame[:, [0, 1, 2]] @ mix_v).T), field)
+        W = from_spanning(list((frame[:, [0, 1, 3]] @ mix_w).T), field)
+        for a, b in ((V, W), (W, V)):
+            angles = principal_angles(a, b)
+            assert list(angles[:shared]) == [0.0, 0.0]
+            assert angles[shared] == pytest.approx(np.pi / 2, abs=1e-7)
 
 
 def test_memo_keeps_no_pair_alive(rng):
