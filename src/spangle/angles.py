@@ -212,7 +212,7 @@ def oriented_from_spanning(vectors, field: Field, ambient_dim: int | None = None
         raise ValueError("orientation requires linearly independent vectors")
     det_r = np.prod(np.diagonal(R))
     coeff = det_r / abs(det_r)
-    return OrientedSubspace(Subspace(M.shape[0], field, Q), complex(coeff))
+    return OrientedSubspace(Subspace._trusted(M.shape[0], field, Q), complex(coeff))
 
 
 def oriented_angle(V: OrientedSubspace, W: OrientedSubspace) -> OrientedAngle:

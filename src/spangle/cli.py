@@ -15,6 +15,7 @@ import sys
 import click
 import numpy as np
 
+from ._suites import DIM_MAX_LIMIT, SUITE_NAMES
 from .angles import (
     angle_report,
     grassmann_angle,
@@ -33,7 +34,6 @@ from .linalg import Field
 from .metrics import fubini_study, geodesic_point
 from .principal import principal_angles
 from .sampling import haar_subspace
-from .verify import DIM_MAX_LIMIT, SUITE_NAMES, run_suites
 
 
 def _fail(field_name: str, message: str) -> None:
@@ -174,6 +174,8 @@ def cmd_verify(suite: str, dim_max: int, trials: int, seed: int) -> None:
         _fail("trials", "trials must be nonnegative")
     if not 2 <= dim_max <= DIM_MAX_LIMIT:
         _fail("dim-max", f"dim-max must be between 2 and {DIM_MAX_LIMIT}")
+    from .verify import run_suites  # the verify stack loads only for this command
+
     reports = run_suites(suite, seed=seed, trials=trials, dim_max=dim_max)
     passed = all(r.passed for r in reports)
     out = {

@@ -25,8 +25,9 @@ from .angles import (
     grassmann_angle,
     oriented_angle,
 )
-from .linalg import COMPARE_TOL, HALF_PI, Field, clamped_product
+from .linalg import COMPARE_TOL, HALF_PI, Field, as_field_array, clamped_product, clamped_products
 from .principal import (
+    _ZERO_ANGLE_COS_BAND,
     is_partially_orthogonal,
     pair_spectrum,
     principal_angles,
@@ -118,21 +119,49 @@ def check_line_partition(L: Subspace, parts) -> IdentityResult:
     return _result(lhs, 1.0)
 
 
-def coordinate_subspaces(basis: np.ndarray, q: int, field: Field):
-    """All q-column coordinate subspaces of an orthogonal basis, in
-    lexicographic index order (matching the bit-mask order of the
-    exterior module).  Yields (indices, Subspace)."""
-    n = basis.shape[1]
+def _unit_orthogonal_columns(basis: np.ndarray) -> np.ndarray:
+    """The columns of an orthogonal basis (already through
+    ``as_field_array``), checked and scaled to unit length."""
+    if basis.ndim != 2:
+        raise ValueError(f"basis must be a matrix, got shape {basis.shape}")
     norms = np.linalg.norm(basis, axis=0)
     if np.any(norms == 0):
         raise ValueError("basis contains a zero vector")
     unit = basis / norms
-    cross = np.abs(unit.conj().T @ unit - np.eye(n))
-    if float(np.max(cross)) > COMPARE_TOL:
+    cross = np.abs(unit.conj().T @ unit - np.eye(basis.shape[1]))
+    if float(np.max(cross, initial=0.0)) > COMPARE_TOL:
         raise ValueError("basis is not orthogonal")
-    for combo in itertools.combinations(range(n), q):
-        cols = unit[:, list(combo)] if combo else np.zeros((basis.shape[0], 0), dtype=unit.dtype)
-        yield combo, Subspace(basis.shape[0], field, cols)
+    return unit
+
+
+def _index_sets(n: int, q: int) -> np.ndarray:
+    """The q-subsets of range(n) in lexicographic order, one per row
+    (shape (C(n, q), q))."""
+    return np.array(list(itertools.combinations(range(n), q)), dtype=np.intp).reshape(math.comb(n, q), q)
+
+
+def _stacked_cosines(stack: np.ndarray) -> np.ndarray:
+    """cos of the Grassmann angle of V with W for each cross-Gram W* V in
+    a (B, q, p) stack with p <= q: the clamped product of its singular
+    values, exactly 1 inside the zero-angle band, as in grassmann_angle."""
+    products = clamped_products(np.linalg.svd(stack, compute_uv=False))
+    return np.where(products >= _ZERO_ANGLE_COS_BAND, 1.0, products)
+
+
+def _sum_in_order(terms: np.ndarray):
+    """Left-to-right sum over the index sets, in lexicographic order.
+    numpy's pairwise sum rounds differently, which moves a residual against
+    a target of up to C(8, 4) = 70 by a few of its ulps."""
+    return np.cumsum(terms)[-1] if terms.size else terms.dtype.type(0)
+
+
+def coordinate_subspaces(basis: np.ndarray, q: int, field: Field):
+    """All q-column coordinate subspaces of an orthogonal basis, in
+    lexicographic index order (matching the bit-mask order of the
+    exterior module).  Yields (indices, Subspace)."""
+    unit = _unit_orthogonal_columns(as_field_array(basis, field))
+    for combo in itertools.combinations(range(unit.shape[1]), q):
+        yield combo, Subspace._trusted(unit.shape[0], field, unit[:, list(combo)])
 
 
 def check_coordinate_identity(V: Subspace, basis: np.ndarray, q: int) -> IdentityResult:
@@ -140,22 +169,23 @@ def check_coordinate_identity(V: Subspace, basis: np.ndarray, q: int) -> Identit
     orthogonal ambient basis.
 
     For p = dim V <= q the sum over angle(V, W_I) equals C(n-p, n-q);
-    for p > q the sum over angle(W_I, V) equals C(p, q).
+    for p > q the sum over angle(W_I, V) equals C(p, q).  One cross-Gram
+    G = unit* V serves every index set I: W_I* V is rows I of G, and one
+    stacked SVD gives all the cosines.
     """
-    basis = np.asarray(basis, dtype=V.field.dtype)
+    basis = as_field_array(basis, V.field)
     if basis.shape != (V.ambient_dim, V.ambient_dim):
         raise ValueError(f"basis must be square of size {V.ambient_dim}, got {basis.shape}")
     n, p = V.ambient_dim, V.dim
-    total = 0.0
+    unit = _unit_orthogonal_columns(basis)
+    stack = (unit.conj().T @ V.basis)[_index_sets(n, q)]  # (C(n, q), q, p)
     if p <= q:
-        for _, W_I in coordinate_subspaces(basis, q, V.field):
-            total += math.cos(grassmann_angle(V, W_I)) ** 2
+        cosines = _stacked_cosines(stack)
         target = float(math.comb(n - p, n - q))
     else:
-        for _, W_I in coordinate_subspaces(basis, q, V.field):
-            total += math.cos(grassmann_angle(W_I, V)) ** 2
+        cosines = _stacked_cosines(stack.conj().swapaxes(-1, -2))  # V* W_I
         target = float(math.comb(p, q))
-    return _result(total, target)
+    return _result(float(_sum_in_order(cosines * cosines)), target)
 
 
 @dataclass(frozen=True)
@@ -171,28 +201,38 @@ def check_oriented_sum(V: OrientedSubspace, W: OrientedSubspace, basis: np.ndarr
     p-subspaces of an orthogonal basis, of cos(V, X_I) * cos(X_I, W)
     (oriented cosines, order matters in the complex case).  Also reports
     the slack of the unoriented inequality with both cosines towards X_I.
+
+    X_I is oriented by its columns in order, so cos(V, X_I) is conj(c_V)
+    det(V* X_I) and cos(X_I, W) is c_W det(X_I* W): columns I of V* unit
+    and rows I of unit* W, one stacked determinant each.
     """
     p = V.space.dim
     if p != W.space.dim:
         raise ValueError("oriented identity requires equal dimensions")
     lhs = oriented_angle(V, W).cos_value
-    total = 0.0 + 0.0j if V.space.field is Field.COMPLEX else 0.0
-    bound_total = 0.0
-    for _, X_I in coordinate_subspaces(np.asarray(basis, dtype=V.space.field.dtype), p, V.space.field):
-        X_oriented = OrientedSubspace(X_I, 1.0)
-        left = oriented_angle(V, X_oriented).cos_value
-        right = oriented_angle(X_oriented, W).cos_value
-        total += left * right
-        bound_total += abs(left) * abs(right)
-    identity = _result(lhs, total)
-    slack = bound_total - abs(lhs)
+    field = V.space.field
+    unit = _unit_orthogonal_columns(as_field_array(basis, field))
+    if unit.shape[0] != V.space.ambient_dim:
+        raise ValueError(f"ambient dimension mismatch: {V.space.ambient_dim} vs {unit.shape[0]}")
+    rows = _index_sets(unit.shape[1], p)
+    left = np.conj(V.coefficient) * np.linalg.det((V.space.basis.conj().T @ unit)[:, rows].swapaxes(0, 1))
+    right = W.coefficient * np.linalg.det((unit.conj().T @ W.space.basis)[rows])
+    if field is Field.REAL:
+        left, right = left.real, right.real
+    total = _sum_in_order(left * right)
+    identity = _result(lhs, float(total) if field is Field.REAL else complex(total))
+    slack = float(_sum_in_order(np.abs(left) * np.abs(right))) - abs(lhs)
     return OrientedSumCheck(identity=identity, bound_slack=float(slack))
 
 
 def check_principal_coordinate(U: Subspace, V: Subspace, W: Subspace) -> IdentityResult:
     """For U inside V, the squared cosine towards W decomposes over the
     coordinate r-subspaces of a principal basis of V with respect to W as
-    a weighted average: sum of cos^2(U, V_I) * cos^2(V_I, W)."""
+    a weighted average: sum of cos^2(U, V_I) * cos^2(V_I, W).
+
+    With L the principal basis, V_I is columns I of L: W* V_I is columns
+    I of W* L and V_I* U is rows I of L* U, one stacked SVD each.
+    """
     _check_pair(U, V)
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
@@ -200,16 +240,14 @@ def check_principal_coordinate(U: Subspace, V: Subspace, W: Subspace) -> Identit
     if not is_subspace_of(U, V):
         raise ValueError("U must be contained in V")
     r = U.dim
-    decomp = principal_decomposition(V, W)
+    L = principal_decomposition(V, W).left_basis
     lhs = math.cos(grassmann_angle(U, W)) ** 2
-    total = 0.0
-    for combo in itertools.combinations(range(V.dim), r):
-        cols = decomp.left_basis[:, list(combo)] if combo else np.zeros((V.ambient_dim, 0), dtype=V.field.dtype)
-        V_I = Subspace(V.ambient_dim, V.field, cols)
-        w_angle = math.cos(grassmann_angle(V_I, W)) ** 2
-        u_angle = math.cos(grassmann_angle(U, V_I)) ** 2
-        total += u_angle * w_angle
-    return _result(lhs, total)
+    if r > W.dim:
+        return _result(lhs, 0.0)  # every V_I is at a right angle to W
+    rows = _index_sets(V.dim, r)
+    w_cos = _stacked_cosines((W.basis.conj().T @ L)[:, rows].swapaxes(0, 1))  # (C, q, r)
+    u_cos = _stacked_cosines((L.conj().T @ U.basis)[rows])  # (C, r, r)
+    return _result(lhs, float(_sum_in_order((u_cos * u_cos) * (w_cos * w_cos))))
 
 
 def direct_sum_angle(V1: Subspace, V2: Subspace, W: Subspace) -> IdentityResult:

@@ -165,6 +165,17 @@ def clamped_product(values: np.ndarray) -> float:
     return float(math.exp(np.log(v).sum()))
 
 
+def clamped_products(stack: np.ndarray) -> np.ndarray:
+    """:func:`clamped_product` of each vector of factors along the last
+    axis of a stack, vectorized up to 20 factors (the same sequential
+    product)."""
+    v = np.minimum(np.maximum(np.asarray(stack, dtype=np.float64), 0.0), 1.0)
+    if v.shape[-1] <= 20:
+        return v.prod(axis=-1)
+    rows = v.reshape(-1, v.shape[-1])
+    return np.array([clamped_product(row) for row in rows]).reshape(v.shape[:-1])
+
+
 def principal_phase(z: complex) -> float:
     """Argument of ``z`` in (-pi, pi]; exactly -pi is mapped to +pi."""
     ph = math.atan2(z.imag, z.real) if isinstance(z, complex) else (0.0 if z >= 0 else math.pi)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import _angle_from_cos, grassmann_angle, max_symmetrized_angle, vector_angles
-from .linalg import COMPARE_TOL, HALF_PI, RANK_REL_TOL, Field
+from .linalg import COMPARE_TOL, HALF_PI, RANK_REL_TOL, Field, clamped_products
 from .principal import is_partially_orthogonal
 from .sampling import gaussian_matrix
 from .subspace import (
@@ -108,7 +108,7 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
         MA = M @ A
         sigma = np.linalg.svd(MA, compute_uv=False)
         full_rank = sigma[:, -1] > RANK_REL_TOL * sigma[:, 0] * V.ambient_dim
-        projection = np.where(full_rank, np.minimum(sigma, 1.0).prod(axis=1), 0.0)
+        projection = np.where(full_rank, clamped_products(sigma), 0.0)
         frames = np.abs(np.linalg.det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
         best = np.maximum(projection, np.minimum(frames, 1.0).max(axis=1))
         worst = min(worst, float(best.min()))

@@ -24,6 +24,15 @@ from .subspace import Subspace, _check_pair, _pairwise_orthogonal, _sum_all, pro
 _ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * np.finfo(np.float64).eps
 
 
+def _angles_from_cosines(cosines: np.ndarray) -> np.ndarray:
+    """arccos of cosines in [0, 1], exactly 0 inside the zero-angle band:
+    a shared direction gets 0, not an arccos of roundoff that would depend
+    on how the cross-Gram was oriented and decomposed."""
+    angles = np.arccos(cosines)
+    angles[cosines >= _ZERO_ANGLE_COS_BAND] = 0.0
+    return angles
+
+
 @dataclass(frozen=True)
 class PairSpectrum:
     """Principal cosines (descending, clamped into [0, 1]), sines and
@@ -49,10 +58,8 @@ class PairSpectrum:
     @cached_property
     def angles(self) -> np.ndarray:
         """Ascending principal angles, with the same zero band as the
-        sines: a shared direction gets exactly 0, not an arccos of
-        roundoff that would depend on the orientation of the cross-Gram."""
-        angles = np.arccos(self.cosines)
-        angles[self.cosines >= _ZERO_ANGLE_COS_BAND] = 0.0
+        sines."""
+        angles = _angles_from_cosines(self.cosines)
         angles.setflags(write=False)
         return angles
 
@@ -120,7 +127,7 @@ def principal_decomposition(V: Subspace, W: Subspace) -> PrincipalDecomposition:
         raise ValueError("principal bases are undefined for the zero subspace")
     M = W.basis.conj().T @ V.basis  # (q, p) cross-Gram
     U, sigma, Vh = np.linalg.svd(M, full_matrices=True)
-    angles = np.arccos(np.clip(sigma, 0.0, 1.0))  # descending sigma -> ascending angles
+    angles = _angles_from_cosines(np.minimum(sigma, 1.0))  # descending sigma -> ascending angles
     left = V.basis @ Vh.conj().T
     right = W.basis @ U
     return PrincipalDecomposition(angles=angles, left_basis=left, right_basis=right)

@@ -41,6 +41,22 @@ class Subspace:
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
+    @classmethod
+    def _trusted(cls, ambient_dim: int, field: Field, basis: np.ndarray) -> Subspace:
+        """A subspace from a basis the library has just computed, stored
+        without conversion or the orthonormality check: ``basis`` must
+        already have the field's dtype, shape (ambient_dim, p) and
+        orthonormal columns.  The subspace takes ownership, so no other
+        live object may write through ``basis``; a non-contiguous slice
+        is copied."""
+        basis = np.ascontiguousarray(basis)
+        basis.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "basis", basis)
+        return self
+
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
@@ -55,11 +71,11 @@ class Subspace:
 
 
 def zero_subspace(ambient_dim: int, field: Field) -> Subspace:
-    return Subspace(ambient_dim, field, np.zeros((ambient_dim, 0), dtype=field.dtype))
+    return Subspace._trusted(ambient_dim, field, np.zeros((ambient_dim, 0), dtype=field.dtype))
 
 
 def full_space(ambient_dim: int, field: Field) -> Subspace:
-    return Subspace(ambient_dim, field, np.eye(ambient_dim, dtype=field.dtype))
+    return Subspace._trusted(ambient_dim, field, np.eye(ambient_dim, dtype=field.dtype))
 
 
 def from_spanning(vectors, field: Field, ambient_dim: int | None = None) -> Subspace:
@@ -69,14 +85,16 @@ def from_spanning(vectors, field: Field, ambient_dim: int | None = None) -> Subs
     """
     M = stack_columns(vectors, field, ambient_dim=ambient_dim)
     Q, _ = orthonormalize_columns(M)
-    return Subspace(M.shape[0], field, Q)
+    return Subspace._trusted(M.shape[0], field, Q)
 
 
 def from_basis_matrix(M: np.ndarray, field: Field) -> Subspace:
     """Subspace spanned by the columns of a matrix."""
     M = as_field_array(M, field)
+    if M.ndim != 2:
+        raise ValueError(f"basis matrix must be two-dimensional, got shape {M.shape}")
     Q, _ = orthonormalize_columns(M)
-    return Subspace(M.shape[0], field, Q)
+    return Subspace._trusted(M.shape[0], field, Q)
 
 
 def _check_pair(V: Subspace, W: Subspace) -> None:
@@ -108,7 +126,7 @@ def project_subspace(W: Subspace, V: Subspace) -> Subspace:
         return zero_subspace(V.ambient_dim, V.field)
     projected = W.basis @ (W.basis.conj().T @ V.basis)
     Q, _ = orthonormalize_columns(projected)
-    return Subspace(V.ambient_dim, V.field, Q)
+    return Subspace._trusted(V.ambient_dim, V.field, Q)
 
 
 def complement(V: Subspace) -> Subspace:
@@ -121,7 +139,7 @@ def complement(V: Subspace) -> Subspace:
     # Full SVD of the basis: the trailing left singular vectors span the
     # orthogonal complement exactly.
     U, _, _ = np.linalg.svd(V.basis, full_matrices=True)
-    return Subspace(n, V.field, np.ascontiguousarray(U[:, p:]))
+    return Subspace._trusted(n, V.field, U[:, p:])
 
 
 def sum_subspace(V: Subspace, W: Subspace) -> Subspace:
@@ -129,7 +147,7 @@ def sum_subspace(V: Subspace, W: Subspace) -> Subspace:
     _check_pair(V, W)
     stacked = np.hstack([V.basis, W.basis])
     Q, _ = orthonormalize_columns(stacked)
-    return Subspace(V.ambient_dim, V.field, Q)
+    return Subspace._trusted(V.ambient_dim, V.field, Q)
 
 
 def _sum_all(parts: Sequence[Subspace]) -> Subspace:
@@ -164,7 +182,7 @@ def intersect(V: Subspace, W: Subspace) -> Subspace:
     keep = sigma >= 1.0 - COMPARE_TOL
     common = V.basis @ Vh.conj().T[:, keep]
     Q, _ = orthonormalize_columns(common)
-    return Subspace(V.ambient_dim, V.field, Q)
+    return Subspace._trusted(V.ambient_dim, V.field, Q)
 
 
 def is_subspace_of(V: Subspace, W: Subspace) -> bool:
@@ -220,4 +238,4 @@ def realify(V: Subspace) -> Subspace:
         cols.append(realify_vector(b))
         cols.append(realify_vector(1j * b))
     basis = np.column_stack(cols) if cols else np.zeros((2 * V.ambient_dim, 0))
-    return Subspace(2 * V.ambient_dim, Field.REAL, basis)
+    return Subspace._trusted(2 * V.ambient_dim, Field.REAL, basis)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import exterior
+from ._suites import DIM_MAX_LIMIT, SUITE_NAMES
 from .angles import (
     complementary_angle,
     grassmann_angle,
@@ -71,12 +72,6 @@ from .subspace import (
 # include degenerate pairs assert exactly that implied bound; the sharp
 # checks are the cosine-level ones plus the generic-regime angle check.
 DEGENERATE_ANGLE_TOL = math.sqrt(2 * RESIDUAL_TOL)
-
-SUITE_NAMES = ("pythagorean", "oriented", "metric-axioms", "oracle-equivalence", "bounds")
-
-# The largest ambient dimension a suite draws (the exterior oracle costs
-# 4^n); some loops inside the suites cap it lower.
-DIM_MAX_LIMIT = 8
 
 # Each suite's checks, in report order, with the tolerance each is held to.
 CHECKS: dict[str, dict[str, float]] = {
@@ -217,7 +212,7 @@ def _random_orthogonal_partition(rng, n: int, field: Field, max_parts: int = 4) 
     cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist()) if k > 1 else []
     bounds = [0] + cuts + [n]
     return [
-        Subspace(n, field, np.ascontiguousarray(T[:, bounds[i]:bounds[i + 1]]))
+        Subspace._trusted(n, field, T[:, bounds[i]:bounds[i + 1]])
         for i in range(len(bounds) - 1)
     ]
 
@@ -325,8 +320,10 @@ def run_pythagorean(seed: int, trials: int, dim_max: int) -> SuiteReport:
             if p >= 2 and not is_partially_orthogonal(V, W):
                 decomp = principal_decomposition(V, W)
                 split = int(rng.integers(1, p))
-                P1 = Subspace(n, field, decomp.left_basis[:, :split])
-                P2 = Subspace(n, field, decomp.left_basis[:, split:])
+                # Column slices of the (n >= 2)-row principal basis are not
+                # contiguous, so each part gets its own copy.
+                P1 = Subspace._trusted(n, field, decomp.left_basis[:, :split])
+                P2 = Subspace._trusted(n, field, decomp.left_basis[:, split:])
                 agrees = characterize_principal_partition(V, [P1, P2], W)
                 predicate = is_principal_partition(V, Partition([P1, P2]), W)
                 col.add("principal_partition_characterization", 0.0 if agrees == predicate else 1.0)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -255,3 +258,24 @@ class TestIoRoundTrip:
         b = dump_json({"a": [2.0, 3.0], "b": 1.0})
         assert a == b
         assert a.endswith("\n")
+
+
+def test_angle_commands_do_not_load_the_verify_stack():
+    """A fresh interpreter that imports the CLI loads neither verify nor
+    the modules only verify needs; every export still resolves."""
+    import spangle
+
+    src = os.path.dirname(os.path.dirname(spangle.__file__))
+    code = (
+        "import sys, spangle.cli\n"
+        "heavy = [m for m in ('verify', 'exterior', 'identities', 'gram') if 'spangle.' + m in sys.modules]\n"
+        "assert not heavy, heavy\n"
+        "import spangle\n"
+        "missing = [n for n in spangle.__all__ if getattr(spangle, n, None) is None]\n"
+        "assert not missing, missing\n"
+        "print(len(spangle.__all__))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "76"  # 68 functions and classes, 8 modules

@@ -158,3 +158,22 @@ class TestPrincipalPartition:
         stray = haar_subspace(rng, 6, 1, Field.REAL)
         with pytest.raises(ValueError, match="sum"):
             is_principal_partition(V, Partition([stray]), W)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_decomposition_angles_zero_on_shared_directions(field):
+    """3- and 4-planes in 6 dimensions sharing a 2-plane: the decomposition
+    reports the shared directions as exact zeros, as principal_angles does,
+    in either argument order.  The other angle comes from a different
+    LAPACK route (singular vectors computed, the cross-Gram wide when the
+    first side is larger) and agrees to roundoff."""
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 11])
+        frame = random_unitary(rng, 6, field)[:, :5]
+        V = from_spanning(list((frame[:, [0, 1, 2]] @ random_unitary(rng, 3, field)).T), field)
+        W = from_spanning(list((frame[:, [0, 1, 3, 4]] @ random_unitary(rng, 4, field)).T), field)
+        for a, b in ((V, W), (W, V)):
+            d = principal_decomposition(a, b).angles
+            angles = principal_angles(a, b)
+            assert list(d[:2]) == list(angles[:2]) == [0.0, 0.0]
+            np.testing.assert_allclose(d, angles, rtol=0, atol=1e-14)

@@ -1,0 +1,183 @@
+"""Bases the library builds itself skip the public orthonormality check.
+
+Every internal construction site goes through ``Subspace._trusted``; these
+tests hold each site to what the public constructor would have enforced
+(the basis passes ``Subspace(n, field, basis)``), to read-only storage, and
+to owning its array: no basis shares memory with an array the caller can
+still write.  Public array arguments are checked where they enter.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from spangle import Field
+from spangle import verify
+from spangle.angles import oriented_from_spanning
+from spangle.identities import (
+    check_coordinate_identity,
+    check_oriented_sum,
+    coordinate_subspaces,
+)
+from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary
+from spangle.subspace import (
+    Subspace,
+    complement,
+    from_basis_matrix,
+    from_spanning,
+    full_space,
+    intersect,
+    project_subspace,
+    realify,
+    sum_subspace,
+    zero_subspace,
+)
+
+BOTH_FIELDS = (Field.REAL, Field.COMPLEX)
+KINDS = ("generic", "rank_deficient", "near_coincident", "nested", "zero")
+
+
+def spanning_pair(rng, n, field, kind):
+    """Two spanning matrices (columns) of one input category."""
+    if kind == "zero":
+        return np.zeros((n, 0), dtype=field.dtype), gaussian_matrix(rng, n, 2, field)
+    A = gaussian_matrix(rng, n, 3, field)
+    if kind == "generic":
+        B = gaussian_matrix(rng, n, 2, field)
+    elif kind == "rank_deficient":
+        A = np.hstack([A, A[:, :2] @ gaussian_matrix(rng, 2, 2, field)])
+        B = np.hstack([A[:, :1], 2.0 * A[:, :1]])
+    elif kind == "near_coincident":
+        B = A + 1e-9 * gaussian_matrix(rng, n, 3, field)
+    else:  # nested: span B inside span A
+        B = A @ gaussian_matrix(rng, 3, 2, field)
+    return A, B
+
+
+def assert_trusted(S, *inputs):
+    """S's basis passes the public check, is read-only and shares no
+    memory with any of the caller-visible inputs."""
+    assert S.basis.dtype == S.field.dtype
+    assert S.basis.flags.c_contiguous
+    Subspace(S.ambient_dim, S.field, S.basis)
+    assert not S.basis.flags.writeable
+    with pytest.raises(ValueError):
+        S.basis[...] = 0
+    for x in inputs:
+        assert not np.shares_memory(S.basis, np.asarray(x))
+
+
+def cases():
+    for field in BOTH_FIELDS:
+        for kind in KINDS:
+            for seed in range(4):
+                yield field, kind, seed
+
+
+@pytest.mark.parametrize("field,kind,seed", list(cases()))
+def test_subspace_module_sites(field, kind, seed):
+    rng = np.random.default_rng([seed, 7])
+    n = 6
+    A, B = spanning_pair(rng, n, field, kind)
+    V = from_basis_matrix(A, field)
+    assert_trusted(V, A)
+    cols = list(B.T)
+    W = from_spanning(cols, field, ambient_dim=n)
+    assert_trusted(W, B, *cols)
+    for S in (
+        project_subspace(W, V),
+        sum_subspace(V, W),
+        intersect(V, W),
+        intersect(W, V),
+    ):
+        assert_trusted(S, V.basis, W.basis, A, B)
+    for X in (V, W):
+        assert_trusted(complement(X), X.basis)
+    if field is Field.COMPLEX:
+        for X in (V, W):
+            assert_trusted(realify(X), X.basis)
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_constant_sites(field):
+    first, second = full_space(4, field), full_space(4, field)
+    assert_trusted(first, second.basis)
+    assert_trusted(zero_subspace(4, field))
+    assert_trusted(realify(full_space(3, Field.COMPLEX)))
+    assert_trusted(realify(zero_subspace(3, Field.COMPLEX)))
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_oriented_from_spanning(field, rng):
+    for p in range(0, 5):
+        M = gaussian_matrix(rng, 5, p, field)
+        cols = list(M.T)
+        O = oriented_from_spanning(cols, field, ambient_dim=5)
+        assert_trusted(O.space, M, *cols)
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_coordinate_subspaces(field, rng):
+    basis = random_unitary(rng, 5, field) * np.array([1.0, 2.0, 0.5, 3.0, 1.5])
+    for q in range(0, 6):
+        subs = [S for _, S in coordinate_subspaces(basis, q, field)]
+        for i, S in enumerate(subs):
+            assert_trusted(S, basis, *(T.basis for T in subs[:i]))
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_random_orthogonal_partition(field, rng):
+    for n in range(2, 9):
+        parts = verify._random_orthogonal_partition(rng, n, field)
+        for i, S in enumerate(parts):
+            assert_trusted(S, *(T.basis for T in parts[:i]))
+
+
+def test_every_trusted_construction_in_the_suites(monkeypatch):
+    """Every subspace the verify suites build without the check (the
+    principal-basis split included) passes it, and no two share memory."""
+    built, callers = [], set()
+    trusted = Subspace._trusted.__func__
+
+    def recording(cls, ambient_dim, field, basis):
+        S = trusted(cls, ambient_dim, field, basis)
+        built.append(S)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
+        return S
+
+    monkeypatch.setattr(Subspace, "_trusted", classmethod(recording))
+    for suite in verify.SUITE_NAMES:
+        verify.run_suites(suite, seed=5, trials=5, dim_max=8)
+    assert {"run_pythagorean", "_random_orthogonal_partition", "from_basis_matrix"} <= callers
+    for S in built:
+        assert_trusted(S)
+    spans = sorted((S.basis.ctypes.data, S.basis.ctypes.data + S.basis.nbytes) for S in built if S.basis.size)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
+def test_public_constructor_still_checks():
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2, Field.REAL, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        Subspace(2, Field.REAL, np.array([[np.nan], [0.0]]))
+    with pytest.raises(ValueError, match="two-dimensional"):
+        from_basis_matrix(np.ones(3), Field.REAL)
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_basis_rejected_at_entry(field, bad, rng):
+    basis = random_unitary(rng, 4, field)
+    basis[1, 2] = bad
+    V = haar_subspace(rng, 4, 2, field)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        check_coordinate_identity(V, basis, 2)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        list(coordinate_subspaces(basis, 2, field))
+    O = oriented_from_spanning(list(V.basis.T), field)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        check_oriented_sum(O, O, basis)
