@@ -21,24 +21,17 @@ import numpy as np
 from .linalg import (
     COMPARE_TOL,
     HALF_PI,
-    RANK_REL_TOL,
     Field,
+    angle_from_cosine,
     arccos_clamped,
     as_field_array,
-    clamped_product,
+    clamped_products,
     principal_phase,
+    rank_cutoff,
     stack_columns,
 )
-from .principal import _ZERO_ANGLE_COS_BAND, pair_spectrum
+from .principal import pair_spectrum
 from .subspace import Subspace, _check_pair, realify, sum_subspace, zero_subspace
-
-
-def _angle_from_cos(value: float) -> float:
-    """arccos that returns an exact 0 inside the roundoff band at 1,
-    so that contained/orthogonal configurations produce exact angles."""
-    if value >= _ZERO_ANGLE_COS_BAND:
-        return 0.0
-    return arccos_clamped(value)
 
 
 @dataclass(frozen=True)
@@ -118,7 +111,7 @@ def grassmann_angle(V: Subspace, W: Subspace) -> float:
         return 0.0
     if V.dim > W.dim:
         return HALF_PI
-    return _angle_from_cos(clamped_product(pair_spectrum(V, W).cosines))
+    return angle_from_cosine(clamped_products(pair_spectrum(V, W).cosines))
 
 
 def complementary_angle(V: Subspace, W: Subspace) -> float:
@@ -128,7 +121,7 @@ def complementary_angle(V: Subspace, W: Subspace) -> float:
     equals the directed angle against complement(W) and is symmetric in
     V and W.  Zero when either subspace is {0}.
     """
-    return _angle_from_cos(clamped_product(pair_spectrum(V, W).sines))
+    return angle_from_cosine(clamped_products(pair_spectrum(V, W).sines))
 
 
 def angle_from_complement(V: Subspace, W: Subspace) -> float:
@@ -145,7 +138,7 @@ def angle_from_complement(V: Subspace, W: Subspace) -> float:
         return HALF_PI
     s = pair_spectrum(V, W)
     nonzero = s.cosines < 1.0 - COMPARE_TOL  # skip intersection directions
-    return _angle_from_cos(clamped_product(s.sines[nonzero]))
+    return angle_from_cosine(clamped_products(s.sines[nonzero]))
 
 
 def min_symmetrized_angle(V: Subspace, W: Subspace) -> float:
@@ -208,7 +201,7 @@ def oriented_from_spanning(vectors, field: Field, ambient_dim: int | None = None
         return OrientedSubspace(zero_subspace(M.shape[0], field), 1.0)
     Q, R = np.linalg.qr(M)
     diag = np.abs(np.diagonal(R))
-    if float(np.min(diag)) <= RANK_REL_TOL * max(M.shape) * float(np.max(diag)):
+    if float(np.min(diag)) <= rank_cutoff(float(np.max(diag)), M.shape):
         raise ValueError("orientation requires linearly independent vectors")
     det_r = np.prod(np.diagonal(R))
     coeff = det_r / abs(det_r)

@@ -15,20 +15,9 @@ import math
 
 import numpy as np
 
-from .linalg import RANK_REL_TOL, Field, arccos_clamped, clamp01, det, solve, stack_columns
-from .principal import _ZERO_ANGLE_COS_BAND
+from .linalg import Field, angle_from_cosine, clamp01, det, rank_cutoff, solve, stack_columns
 
 GRAM_CONDITION_LIMIT = 1e12
-
-_ZERO_ANGLE_COS_SQ_BAND = _ZERO_ANGLE_COS_BAND**2
-
-
-def _angle_from_cos_sq(cos_sq: float) -> float:
-    """arccos of the square root, with an exact 0 inside the roundoff
-    band at 1 (matching the principal-angle fast path)."""
-    if cos_sq >= _ZERO_ANGLE_COS_SQ_BAND:
-        return 0.0
-    return arccos_clamped(math.sqrt(cos_sq))
 
 
 class ProjectionAngleMode(enum.Enum):
@@ -85,7 +74,7 @@ def _psd_det_rank_floored(M: np.ndarray, reference: np.ndarray) -> float:
     ref_top = float(np.linalg.eigvalsh((reference + reference.conj().T) / 2.0)[-1])
     if ref_top <= 0.0:
         return 0.0
-    floor = RANK_REL_TOL * ref_top * M.shape[0]
+    floor = rank_cutoff(ref_top, M.shape)
     eigs = np.where(eigs > floor, eigs, 0.0)
     return float(np.prod(eigs))
 
@@ -99,7 +88,7 @@ def angle_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | None = No
     A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
     numerator = _psd_det_rank_floored(B.conj().T @ solve(A, B), D)
     cos_sq = clamp01(numerator / float(np.real(det(D))))
-    return _angle_from_cos_sq(cos_sq)
+    return angle_from_cosine(math.sqrt(cos_sq))
 
 
 def angle_from_gram_equal_dim(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
@@ -114,7 +103,7 @@ def angle_from_gram_equal_dim(basis_v, basis_w, field: Field, ambient_dim: int |
         if B.shape[0]
         else 1.0
     )
-    return _angle_from_cos_sq(cos_sq)
+    return angle_from_cosine(math.sqrt(cos_sq))
 
 
 def complementary_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
@@ -122,14 +111,15 @@ def complementary_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | N
     A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
     schur = A - B @ solve(D, B.conj().T)
     cos_sq = clamp01(_psd_det_rank_floored(schur, A) / float(np.real(det(A))))
-    return _angle_from_cos_sq(cos_sq)
+    return angle_from_cosine(math.sqrt(cos_sq))
 
 
 def angle_from_projection_matrix(P: np.ndarray, mode: ProjectionAngleMode) -> float:
     """Angles from a (q, p) matrix representing the orthogonal projection
     V -> W in orthonormal bases.
 
-    THETA: arccos sqrt(det(P* P));  PERP: arccos sqrt(det(I_q - P P*)).
+    THETA: arccos sqrt(det(P* P));  PERP: arccos sqrt(det(I_q - P P*)),
+    each exactly 0 inside the zero-angle band like every other route.
     """
     P = np.asarray(P)
     if P.ndim != 2:
@@ -142,4 +132,4 @@ def angle_from_projection_matrix(P: np.ndarray, mode: ProjectionAngleMode) -> fl
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     cos_sq = clamp01(float(np.real(value)))
-    return arccos_clamped(math.sqrt(cos_sq))
+    return angle_from_cosine(math.sqrt(cos_sq))

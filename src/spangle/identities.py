@@ -25,9 +25,8 @@ from .angles import (
     grassmann_angle,
     oriented_angle,
 )
-from .linalg import COMPARE_TOL, HALF_PI, Field, as_field_array, clamped_product, clamped_products
+from .linalg import COMPARE_TOL, HALF_PI, Field, as_field_array, clamped_products, in_zero_angle_band
 from .principal import (
-    _ZERO_ANGLE_COS_BAND,
     is_partially_orthogonal,
     pair_spectrum,
     principal_angles,
@@ -145,7 +144,7 @@ def _stacked_cosines(stack: np.ndarray) -> np.ndarray:
     a (B, q, p) stack with p <= q: the clamped product of its singular
     values, exactly 1 inside the zero-angle band, as in grassmann_angle."""
     products = clamped_products(np.linalg.svd(stack, compute_uv=False))
-    return np.where(products >= _ZERO_ANGLE_COS_BAND, 1.0, products)
+    return np.where(in_zero_angle_band(products), 1.0, products)
 
 
 def _sum_in_order(terms: np.ndarray):
@@ -214,6 +213,8 @@ def check_oriented_sum(V: OrientedSubspace, W: OrientedSubspace, basis: np.ndarr
     unit = _unit_orthogonal_columns(as_field_array(basis, field))
     if unit.shape[0] != V.space.ambient_dim:
         raise ValueError(f"ambient dimension mismatch: {V.space.ambient_dim} vs {unit.shape[0]}")
+    if unit.shape[1] != unit.shape[0]:
+        raise ValueError(f"basis must be square of size {unit.shape[0]}, got {unit.shape}")
     rows = _index_sets(unit.shape[1], p)
     left = np.conj(V.coefficient) * np.linalg.det((V.space.basis.conj().T @ unit)[:, rows].swapaxes(0, 1))
     right = W.coefficient * np.linalg.det((unit.conj().T @ W.space.basis)[rows])
@@ -342,9 +343,9 @@ def _angle_profile(V: Subspace, W: Subspace):
     """
     s = pair_spectrum(V, W)
     sigma, sines = s.cosines, s.sines
-    cos_theta_perp = clamped_product(sines)
+    cos_theta_perp = clamped_products(sines)
     if s.p <= s.q:
-        cos_theta = clamped_product(sigma)
+        cos_theta = clamped_products(sigma)
         cos_delta = float(sigma[-1] * sigma[0] + sines[-1] * sines[0])
     else:
         cos_theta = 0.0

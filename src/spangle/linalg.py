@@ -35,6 +35,11 @@ class Field(enum.Enum):
 RANK_REL_TOL = 1e-12
 COMPARE_TOL = 1e-9
 
+# Cosines above this band are indistinguishable from 1 at SVD backward
+# error, so their angles count as exact zeros, with zero sines (else every
+# genuinely shared direction would contribute a spurious sqrt(eps) sine).
+ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * float(np.finfo(np.float64).eps)
+
 
 def as_field_array(values: Iterable, field: Field) -> np.ndarray:
     """Convert to the dtype of ``field``, rejecting complex data under REAL
@@ -60,6 +65,21 @@ def arccos_clamped(x: float) -> float:
     return math.acos(clamp01(x))
 
 
+def in_zero_angle_band(c):
+    """Whether a cosine (elementwise, for an array) lies in the zero-angle
+    band, where it stands for an angle of exactly 0."""
+    return c >= ZERO_ANGLE_COS_BAND
+
+
+def angle_from_cosine(c: float) -> float:
+    """The angle of a cosine: exactly 0 inside the zero-angle band, so that
+    shared or contained directions give exact angles, else arccos of c
+    clamped into [0, 1]."""
+    if in_zero_angle_band(c):
+        return 0.0
+    return arccos_clamped(c)
+
+
 def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = None) -> np.ndarray:
     """Stack vectors as matrix columns, checking dimensions and field.
 
@@ -83,6 +103,13 @@ def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = Non
     return as_field_array(np.column_stack(vecs), field)
 
 
+def rank_cutoff(top, shape: tuple[int, ...]):
+    """The value at or below which a singular value counts as zero, for a
+    matrix of ``shape`` whose largest singular value is ``top`` (a float,
+    or an array of them for a stack)."""
+    return RANK_REL_TOL * top * max(shape)
+
+
 def numerical_rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
     """Rank = number of singular values above the relative threshold.
 
@@ -91,8 +118,7 @@ def numerical_rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
     """
     if sigma.size == 0:
         return 0
-    cutoff = RANK_REL_TOL * float(sigma[0]) * max(shape)
-    return int(np.count_nonzero(sigma > cutoff))
+    return int(np.count_nonzero(sigma > rank_cutoff(float(sigma[0]), shape)))
 
 
 def orthonormalize(
@@ -152,28 +178,19 @@ def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, B)
 
 
-def clamped_product(values: np.ndarray) -> float:
-    """Product of factors clamped into [0, 1], in log-space beyond 20
-    factors (many small factors underflow a direct product)."""
+def clamped_products(values: np.ndarray):
+    """Product of the factors along the last axis, each clamped into
+    [0, 1]: a float for a vector, an array for a stack of them.  Beyond 20
+    factors the product is taken in log-space (many small factors
+    underflow a direct product)."""
     v = np.minimum(np.maximum(np.asarray(values, dtype=np.float64), 0.0), 1.0)
-    if v.size == 0:
-        return 1.0
-    if (v == 0.0).any():
-        return 0.0
-    if v.size <= 20:
-        return float(v.prod())
-    return float(math.exp(np.log(v).sum()))
-
-
-def clamped_products(stack: np.ndarray) -> np.ndarray:
-    """:func:`clamped_product` of each vector of factors along the last
-    axis of a stack, vectorized up to 20 factors (the same sequential
-    product)."""
-    v = np.minimum(np.maximum(np.asarray(stack, dtype=np.float64), 0.0), 1.0)
     if v.shape[-1] <= 20:
-        return v.prod(axis=-1)
-    rows = v.reshape(-1, v.shape[-1])
-    return np.array([clamped_product(row) for row in rows]).reshape(v.shape[:-1])
+        products = v.prod(axis=-1)
+    else:
+        with np.errstate(divide="ignore"):  # a zero factor logs to -inf; exp(-inf) is 0
+            logs = np.log(v).sum(axis=-1)
+        products = np.array([math.exp(s) for s in logs.flat]).reshape(logs.shape)
+    return float(products) if v.ndim == 1 else products
 
 
 def principal_phase(z: complex) -> float:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import _angle_from_cos, grassmann_angle, max_symmetrized_angle, vector_angles
-from .linalg import COMPARE_TOL, HALF_PI, RANK_REL_TOL, Field, clamped_products
+from .angles import grassmann_angle, max_symmetrized_angle, vector_angles
+from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, clamped_products, rank_cutoff
 from .principal import is_partially_orthogonal
 from .sampling import gaussian_matrix
 from .subspace import (
@@ -107,12 +107,12 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
         B = np.linalg.svd(np.stack(outer), full_matrices=False)[0]  # (m, 4, q, k)
         MA = M @ A
         sigma = np.linalg.svd(MA, compute_uv=False)
-        full_rank = sigma[:, -1] > RANK_REL_TOL * sigma[:, 0] * V.ambient_dim
+        full_rank = sigma[:, -1] > rank_cutoff(sigma[:, 0], V.basis.shape)
         projection = np.where(full_rank, clamped_products(sigma), 0.0)
         frames = np.abs(np.linalg.det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
         best = np.maximum(projection, np.minimum(frames, 1.0).max(axis=1))
         worst = min(worst, float(best.min()))
-    return _angle_from_cos(worst)
+    return angle_from_cosine(worst)
 
 
 class TriangleTag(enum.Enum):

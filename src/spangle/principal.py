@@ -15,22 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import COMPARE_TOL, HALF_PI, Field
+from .linalg import COMPARE_TOL, HALF_PI, Field, in_zero_angle_band
 from .subspace import Subspace, _check_pair, _pairwise_orthogonal, _sum_all, project_subspace, spans_equal
-
-# Cosines above this band are indistinguishable from 1 at SVD backward
-# error, so their angles count as exact zeros, with zero sines (else every
-# genuinely shared direction would contribute a spurious sqrt(eps) sine).
-_ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * np.finfo(np.float64).eps
-
-
-def _angles_from_cosines(cosines: np.ndarray) -> np.ndarray:
-    """arccos of cosines in [0, 1], exactly 0 inside the zero-angle band:
-    a shared direction gets 0, not an arccos of roundoff that would depend
-    on how the cross-Gram was oriented and decomposed."""
-    angles = np.arccos(cosines)
-    angles[cosines >= _ZERO_ANGLE_COS_BAND] = 0.0
-    return angles
 
 
 @dataclass(frozen=True)
@@ -51,15 +37,18 @@ class PairSpectrum:
         (1 - c)(1 + c) is never negative, so only the upper clamp acts."""
         c = self.cosines
         sines = np.sqrt(np.minimum((1.0 - c) * (1.0 + c), 1.0))
-        sines[c >= _ZERO_ANGLE_COS_BAND] = 0.0
+        sines[in_zero_angle_band(c)] = 0.0
         sines.setflags(write=False)
         return sines
 
     @cached_property
     def angles(self) -> np.ndarray:
-        """Ascending principal angles, with the same zero band as the
-        sines."""
-        angles = _angles_from_cosines(self.cosines)
+        """Ascending principal angles: arccos of the cosines, exactly 0
+        inside the zero-angle band like the sines, so a shared direction
+        gets 0, not an arccos of roundoff that would depend on how the
+        cross-Gram was oriented and decomposed."""
+        angles = np.arccos(self.cosines)
+        angles[in_zero_angle_band(self.cosines)] = 0.0
         angles.setflags(write=False)
         return angles
 
@@ -98,7 +87,7 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
 class PrincipalDecomposition:
     """Sorted principal angles plus associated principal bases.
 
-    angles       ascending, length min(p, q)
+    angles       ascending, length min(p, q) (read-only)
     left_basis   (n, p) orthonormal basis of the first subspace
     right_basis  (n, q) orthonormal basis of the second subspace
 
@@ -121,16 +110,17 @@ class Partition:
 
 
 def principal_decomposition(V: Subspace, W: Subspace) -> PrincipalDecomposition:
-    """Principal angles and bases of a pair of nonzero subspaces."""
+    """Principal angles and bases of a pair of nonzero subspaces.  The
+    angles are those of :func:`principal_angles`; the SVD taken here is
+    only for the bases."""
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
         raise ValueError("principal bases are undefined for the zero subspace")
     M = W.basis.conj().T @ V.basis  # (q, p) cross-Gram
-    U, sigma, Vh = np.linalg.svd(M, full_matrices=True)
-    angles = _angles_from_cosines(np.minimum(sigma, 1.0))  # descending sigma -> ascending angles
+    U, _, Vh = np.linalg.svd(M, full_matrices=True)
     left = V.basis @ Vh.conj().T
     right = W.basis @ U
-    return PrincipalDecomposition(angles=angles, left_basis=left, right_basis=right)
+    return PrincipalDecomposition(angles=pair_spectrum(V, W).angles, left_basis=left, right_basis=right)
 
 
 def principal_cosines(V: Subspace, W: Subspace) -> np.ndarray:

@@ -160,6 +160,8 @@ def test_validation_messages_kept(rng):
         check_oriented_sum(O, O, np.array([[1.0, 1.0, 0], [0, 1.0, 0], [0, 0, 1.0]]))
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
         check_oriented_sum(O, O, np.eye(4))
+    with pytest.raises(ValueError, match="square"):
+        check_oriented_sum(O, O, np.eye(3)[:, :2])
 
 
 @pytest.mark.parametrize("field", BOTH_FIELDS)

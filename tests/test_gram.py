@@ -13,8 +13,8 @@ from spangle.gram import (
     angle_from_projection_matrix,
     complementary_from_gram,
 )
-from spangle.sampling import gaussian_matrix, haar_subspace
-from spangle.subspace import realify_vector
+from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary
+from spangle.subspace import from_spanning, realify_vector
 
 XI = np.exp(2j * np.pi / 3)
 HALF_PI = math.pi / 2
@@ -192,3 +192,17 @@ class TestProjectionMatrixAngles:
             assert angle_from_projection_matrix(P, ProjectionAngleMode.PERP) == pytest.approx(
                 complementary_angle(V, W), abs=1e-9
             )
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_respanned_subspace_gives_exact_zero(self, field):
+        """Two orthonormal bases of one subspace: P is unitary up to
+        roundoff, and THETA is exactly 0, as grassmann_angle reports,
+        not an arccos of the roundoff in det(P* P)."""
+        for seed in range(200):
+            rng = np.random.default_rng([seed, 23])
+            n = int(rng.integers(2, 9))
+            p = int(rng.integers(1, n + 1))
+            V = haar_subspace(rng, n, p, field)
+            W = from_spanning(list((V.basis @ random_unitary(rng, p, field)).T), field)
+            P = W.basis.conj().T @ V.basis
+            assert angle_from_projection_matrix(P, ProjectionAngleMode.THETA) == grassmann_angle(V, W) == 0.0

@@ -7,8 +7,10 @@ from spangle import Field
 from spangle.linalg import (
     COMPARE_TOL,
     RANK_REL_TOL,
+    ZERO_ANGLE_COS_BAND,
+    angle_from_cosine,
     arccos_clamped,
-    clamped_product,
+    clamped_products,
     det,
     orthonormalize,
     principal_phase,
@@ -137,9 +139,46 @@ class TestSmallHelpers:
 
     def test_clamped_product_log_space(self):
         vals = np.full(40, 0.5)
-        assert clamped_product(vals) == pytest.approx(0.5**40, rel=1e-12)
-        assert clamped_product(np.zeros(3)) == 0.0
-        assert clamped_product(np.zeros(0)) == 1.0
+        assert clamped_products(vals) == pytest.approx(0.5**40, rel=1e-12)
+        assert clamped_products(np.zeros(3)) == 0.0
+        assert clamped_products(np.zeros(0)) == 1.0
+
+    @pytest.mark.parametrize("k", [0, 1, 20, 21, 40, 128])
+    def test_clamped_products_rows_match_vector_call(self, k):
+        """Each row of a stack gives the 1-D call's bits, on both sides of
+        the 20-factor switch to log-space; a row holding a 0 gives 0.0."""
+        rng = np.random.default_rng(k)
+        stack = rng.uniform(0.9, 1.05, size=(2, 3, k))  # some factors above 1, clamped
+        if k:
+            stack[0, 1, k // 2] = 0.0
+            stack[1, 2, -1] = -1e-300
+        products = clamped_products(stack)
+        assert products.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            one = clamped_products(stack[index])
+            assert type(one) is float
+            assert one == products[index]
+        if k:
+            assert products[0, 1] == 0.0 and products[1, 2] == 0.0
+        else:
+            assert (products == 1.0).all()
+
+    def test_zero_angle_band_in_cosine_or_squared_cosine(self):
+        """The Gram routes take the angle of sqrt(cos^2): the band test on
+        the square root agrees with the squared band on every double within
+        3000 ulps of it."""
+        band_sq = ZERO_ANGLE_COS_BAND**2
+        xs = [band_sq]
+        below = above = band_sq
+        for _ in range(3000):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+            xs += [below, above]
+        for x in xs:
+            assert (angle_from_cosine(math.sqrt(x)) == 0.0) is (x >= band_sq)
+        assert angle_from_cosine(ZERO_ANGLE_COS_BAND) == 0.0
+        assert angle_from_cosine(math.nextafter(ZERO_ANGLE_COS_BAND, 0.0)) > 0.0
+        assert angle_from_cosine(1.0 + 1e-14) == 0.0
+        assert angle_from_cosine(-0.5) == math.pi / 2
 
     def test_principal_phase_range(self):
         assert principal_phase(complex(-1.0, -0.0)) == math.pi
