@@ -1,4 +1,4 @@
-"""Names and size limit of the verification suites.
+"""Names and size limits of the verification suites.
 
 Declared apart from :mod:`spangle.verify`, which re-exports them, so that
 the command line can build its help text without loading the verify
@@ -8,5 +8,9 @@ stack.
 SUITE_NAMES = ("pythagorean", "oriented", "metric-axioms", "oracle-equivalence", "bounds")
 
 # The largest ambient dimension a suite draws (the exterior oracle costs
-# 4^n); some loops inside the suites cap it lower.
+# 4^n), and the lower caps of the loops inside the suites.
 DIM_MAX_LIMIT = 8
+ORIENTED_DIM_CAP = 7
+HAUSDORFF_DIM_CAP = 6
+ORACLE_DIM_CAP = 5
+REALIFIED_DIM_CAP = 4

@@ -107,11 +107,9 @@ def grassmann_angle(V: Subspace, W: Subspace) -> float:
     V = {0}.
     """
     _check_pair(V, W)
-    if V.is_zero:
-        return 0.0
-    if V.dim > W.dim:
+    if V.dim > W.dim:  # the rule of PairSpectrum.theta, without an SVD
         return HALF_PI
-    return angle_from_cosine(clamped_products(pair_spectrum(V, W).cosines))
+    return pair_spectrum(V, W).theta
 
 
 def complementary_angle(V: Subspace, W: Subspace) -> float:
@@ -121,7 +119,7 @@ def complementary_angle(V: Subspace, W: Subspace) -> float:
     equals the directed angle against complement(W) and is symmetric in
     V and W.  Zero when either subspace is {0}.
     """
-    return angle_from_cosine(clamped_products(pair_spectrum(V, W).sines))
+    return pair_spectrum(V, W).theta_perp
 
 
 def angle_from_complement(V: Subspace, W: Subspace) -> float:
@@ -153,9 +151,7 @@ def projection_factor(V: Subspace, W: Subspace) -> float:
     """Factor by which top-dimensional volumes of V contract when
     orthogonally projected on W: cos(angle) over the reals, cos^2 over
     the complexes (each principal cosine contracts two real axes)."""
-    theta = grassmann_angle(V, W)
-    c = math.cos(theta)
-    return c * c if V.field is Field.COMPLEX else c
+    return angle_report(V, W).projection_factor
 
 
 def real_complex_relation(V: Subspace, W: Subspace) -> tuple[float, float]:
@@ -225,18 +221,19 @@ def oriented_angle(V: OrientedSubspace, W: OrientedSubspace) -> OrientedAngle:
     cos_value = np.conj(V.coefficient) * W.coefficient * det
     if A.field is Field.REAL:
         cos_value = complex(cos_value).real
-    magnitude = arccos_clamped(abs(cos_value))
+    magnitude = angle_from_cosine(abs(cos_value))
     phase = principal_phase(complex(cos_value)) if abs(cos_value) > COMPARE_TOL else None
     return OrientedAngle(magnitude=magnitude, phase=phase, cos_value=cos_value)
 
 
 def angle_report(V: Subspace, W: Subspace) -> AngleReport:
-    forward = grassmann_angle(V, W)
-    backward = grassmann_angle(W, V)
+    s = pair_spectrum(V, W)
+    forward, backward = s.theta, s.swapped.theta
+    c = math.cos(forward)
     return AngleReport(
         theta=forward,
-        theta_perp=complementary_angle(V, W),
+        theta_perp=s.theta_perp,
         theta_min_sym=min(forward, backward),
         theta_max_sym=max(forward, backward),
-        projection_factor=projection_factor(V, W),
+        projection_factor=c * c if V.field is Field.COMPLEX else c,
     )

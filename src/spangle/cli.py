@@ -15,7 +15,7 @@ import sys
 import click
 import numpy as np
 
-from ._suites import DIM_MAX_LIMIT, SUITE_NAMES
+from ._suites import DIM_MAX_LIMIT, HAUSDORFF_DIM_CAP, ORACLE_DIM_CAP, ORIENTED_DIM_CAP, REALIFIED_DIM_CAP, SUITE_NAMES
 from .angles import (
     angle_report,
     grassmann_angle,
@@ -161,8 +161,9 @@ def cmd_random(ambient_dim: int, dim: int, field_name: str, seed: int, out_path:
     "--dim-max",
     type=int,
     default=6,
-    help=f"largest ambient dimension drawn, 2..{DIM_MAX_LIMIT}; the oriented suite caps it at 7, "
-    "the Hausdorff loop at 6, the exhaustive oracle schedule at 5, the realified loop at 4",
+    help=f"largest ambient dimension drawn, 2..{DIM_MAX_LIMIT}; the oriented suite caps it at {ORIENTED_DIM_CAP}, "
+    f"the Hausdorff loop at {HAUSDORFF_DIM_CAP}, the exhaustive oracle schedule at {ORACLE_DIM_CAP}, "
+    f"the realified loop at {REALIFIED_DIM_CAP}",
 )
 @click.option("--trials", type=int, default=200)
 @click.option("--seed", type=int, default=42)

@@ -29,7 +29,6 @@ from .linalg import COMPARE_TOL, HALF_PI, Field, as_field_array, clamped_product
 from .principal import (
     is_partially_orthogonal,
     pair_spectrum,
-    principal_angles,
     principal_decomposition,
 )
 from .subspace import (
@@ -81,10 +80,9 @@ def angular_range(V: Subspace, W: Subspace) -> AngularRange:
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
         raise ValueError("the angular range requires nonzero subspaces")
-    angles = principal_angles(V, W)
-    theta_min = float(angles[0])
-    theta_max = float(angles[-1]) if V.dim <= W.dim else HALF_PI
-    return AngularRange(theta_min=theta_min, theta_max=theta_max, delta=theta_max - theta_min)
+    s = pair_spectrum(V, W)
+    theta_min = float(s.angles[0])
+    return AngularRange(theta_min=theta_min, theta_max=s.theta_max, delta=s.theta_max - theta_min)
 
 
 def _check_orthogonal_partition(parts, total_dim: int, what: str) -> None:
@@ -333,26 +331,6 @@ class FeasibilityReport:
     equal_angle_curve_residual: float | None
 
 
-def _angle_profile(V: Subspace, W: Subspace):
-    """(cos theta, cos theta_perp, robust cos of the angular spread).
-
-    Everything is computed at the singular-value level; in particular the
-    spread cosine uses the angle-difference expansion on the extreme
-    cosine/sine pairs instead of differencing two arccos values, which
-    would lose sqrt(eps) near zero angles.
-    """
-    s = pair_spectrum(V, W)
-    sigma, sines = s.cosines, s.sines
-    cos_theta_perp = clamped_products(sines)
-    if s.p <= s.q:
-        cos_theta = clamped_products(sigma)
-        cos_delta = float(sigma[-1] * sigma[0] + sines[-1] * sines[0])
-    else:
-        cos_theta = 0.0
-        cos_delta = float(sines[0])  # largest angle is a right angle
-    return sigma, sines, cos_theta, cos_theta_perp, min(cos_delta, 1.0)
-
-
 def theta_pair_feasibility(V: Subspace, W: Subspace) -> FeasibilityReport:
     """Check every applicable bound tying the directed and complementary
     angles together, flagging violations beyond ``SLACK_TOL``.
@@ -366,14 +344,13 @@ def theta_pair_feasibility(V: Subspace, W: Subspace) -> FeasibilityReport:
     _check_pair(V, W)
     if V.is_zero:
         raise ValueError("feasibility bounds require a nonzero first subspace")
-    theta = grassmann_angle(V, W)
-    theta_perp = complementary_angle(V, W)
+    s = pair_spectrum(V, W)
     p = V.dim
     violations: list[str] = []
     cases: set[str] = set()
 
-    cos_sq_sum = math.cos(theta) ** 2 + math.cos(theta_perp) ** 2
-    angle_sum = theta + theta_perp
+    cos_sq_sum = math.cos(s.theta) ** 2 + math.cos(s.theta_perp) ** 2
+    angle_sum = s.theta + s.theta_perp
     if cos_sq_sum > 1.0 + SLACK_TOL:
         violations.append("cos_sq_sum_above_1")
     if cos_sq_sum < -SLACK_TOL:
@@ -385,18 +362,13 @@ def theta_pair_feasibility(V: Subspace, W: Subspace) -> FeasibilityReport:
     if angle_sum > math.pi + ANGLE_TOL:
         violations.append("angle_sum_above_pi")
 
-    delta = None
-    curve_residual = None
-    cos_theta = math.cos(theta)
-    cos_theta_perp = math.cos(theta_perp)
-    cos_delta = None
+    delta = cos_delta = curve_residual = None
     if not W.is_zero:
-        spread = angular_range(V, W)
-        delta = spread.delta
-        sigma, sines, cos_theta, cos_theta_perp, cos_delta = _angle_profile(V, W)
-        cos_sum = cos_theta + cos_theta_perp
+        delta = s.theta_max - float(s.angles[0])
+        cos_delta = s.cos_spread
+        cos_sum = s.cos_theta + s.cos_theta_perp
         if p == 1:
-            if abs(cos_theta_perp - float(sines[0])) > SLACK_TOL:
+            if abs(s.cos_theta_perp - float(s.sines[0])) > SLACK_TOL:
                 violations.append("dim1_complement_not_exact")
             if cos_sum < 1.0 - SLACK_TOL:
                 violations.append("dim1_cos_sum_below_1")
@@ -411,29 +383,30 @@ def theta_pair_feasibility(V: Subspace, W: Subspace) -> FeasibilityReport:
             if angle_sum < HALF_PI + delta - ANGLE_TOL:
                 violations.append("angle_sum_below_bound")
             if abs(cos_sum - cos_delta) <= COMPARE_TOL:
-                m = sigma.size
+                sigma = s.cosines
                 near_zero = sigma >= 1.0 - COMPARE_TOL
                 near_right = sigma <= COMPARE_TOL
-                if np.count_nonzero(near_right) >= m - 1:
+                if np.count_nonzero(near_right) >= sigma.size - 1:
                     cases.add("A")
                 if np.count_nonzero(near_zero) >= p - 1:
                     cases.add("B")
-                if near_zero[0] and (V.dim > W.dim or near_right[-1]):
+                # Full spread: the widest angle is right (exactly pi/2 when p > q).
+                if near_zero[0] and (s.theta_max == HALF_PI or near_right[-1]):
                     cases.add("C")
         if delta <= COMPARE_TOL:
             # Exploratory: with all principal angles equal the pair sits on
             # the curve cos(theta)^(2/p) + cos(theta_perp)^(2/p) = 1.
             curve_residual = abs(
-                cos_theta ** (2.0 / p) + cos_theta_perp ** (2.0 / p) - 1.0
+                s.cos_theta ** (2.0 / p) + s.cos_theta_perp ** (2.0 / p) - 1.0
             )
 
     return FeasibilityReport(
         dim=p,
-        theta=theta,
-        theta_perp=theta_perp,
+        theta=s.theta,
+        theta_perp=s.theta_perp,
         delta=delta,
-        cos_theta=cos_theta,
-        cos_theta_perp=cos_theta_perp,
+        cos_theta=s.cos_theta,
+        cos_theta_perp=s.cos_theta_perp,
         cos_delta=cos_delta,
         cos_sq_sum=cos_sq_sum,
         angle_sum=angle_sum,
@@ -467,12 +440,7 @@ def complexifiability_obstruction(V: Subspace, W: Subspace) -> Complexifiability
         raise ValueError("all dimensions must be even")
     if V.dim <= 2 or W.is_zero:
         return ComplexifiabilityVerdict.INCONCLUSIVE
-    _, _, cos_theta, cos_theta_perp, cos_delta = _angle_profile(V, W)
-    lhs = math.sqrt(cos_theta) + math.sqrt(cos_theta_perp)
-    if V.dim == 4:
-        if abs(lhs - cos_delta) > RESIDUAL_TOL:
-            return ComplexifiabilityVerdict.OBSTRUCTED
-    else:
-        if lhs > cos_delta + RESIDUAL_TOL:
-            return ComplexifiabilityVerdict.OBSTRUCTED
-    return ComplexifiabilityVerdict.INCONCLUSIVE
+    s = pair_spectrum(V, W)
+    lhs = math.sqrt(s.cos_theta) + math.sqrt(s.cos_theta_perp)
+    obstructed = abs(lhs - s.cos_spread) > RESIDUAL_TOL if V.dim == 4 else lhs > s.cos_spread + RESIDUAL_TOL
+    return ComplexifiabilityVerdict.OBSTRUCTED if obstructed else ComplexifiabilityVerdict.INCONCLUSIVE

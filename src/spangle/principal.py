@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import COMPARE_TOL, HALF_PI, Field, in_zero_angle_band
+from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, clamped_products, in_zero_angle_band
 from .subspace import Subspace, _check_pair, _pairwise_orthogonal, _sum_all, project_subspace, spans_equal
 
 
@@ -24,7 +24,10 @@ class PairSpectrum:
     """Principal cosines (descending, clamped into [0, 1]), sines and
     angles of an ordered pair of subspaces of dimensions p and q over
     ``field``; all three arrays are read-only and have length min(p, q).
-    Built only by :func:`pair_spectrum`."""
+    Built only by :func:`pair_spectrum`.
+
+    The cached properties below define the pair's angle family, including
+    the rule that V is at a right angle to W when p > q."""
 
     cosines: np.ndarray
     p: int
@@ -52,6 +55,41 @@ class PairSpectrum:
         angles.setflags(write=False)
         return angles
 
+    @cached_property
+    def swapped(self) -> PairSpectrum:  # the spectrum of (W, V)
+        return PairSpectrum(self.cosines, self.q, self.p, self.field)
+
+    @cached_property
+    def cos_theta(self) -> float:
+        """Product of the cosines (1.0 when V = {0}); 0.0 when p > q."""
+        return 0.0 if self.p > self.q else clamped_products(self.cosines)
+
+    @cached_property
+    def theta(self) -> float:
+        return angle_from_cosine(self.cos_theta)
+
+    @cached_property
+    def cos_theta_perp(self) -> float:
+        return clamped_products(self.sines)
+
+    @cached_property
+    def theta_perp(self) -> float:
+        return angle_from_cosine(self.cos_theta_perp)
+
+    @cached_property
+    def theta_max(self) -> float:
+        """Largest angle between a direction of V (nonzero) and W."""
+        return HALF_PI if self.p > self.q else float(self.angles[-1])
+
+    @cached_property
+    def cos_spread(self) -> float:
+        """cos(theta_max - smallest angle) for nonzero V and W, expanded on
+        the cosines and sines of the two (differencing two arccos values
+        would lose sqrt(eps) near zero angles)."""
+        c, s = self.cosines, self.sines
+        cos_max, sin_max = (0.0, 1.0) if self.p > self.q else (c[-1], s[-1])
+        return min(float(cos_max * c[0] + sin_max * s[0]), 1.0)
+
 
 # (weakref(V), weakref(W), spectrum of (V, W)), read and replaced whole, so
 # threads sharing it see one consistent slot; it keeps no pair alive.
@@ -69,7 +107,7 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
         if a is V and b is W:
             return memo[2]
         if a is W and b is V:
-            return PairSpectrum(memo[2].cosines, V.dim, W.dim, V.field)
+            return memo[2].swapped
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
         cosines = np.zeros(0)
@@ -123,11 +161,6 @@ def principal_decomposition(V: Subspace, W: Subspace) -> PrincipalDecomposition:
     return PrincipalDecomposition(angles=pair_spectrum(V, W).angles, left_basis=left, right_basis=right)
 
 
-def principal_cosines(V: Subspace, W: Subspace) -> np.ndarray:
-    """Descending principal cosines, clamped into [0, 1] (read-only)."""
-    return pair_spectrum(V, W).cosines
-
-
 def principal_angles(V: Subspace, W: Subspace) -> np.ndarray:
     """Just the ascending principal angles (empty when either space is {0};
     read-only)."""
@@ -141,11 +174,7 @@ def is_partially_orthogonal(V: Subspace, W: Subspace) -> bool:
     {0} is never partially orthogonal to anything.
     """
     _check_pair(V, W)
-    if V.is_zero:
-        return False
-    if V.dim > W.dim:
-        return True
-    return bool(principal_angles(V, W)[-1] >= HALF_PI - COMPARE_TOL)
+    return not V.is_zero and pair_spectrum(V, W).theta_max >= HALF_PI - COMPARE_TOL
 
 
 def is_principal_partition(V: Subspace, partition: Partition, W: Subspace) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import exterior
-from ._suites import DIM_MAX_LIMIT, SUITE_NAMES
+from ._suites import DIM_MAX_LIMIT, HAUSDORFF_DIM_CAP, ORACLE_DIM_CAP, ORIENTED_DIM_CAP, REALIFIED_DIM_CAP, SUITE_NAMES
 from .angles import (
     complementary_angle,
     grassmann_angle,
@@ -339,7 +339,7 @@ def run_pythagorean(seed: int, trials: int, dim_max: int) -> SuiteReport:
 def run_oriented(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("oriented")
-    dim_max = max(2, min(dim_max, 7))
+    dim_max = max(2, min(dim_max, ORIENTED_DIM_CAP))
     for _ in range(trials):
         for field in _fields():
             n = int(rng.integers(2, dim_max + 1))
@@ -458,7 +458,7 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
     hd_trials = min(trials, 20)
     for _ in range(hd_trials):
         for field in _fields():
-            n = int(rng.integers(2, min(dim_max, 6) + 1))
+            n = int(rng.integers(2, min(dim_max, HAUSDORFF_DIM_CAP) + 1))
             V = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
             W = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
             sampled = sampled_directed_hausdorff(V, W, rng, samples=40)
@@ -475,7 +475,7 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
 def _dimension_schedule(rng, trials: int, dim_max: int):
     """All (n, p, q) combinations for small n first, then random draws."""
     out = []
-    for n in range(2, min(dim_max, 5) + 1):
+    for n in range(2, min(dim_max, ORACLE_DIM_CAP) + 1):
         for p in range(0, n + 1):
             for q in range(0, n + 1):
                 out.append((n, p, q))
@@ -606,7 +606,7 @@ def run_bounds(seed: int, trials: int, dim_max: int) -> SuiteReport:
     # Realifications of genuinely complex pairs are never obstructed.
     pair_trials = min(trials, 100)
     for _ in range(pair_trials):
-        n = int(rng.integers(2, min(dim_max, 4) + 1))
+        n = int(rng.integers(2, min(dim_max, REALIFIED_DIM_CAP) + 1))
         p = int(rng.integers(1, n + 1))
         q = int(rng.integers(1, n + 1))
         Vc = haar_subspace(rng, n, p, Field.COMPLEX)

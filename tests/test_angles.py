@@ -344,6 +344,21 @@ class TestOrientedAngle:
             math.cos(grassmann_angle(A.space, B.space)), abs=1e-10
         )
 
+    def test_respanned_subspace_gives_exact_zero(self):
+        """B = A U spans the same subspace as A, so the oriented magnitude
+        is exactly 0, like the directed angle: the determinant lands a few
+        ulps below 1 and goes through the same zero-angle band."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            p = int(rng.integers(1, n + 1))
+            A = rng.standard_normal((n, p))
+            U = np.linalg.qr(rng.standard_normal((p, p)))[0]
+            V = oriented_from_spanning(list(A.T), Field.REAL)
+            W = oriented_from_spanning(list((A @ U).T), Field.REAL)
+            assert grassmann_angle(V.space, W.space) == 0.0
+            assert oriented_angle(V, W).magnitude == 0.0
+
 
 class TestProjectionFactor:
     def test_real_pair_halves_areas(self):

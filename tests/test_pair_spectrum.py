@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from spangle import Field
 from spangle.angles import (
+    AngleReport,
     angle_report,
     complementary_angle,
     grassmann_angle,
@@ -13,10 +16,22 @@ from spangle.angles import (
     min_symmetrized_angle,
     projection_factor,
 )
+from spangle.identities import (
+    ANGLE_TOL,
+    RESIDUAL_TOL,
+    SLACK_TOL,
+    AngularRange,
+    ComplexifiabilityVerdict,
+    FeasibilityReport,
+    angular_range,
+    complexifiability_obstruction,
+    theta_pair_feasibility,
+)
+from spangle.linalg import COMPARE_TOL, HALF_PI, angle_from_cosine, clamped_products
 from spangle.metrics import fubini_study
-from spangle.principal import pair_spectrum, principal_angles
+from spangle.principal import is_partially_orthogonal, pair_spectrum, principal_angles
 from spangle.sampling import gaussian_matrix, haar_subspace
-from spangle.subspace import Subspace, from_spanning
+from spangle.subspace import Subspace, from_spanning, realify
 
 BOTH_FIELDS = (Field.REAL, Field.COMPLEX)
 
@@ -137,3 +152,233 @@ def test_report_matches_per_function_calls(rng, field, n, p, q):
     ]
     _flush(rng, field)
     assert sorted([report.theta, grassmann_angle(W, V)]) == [report.theta_min_sym, report.theta_max_sym]
+
+
+# --- The angle family as properties of the spectrum --------------------------
+#
+# The reference functions below are the reductions the library applied
+# before the family moved onto PairSpectrum, kept verbatim so the
+# properties and the functions built on them can be held to them bit for bit.
+
+
+def _reference_theta(V, W):
+    if V.is_zero:
+        return 0.0
+    if V.dim > W.dim:
+        return HALF_PI
+    return angle_from_cosine(clamped_products(pair_spectrum(V, W).cosines))
+
+
+def _reference_theta_perp(V, W):
+    return angle_from_cosine(clamped_products(pair_spectrum(V, W).sines))
+
+
+def _reference_angular_range(V, W):
+    angles = principal_angles(V, W)
+    theta_min = float(angles[0])
+    theta_max = float(angles[-1]) if V.dim <= W.dim else HALF_PI
+    return AngularRange(theta_min=theta_min, theta_max=theta_max, delta=theta_max - theta_min)
+
+
+def _reference_profile(V, W):
+    s = pair_spectrum(V, W)
+    sigma, sines = s.cosines, s.sines
+    cos_theta_perp = clamped_products(sines)
+    if s.p <= s.q:
+        cos_theta = clamped_products(sigma)
+        cos_delta = float(sigma[-1] * sigma[0] + sines[-1] * sines[0])
+    else:
+        cos_theta = 0.0
+        cos_delta = float(sines[0])
+    return sigma, sines, cos_theta, cos_theta_perp, min(cos_delta, 1.0)
+
+
+def _reference_feasibility(V, W):
+    theta = _reference_theta(V, W)
+    theta_perp = _reference_theta_perp(V, W)
+    p = V.dim
+    violations = []
+    cases = set()
+    cos_sq_sum = math.cos(theta) ** 2 + math.cos(theta_perp) ** 2
+    angle_sum = theta + theta_perp
+    if cos_sq_sum > 1.0 + SLACK_TOL:
+        violations.append("cos_sq_sum_above_1")
+    if cos_sq_sum < -SLACK_TOL:
+        violations.append("cos_sq_sum_below_0")
+    if angle_sum < HALF_PI - ANGLE_TOL:
+        violations.append("angle_sum_below_half_pi")
+    if angle_sum > math.pi + ANGLE_TOL:
+        violations.append("angle_sum_above_pi")
+    delta = None
+    curve_residual = None
+    cos_theta = math.cos(theta)
+    cos_theta_perp = math.cos(theta_perp)
+    cos_delta = None
+    if not W.is_zero:
+        delta = _reference_angular_range(V, W).delta
+        sigma, sines, cos_theta, cos_theta_perp, cos_delta = _reference_profile(V, W)
+        cos_sum = cos_theta + cos_theta_perp
+        if p == 1:
+            if abs(cos_theta_perp - float(sines[0])) > SLACK_TOL:
+                violations.append("dim1_complement_not_exact")
+            if cos_sum < 1.0 - SLACK_TOL:
+                violations.append("dim1_cos_sum_below_1")
+        elif p == 2:
+            if abs(cos_sum - cos_delta) > SLACK_TOL:
+                violations.append("dim2_cos_sum_not_equal_spread")
+            if angle_sum < HALF_PI + delta - ANGLE_TOL:
+                violations.append("dim2_angle_sum_below_bound")
+        else:
+            if cos_sum > cos_delta + SLACK_TOL:
+                violations.append("cos_sum_above_spread")
+            if angle_sum < HALF_PI + delta - ANGLE_TOL:
+                violations.append("angle_sum_below_bound")
+            if abs(cos_sum - cos_delta) <= COMPARE_TOL:
+                m = sigma.size
+                near_zero = sigma >= 1.0 - COMPARE_TOL
+                near_right = sigma <= COMPARE_TOL
+                if np.count_nonzero(near_right) >= m - 1:
+                    cases.add("A")
+                if np.count_nonzero(near_zero) >= p - 1:
+                    cases.add("B")
+                if near_zero[0] and (V.dim > W.dim or near_right[-1]):
+                    cases.add("C")
+        if delta <= COMPARE_TOL:
+            curve_residual = abs(cos_theta ** (2.0 / p) + cos_theta_perp ** (2.0 / p) - 1.0)
+    return FeasibilityReport(
+        dim=p,
+        theta=theta,
+        theta_perp=theta_perp,
+        delta=delta,
+        cos_theta=cos_theta,
+        cos_theta_perp=cos_theta_perp,
+        cos_delta=cos_delta,
+        cos_sq_sum=cos_sq_sum,
+        angle_sum=angle_sum,
+        violations=tuple(violations),
+        equality_cases=frozenset(cases),
+        equal_angle_curve_residual=curve_residual,
+    )
+
+
+def _reference_obstruction(V, W):
+    if V.dim <= 2 or W.is_zero:
+        return ComplexifiabilityVerdict.INCONCLUSIVE
+    _, _, cos_theta, cos_theta_perp, cos_delta = _reference_profile(V, W)
+    lhs = math.sqrt(cos_theta) + math.sqrt(cos_theta_perp)
+    if V.dim == 4:
+        if abs(lhs - cos_delta) > RESIDUAL_TOL:
+            return ComplexifiabilityVerdict.OBSTRUCTED
+    else:
+        if lhs > cos_delta + RESIDUAL_TOL:
+            return ComplexifiabilityVerdict.OBSTRUCTED
+    return ComplexifiabilityVerdict.INCONCLUSIVE
+
+
+def _respan(rng, V, scale=0.0):
+    """V spanned by mixed vectors, each moved by ``scale`` times a random
+    vector (0: the same subspace, otherwise a near-coincident one)."""
+    n, p, field = V.ambient_dim, V.dim, V.field
+    mixed = V.basis @ (np.eye(p) + 0.5 * gaussian_matrix(rng, p, p, field))
+    mixed = mixed + scale * gaussian_matrix(rng, n, p, field)
+    return from_spanning(list(mixed.T), field, ambient_dim=n)
+
+
+def _corpus(rng, field, n=6):
+    """Seeded pairs of every shape the family distinguishes: p < q, p = q,
+    p > q, V = {0}, W = {0}, both {0}, nested either way, and re-spanned
+    (exactly or nearly) coincident pairs."""
+    pairs = []
+    for _ in range(3):
+        for p, q in ((2, 4), (3, 3), (4, 2), (0, 2), (3, 0), (0, 0)):
+            pairs.append(random_pair(rng, n, p, q, field))
+        W = haar_subspace(rng, n, 4, field)
+        inside = _respan(rng, Subspace(n, field, W.basis[:, :2]))
+        pairs += [(inside, W), (W, inside)]
+        V = haar_subspace(rng, n, 3, field)
+        pairs += [(V, _respan(rng, V)), (V, _respan(rng, V, 1e-9)), (_respan(rng, V, 1e-6), V)]
+    return pairs
+
+
+def _even_real_corpus(rng):
+    """Even-dimensional real pairs, for the complexifiability criterion:
+    generic, nested, re-spanned and realified complex ones."""
+    pairs = []
+    for _ in range(3):
+        for p, q in ((4, 6), (4, 4), (6, 4), (6, 6), (4, 0), (2, 4)):
+            pairs.append(random_pair(rng, 8, p, q, Field.REAL))
+        W = haar_subspace(rng, 8, 6, Field.REAL)
+        inside = _respan(rng, Subspace(8, Field.REAL, W.basis[:, :4]))
+        V = haar_subspace(rng, 8, 4, Field.REAL)
+        pairs += [(inside, W), (W, inside), (V, _respan(rng, V, 1e-9))]
+        for p, q in ((2, 2), (2, 3), (3, 2)):
+            pairs.append(tuple(realify(X) for X in random_pair(rng, 4, p, q, Field.COMPLEX)))
+    return pairs
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_family_properties_match_reference_reductions(rng, field):
+    for V, W in _corpus(rng, field):
+        s = pair_spectrum(V, W)
+        assert s.cos_theta == (0.0 if V.dim > W.dim else clamped_products(s.cosines))
+        assert s.theta == _reference_theta(V, W)
+        assert s.swapped.theta == _reference_theta(W, V)
+        assert s.cos_theta_perp == clamped_products(s.sines)
+        assert s.theta_perp == _reference_theta_perp(V, W)
+        forward, backward = _reference_theta(V, W), _reference_theta(W, V)
+        c = math.cos(forward)
+        assert angle_report(V, W) == AngleReport(
+            theta=forward,
+            theta_perp=_reference_theta_perp(V, W),
+            theta_min_sym=min(forward, backward),
+            theta_max_sym=max(forward, backward),
+            projection_factor=c * c if field is Field.COMPLEX else c,
+        )
+        if not (V.is_zero or W.is_zero):
+            assert s.theta_max == _reference_angular_range(V, W).theta_max
+            assert s.cos_spread == _reference_profile(V, W)[4]
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_spread_and_feasibility_match_reference(rng, field):
+    """Bit for bit, except one documented value: for W = {0} the reported
+    cos_theta is the spectrum's 0.0, not cos(pi/2) = 6.1e-17."""
+    for V, W in _corpus(rng, field):
+        if V.is_zero:
+            continue
+        expected = _reference_feasibility(V, W)
+        if W.is_zero:
+            assert expected.cos_theta == math.cos(HALF_PI)
+            expected = dataclasses.replace(expected, cos_theta=0.0)
+        else:
+            assert angular_range(V, W) == _reference_angular_range(V, W)
+        assert theta_pair_feasibility(V, W) == expected
+
+
+def test_obstruction_matches_reference(rng):
+    verdicts = set()
+    for V, W in _even_real_corpus(rng):
+        verdict = complexifiability_obstruction(V, W)
+        assert verdict is _reference_obstruction(V, W)
+        verdicts.add(verdict)
+    assert verdicts == set(ComplexifiabilityVerdict)
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_one_pair_takes_at_most_one_svd(svd_calls, rng, field):
+    """Every angle-family function on one pair, both ways round, reads one
+    spectrum: one SVD, none when either side is {0}."""
+    for V, W in _corpus(rng, field):
+        _flush(rng, field)
+        svd_calls.clear()
+        angle_report(V, W)
+        for a, b in ((V, W), (W, V)):
+            grassmann_angle(a, b)
+            complementary_angle(a, b)
+            projection_factor(a, b)
+            is_partially_orthogonal(a, b)
+            if not a.is_zero:
+                theta_pair_feasibility(a, b)
+                if not b.is_zero:
+                    angular_range(a, b)
+        assert len(svd_calls) == (0 if V.is_zero or W.is_zero else 1)
