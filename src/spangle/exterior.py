@@ -211,13 +211,20 @@ def contract(nu: Multivector, omega: Multivector) -> Multivector:
     return Multivector(nu.ambient_dim, nu.field, out)
 
 
+def _wedge_all(vectors, n: int, field: Field) -> Multivector:
+    """v1 ^ ... ^ vk, wedged in order onto the scalar 1 (the scalar 1 for
+    an empty list)."""
+    acc = scalar_multivector(n, field)
+    for v in vectors:
+        acc = wedge_vector(acc, v)
+    return acc
+
+
 def blade_of(V: Subspace) -> Multivector:
     """Unit blade representing a subspace: the wedge of its orthonormal
     basis columns.  The zero subspace is represented by the scalar 1."""
     _check_cap(V.ambient_dim, V.field)
-    acc = scalar_multivector(V.ambient_dim, V.field)
-    for j in range(V.dim):
-        acc = wedge_vector(acc, V.basis[:, j])
+    acc = _wedge_all(V.basis.T, V.ambient_dim, V.field)
     nrm = acc.norm
     if V.dim and abs(nrm - 1.0) > 1e-12:
         acc = acc.scale(1.0 / nrm)
@@ -311,10 +318,7 @@ def coordinate_blade(
         n = ambient_dim
     else:
         raise ValueError("ambient_dim is required when the factor list is empty")
-    acc = scalar_multivector(n, field)
-    for i in indices:
-        acc = wedge_vector(acc, factors[i - 1])
-    return acc
+    return _wedge_all([factors[i - 1] for i in indices], n, field)
 
 
 def contract_via_coordinate_expansion(

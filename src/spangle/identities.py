@@ -335,8 +335,10 @@ def theta_pair_feasibility(V: Subspace, W: Subspace) -> FeasibilityReport:
     """Check every applicable bound tying the directed and complementary
     angles together, flagging violations beyond ``SLACK_TOL``.
 
-    dim 1: the two angles are exact complements and the cosines sum to at
-    least 1.  dim 2: the cosine sum equals cos of the angular spread.
+    dim 1: the cosines sum to at least 1 (the two angles are exact
+    complements by construction: the one principal sine is the
+    complementary cosine).  dim 2: the cosine sum equals cos of the
+    angular spread.
     dim > 2: the cosine sum is at most cos of the spread, with equality
     attributed to the boundary configurations A (all but one principal
     angle right), B (all but one zero) or C (full spread).
@@ -368,8 +370,6 @@ def theta_pair_feasibility(V: Subspace, W: Subspace) -> FeasibilityReport:
         cos_delta = s.cos_spread
         cos_sum = s.cos_theta + s.cos_theta_perp
         if p == 1:
-            if abs(s.cos_theta_perp - float(s.sines[0])) > SLACK_TOL:
-                violations.append("dim1_complement_not_exact")
             if cos_sum < 1.0 - SLACK_TOL:
                 violations.append("dim1_cos_sum_below_1")
         elif p == 2:

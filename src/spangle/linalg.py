@@ -180,16 +180,11 @@ def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def clamped_products(values: np.ndarray):
     """Product of the factors along the last axis, each clamped into
-    [0, 1]: a float for a vector, an array for a stack of them.  Beyond 20
-    factors the product is taken in log-space (many small factors
-    underflow a direct product)."""
+    [0, 1]: a float for a vector, an array for a stack of them.  No
+    partial product of such factors is below the final one, so a direct
+    product underflows only where the result does."""
     v = np.minimum(np.maximum(np.asarray(values, dtype=np.float64), 0.0), 1.0)
-    if v.shape[-1] <= 20:
-        products = v.prod(axis=-1)
-    else:
-        with np.errstate(divide="ignore"):  # a zero factor logs to -inf; exp(-inf) is 0
-            logs = np.log(v).sum(axis=-1)
-        products = np.array([math.exp(s) for s in logs.flat]).reshape(logs.shape)
+    products = v.prod(axis=-1)
     return float(products) if v.ndim == 1 else products
 
 

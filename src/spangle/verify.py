@@ -16,7 +16,7 @@ below and exact (0) pass/fail checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -143,15 +143,9 @@ class CheckReport:
     note: str = ""
 
     def as_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-        if self.note:
-            out["note"] = self.note
+        out = asdict(self)
+        if not self.note:
+            del out["note"]
         return out
 
 
@@ -201,15 +195,20 @@ class _Collector:
         )
 
 
-def _fields() -> tuple[Field, ...]:
-    return (Field.REAL, Field.COMPLEX)
+def _draws(rng, trials: int, dim_cap: int, fields: tuple[Field, ...] = (Field.REAL, Field.COMPLEX)):
+    """The draw order of every suite's trial loop: for each trial and then
+    each field, yield ``(field, n)``, the ambient dimension n drawn from
+    2..max(2, dim_cap) as that turn starts."""
+    for _ in range(trials):
+        for field in fields:
+            yield field, int(rng.integers(2, max(2, dim_cap) + 1))
 
 
-def _random_orthogonal_partition(rng, n: int, field: Field, max_parts: int = 4) -> list[Subspace]:
-    """Split the ambient space along the columns of a random unitary."""
+def _random_orthogonal_partition(rng, n: int, field: Field) -> list[Subspace]:
+    """Split the ambient space into 2 to 4 parts along the columns of a random unitary."""
     T = random_unitary(rng, n, field)
-    k = int(rng.integers(2, min(max_parts, n) + 1))
-    cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist()) if k > 1 else []
+    k = int(rng.integers(2, min(4, n) + 1))
+    cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist())
     bounds = [0] + cuts + [n]
     return [
         Subspace._trusted(n, field, T[:, bounds[i]:bounds[i + 1]])
@@ -232,101 +231,97 @@ def _sub_subspace(rng, V: Subspace, k: int) -> Subspace:
 def run_pythagorean(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("pythagorean")
-    dim_max = max(2, min(dim_max, DIM_MAX_LIMIT))
-    for _ in range(trials):
-        for field in _fields():
-            n = int(rng.integers(2, dim_max + 1))
+    for field, n in _draws(rng, trials, min(dim_max, DIM_MAX_LIMIT)):
+        # Squared cosines of a line against an orthogonal partition sum to 1.
+        parts = _random_orthogonal_partition(rng, n, field)
+        L = haar_subspace(rng, n, 1, field)
+        col.add("line_partition_sum", check_line_partition(L, parts).residual)
 
-            # Squared cosines of a line against an orthogonal partition sum to 1.
-            parts = _random_orthogonal_partition(rng, n, field)
-            L = haar_subspace(rng, n, 1, field)
-            col.add("line_partition_sum", check_line_partition(L, parts).residual)
-
-            # Coordinate q-subspace sums hit exact binomial targets.
-            basis = random_unitary(rng, n, field)
-            p = int(rng.integers(1, n + 1))
-            V = haar_subspace(rng, n, p, field)
-            q_hi = int(rng.integers(p, n + 1))
+        # Coordinate q-subspace sums hit exact binomial targets.
+        basis = random_unitary(rng, n, field)
+        p = int(rng.integers(1, n + 1))
+        V = haar_subspace(rng, n, p, field)
+        q_hi = int(rng.integers(p, n + 1))
+        col.add(
+            "coordinate_sum_small_dim",
+            check_coordinate_identity(V, basis, q_hi).residual,
+        )
+        if p > 1:
+            q_lo = int(rng.integers(1, p))
             col.add(
-                "coordinate_sum_small_dim",
-                check_coordinate_identity(V, basis, q_hi).residual,
+                "coordinate_sum_large_dim",
+                check_coordinate_identity(V, basis, q_lo).residual,
             )
-            if p > 1:
-                q_lo = int(rng.integers(1, p))
+
+        # Principal coordinate decomposition of cos^2 for U inside V.
+        W = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
+        r = int(rng.integers(1, p + 1))
+        U = _sub_subspace(rng, V, r)
+        col.add("principal_coordinate_sum", check_principal_coordinate(U, V, W).residual)
+
+        # Direct sums and partitions.
+        if n >= 3:
+            d1 = int(rng.integers(1, n - 1))
+            d2 = int(rng.integers(1, n - d1))
+            V1 = haar_subspace(rng, n, d1, field)
+            V2 = haar_subspace(rng, n, d2, field)
+            if intersect(V1, V2).is_zero:
+                col.add("direct_sum_product", direct_sum_angle(V1, V2, W).residual)
+                both = sum_subspace(V1, V2)
                 col.add(
-                    "coordinate_sum_large_dim",
-                    check_coordinate_identity(V, basis, q_lo).residual,
+                    "partition_product",
+                    partition_angle_product(both, [V1, V2], W).residual,
                 )
 
-            # Principal coordinate decomposition of cos^2 for U inside V.
-            W = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
-            r = int(rng.integers(1, p + 1))
-            U = _sub_subspace(rng, V, r)
-            col.add("principal_coordinate_sum", check_principal_coordinate(U, V, W).residual)
+        # Spherical Pythagorean relation through the projection.
+        Wbig = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
+        U2 = _sub_subspace(rng, Wbig, int(rng.integers(0, Wbig.dim + 1)))
+        V2b = haar_subspace(rng, n, int(rng.integers(0, n + 1)), field)
+        PV = project_subspace(Wbig, V2b)
+        lhs = math.cos(grassmann_angle(V2b, U2))
+        rhs = math.cos(grassmann_angle(V2b, PV)) * math.cos(grassmann_angle(PV, U2))
+        col.add("spherical_pythagorean", abs(lhs - rhs))
 
-            # Direct sums and partitions.
-            if n >= 3:
-                d1 = int(rng.integers(1, n - 1))
-                d2 = int(rng.integers(1, n - d1))
-                V1 = haar_subspace(rng, n, d1, field)
-                V2 = haar_subspace(rng, n, d2, field)
-                if intersect(V1, V2).is_zero:
-                    col.add("direct_sum_product", direct_sum_angle(V1, V2, W).residual)
-                    both = sum_subspace(V1, V2)
-                    col.add(
-                        "partition_product",
-                        partition_angle_product(both, [V1, V2], W).residual,
-                    )
+        # Product of sines equals the angle with the complement.
+        A = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
+        B = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
+        col.add(
+            "sines_vs_complement",
+            abs(
+                math.cos(complementary_angle(A, B))
+                - math.cos(grassmann_angle(A, complement(B)))
+            ),
+        )
 
-            # Spherical Pythagorean relation through the projection.
-            Wbig = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
-            U2 = _sub_subspace(rng, Wbig, int(rng.integers(0, Wbig.dim + 1)))
-            V2b = haar_subspace(rng, n, int(rng.integers(0, n + 1)), field)
-            PV = project_subspace(Wbig, V2b)
-            lhs = math.cos(grassmann_angle(V2b, U2))
-            rhs = math.cos(grassmann_angle(V2b, PV)) * math.cos(grassmann_angle(PV, U2))
-            col.add("spherical_pythagorean", abs(lhs - rhs))
+        # Symmetries of the complementary angle (cosine level, where
+        # the identity is sharp).
+        col.add(
+            "complementary_symmetry",
+            abs(
+                math.cos(complementary_angle(A, B))
+                - math.cos(complementary_angle(B, A))
+            ),
+        )
+        col.add(
+            "complement_pair_swap",
+            abs(
+                math.cos(grassmann_angle(A, B))
+                - math.cos(grassmann_angle(complement(B), complement(A)))
+            ),
+        )
 
-            # Product of sines equals the angle with the complement.
-            A = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
-            B = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
-            col.add(
-                "sines_vs_complement",
-                abs(
-                    math.cos(complementary_angle(A, B))
-                    - math.cos(grassmann_angle(A, complement(B)))
-                ),
-            )
-
-            # Symmetries of the complementary angle (cosine level, where
-            # the identity is sharp).
-            col.add(
-                "complementary_symmetry",
-                abs(
-                    math.cos(complementary_angle(A, B))
-                    - math.cos(complementary_angle(B, A))
-                ),
-            )
-            col.add(
-                "complement_pair_swap",
-                abs(
-                    math.cos(grassmann_angle(A, B))
-                    - math.cos(grassmann_angle(complement(B), complement(A)))
-                ),
-            )
-
-            # Principal partitions: product rule characterization agrees
-            # with the projected-orthogonality predicate.
-            if p >= 2 and not is_partially_orthogonal(V, W):
-                decomp = principal_decomposition(V, W)
-                split = int(rng.integers(1, p))
-                # Column slices of the (n >= 2)-row principal basis are not
-                # contiguous, so each part gets its own copy.
-                P1 = Subspace._trusted(n, field, decomp.left_basis[:, :split])
-                P2 = Subspace._trusted(n, field, decomp.left_basis[:, split:])
-                agrees = characterize_principal_partition(V, [P1, P2], W)
-                predicate = is_principal_partition(V, Partition([P1, P2]), W)
-                col.add("principal_partition_characterization", 0.0 if agrees == predicate else 1.0)
+        # Principal partitions: product rule characterization agrees
+        # with the projected-orthogonality predicate.
+        if p >= 2 and not is_partially_orthogonal(V, W):
+            decomp = principal_decomposition(V, W)
+            split = int(rng.integers(1, p))
+            # Column slices of the (n >= 2)-row principal basis are not
+            # contiguous, so each part gets its own copy.
+            P1 = Subspace._trusted(n, field, decomp.left_basis[:, :split])
+            P2 = Subspace._trusted(n, field, decomp.left_basis[:, split:])
+            agrees = characterize_principal_partition(V, [P1, P2], W)
+            predicate = is_principal_partition(V, Partition([P1, P2]), W)
+            col.add("principal_partition_characterization", 0.0 if agrees == predicate else 1.0)
 
     return col.finish()
 
@@ -339,37 +334,34 @@ def run_pythagorean(seed: int, trials: int, dim_max: int) -> SuiteReport:
 def run_oriented(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("oriented")
-    dim_max = max(2, min(dim_max, ORIENTED_DIM_CAP))
-    for _ in range(trials):
-        for field in _fields():
-            n = int(rng.integers(2, dim_max + 1))
-            p = int(rng.integers(1, n + 1))
-            V = oriented_from_spanning(
-                [random_vector(rng, n, field) for _ in range(p)], field
-            )
-            W = oriented_from_spanning(
-                [random_vector(rng, n, field) for _ in range(p)], field
-            )
-            basis = random_unitary(rng, n, field)
-            check = check_oriented_sum(V, W, basis)
-            col.add("oriented_coordinate_sum", check.identity.residual)
-            col.add("oriented_cosine_bound_slack", max(0.0, -check.bound_slack))
+    for field, n in _draws(rng, trials, min(dim_max, ORIENTED_DIM_CAP)):
+        p = int(rng.integers(1, n + 1))
+        V = oriented_from_spanning(
+            [random_vector(rng, n, field) for _ in range(p)], field
+        )
+        W = oriented_from_spanning(
+            [random_vector(rng, n, field) for _ in range(p)], field
+        )
+        basis = random_unitary(rng, n, field)
+        check = check_oriented_sum(V, W, basis)
+        col.add("oriented_coordinate_sum", check.identity.residual)
+        col.add("oriented_cosine_bound_slack", max(0.0, -check.bound_slack))
 
-            # The modulus of the oriented cosine is the unoriented cosine,
-            # and its real part factors through the phase.
-            osame = oriented_angle(V, W)
+        # The modulus of the oriented cosine is the unoriented cosine,
+        # and its real part factors through the phase.
+        osame = oriented_angle(V, W)
+        col.add(
+            "oriented_modulus_consistency",
+            abs(abs(osame.cos_value) - math.cos(grassmann_angle(V.space, W.space))),
+        )
+        if osame.phase is not None:
             col.add(
-                "oriented_modulus_consistency",
-                abs(abs(osame.cos_value) - math.cos(grassmann_angle(V.space, W.space))),
+                "oriented_phase_factorization",
+                abs(
+                    complex(osame.cos_value).real
+                    - math.cos(osame.phase) * math.cos(osame.magnitude)
+                ),
             )
-            if osame.phase is not None:
-                col.add(
-                    "oriented_phase_factorization",
-                    abs(
-                        complex(osame.cos_value).real
-                        - math.cos(osame.phase) * math.cos(osame.magnitude)
-                    ),
-                )
     return col.finish()
 
 
@@ -381,88 +373,79 @@ def run_oriented(seed: int, trials: int, dim_max: int) -> SuiteReport:
 def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("metric-axioms")
-    dim_max = max(2, min(dim_max, DIM_MAX_LIMIT))
-    for _ in range(trials):
-        for field in _fields():
-            n = int(rng.integers(2, dim_max + 1))
-            dims = rng.integers(0, n + 1, size=3)
-            U = haar_subspace(rng, n, int(dims[0]), field)
-            V = haar_subspace(rng, n, int(dims[1]), field)
-            W = haar_subspace(rng, n, int(dims[2]), field)
-            t_uv = grassmann_angle(U, V)
-            t_vw = grassmann_angle(V, W)
-            t_uw = grassmann_angle(U, W)
-            col.add("triangle_inequality", max(0.0, t_uw - t_uv - t_vw))
-            col.add(
-                "reverse_bound",
-                max(
-                    0.0,
-                    max(t_uv - grassmann_angle(W, V), t_vw - grassmann_angle(V, U)) - t_uw,
-                ),
+    for field, n in _draws(rng, trials, min(dim_max, DIM_MAX_LIMIT)):
+        dims = rng.integers(0, n + 1, size=3)
+        U = haar_subspace(rng, n, int(dims[0]), field)
+        V = haar_subspace(rng, n, int(dims[1]), field)
+        W = haar_subspace(rng, n, int(dims[2]), field)
+        t_uv = grassmann_angle(U, V)
+        t_vw = grassmann_angle(V, W)
+        t_uw = grassmann_angle(U, W)
+        col.add("triangle_inequality", max(0.0, t_uw - t_uv - t_vw))
+        col.add(
+            "reverse_bound",
+            max(
+                0.0,
+                max(t_uv - grassmann_angle(W, V), t_vw - grassmann_angle(V, U)) - t_uw,
+            ),
+        )
+        if dims[0] == dims[1] == dims[2]:
+            col.add("equal_dim_reverse_bound", max(0.0, abs(t_uv - t_vw) - t_uw))
+
+        # Identity of indiscernibles: same span iff both directed
+        # distances vanish.  The re-spanning mix is kept well
+        # conditioned; an ill-conditioned mix genuinely perturbs the
+        # computed span beyond the zero band.
+        if V.dim:
+            mix = np.eye(V.dim, dtype=field.dtype) + 0.5 * gaussian_matrix(
+                rng, V.dim, V.dim, field
             )
-            if dims[0] == dims[1] == dims[2]:
-                col.add("equal_dim_reverse_bound", max(0.0, abs(t_uv - t_vw) - t_uw))
+            same = (
+                from_basis_matrix(V.basis @ mix, field)
+                if np.linalg.cond(mix) < 1e3
+                else V
+            )
+            col.add(
+                "indiscernibles_zero",
+                max(grassmann_angle(V, same), grassmann_angle(same, V)),
+            )
+        if not spans_equal(U, V) and not (U.is_zero and V.is_zero):
+            both = max(grassmann_angle(U, V), grassmann_angle(V, U))
+            col.add("indiscernibles_nonzero", 0.0 if both > 1e-8 else 1.0)
 
-            # Identity of indiscernibles: same span iff both directed
-            # distances vanish.  The re-spanning mix is kept well
-            # conditioned; an ill-conditioned mix genuinely perturbs the
-            # computed span beyond the zero band.
-            if V.dim:
-                mix = np.eye(V.dim, dtype=field.dtype) + 0.5 * gaussian_matrix(
-                    rng, V.dim, V.dim, field
-                )
-                same = (
-                    from_basis_matrix(V.basis @ mix, field)
-                    if np.linalg.cond(mix) < 1e3
-                    else V
-                )
-                col.add(
-                    "indiscernibles_zero",
-                    max(grassmann_angle(V, same), grassmann_angle(same, V)),
-                )
-            if not spans_equal(U, V) and not (U.is_zero and V.is_zero):
-                both = max(grassmann_angle(U, V), grassmann_angle(V, U))
-                col.add("indiscernibles_nonzero", 0.0 if both > 1e-8 else 1.0)
-
-            # Cross-dimension Fubini-Study distance is exactly pi/2.
-            if U.dim != V.dim:
-                col.add("fubini_cross_dimension", abs(fubini_study(U, V) - math.pi / 2))
+        # Cross-dimension Fubini-Study distance is exactly pi/2.
+        if U.dim != V.dim:
+            col.add("fubini_cross_dimension", abs(fubini_study(U, V) - math.pi / 2))
 
     # Geodesics on constructed codimension-1 pairs.
-    geo_trials = min(trials, 100)
-    for _ in range(geo_trials):
-        for field in _fields():
-            n = int(rng.integers(2, dim_max + 1))
-            p = int(rng.integers(1, n))
-            K = haar_subspace(rng, n, p - 1, field)
-            u = random_vector(rng, n, field)
-            w = random_vector(rng, n, field)
-            U = from_spanning(
-                [K.basis[:, j] for j in range(K.dim)] + [u], field, ambient_dim=n
-            )
-            W = from_spanning(
-                [K.basis[:, j] for j in range(K.dim)] + [w], field, ambient_dim=n
-            )
-            if U.dim != p or W.dim != p or intersect(U, W).dim != p - 1:
-                continue
-            total = grassmann_angle(U, W)
-            if total < 1e-3:
-                continue
-            col.add("geodesic_start", fubini_study(geodesic_point(U, W, 0.0), U))
-            col.add("geodesic_endpoint", fubini_study(geodesic_point(U, W, total), W))
-            mid = geodesic_point(U, W, total / 2)
-            col.add("geodesic_midpoint_left", abs(grassmann_angle(U, mid) - total / 2))
-            col.add("geodesic_midpoint_right", abs(grassmann_angle(mid, W) - total / 2))
+    for field, n in _draws(rng, min(trials, 100), min(dim_max, DIM_MAX_LIMIT)):
+        p = int(rng.integers(1, n))
+        K = haar_subspace(rng, n, p - 1, field)
+        u = random_vector(rng, n, field)
+        w = random_vector(rng, n, field)
+        U = from_spanning(
+            [K.basis[:, j] for j in range(K.dim)] + [u], field, ambient_dim=n
+        )
+        W = from_spanning(
+            [K.basis[:, j] for j in range(K.dim)] + [w], field, ambient_dim=n
+        )
+        if U.dim != p or W.dim != p or intersect(U, W).dim != p - 1:
+            continue
+        total = grassmann_angle(U, W)
+        if total < 1e-3:
+            continue
+        col.add("geodesic_start", fubini_study(geodesic_point(U, W, 0.0), U))
+        col.add("geodesic_endpoint", fubini_study(geodesic_point(U, W, total), W))
+        mid = geodesic_point(U, W, total / 2)
+        col.add("geodesic_midpoint_left", abs(grassmann_angle(U, mid) - total / 2))
+        col.add("geodesic_midpoint_right", abs(grassmann_angle(mid, W) - total / 2))
 
     # Sampled directed Hausdorff never exceeds the closed form.
-    hd_trials = min(trials, 20)
-    for _ in range(hd_trials):
-        for field in _fields():
-            n = int(rng.integers(2, min(dim_max, HAUSDORFF_DIM_CAP) + 1))
-            V = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
-            W = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
-            sampled = sampled_directed_hausdorff(V, W, rng, samples=40)
-            col.add("hausdorff_sampled_bound", max(0.0, sampled - grassmann_angle(V, W)))
+    for field, n in _draws(rng, min(trials, 20), min(dim_max, HAUSDORFF_DIM_CAP)):
+        V = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
+        W = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
+        sampled = sampled_directed_hausdorff(V, W, rng, samples=40)
+        col.add("hausdorff_sampled_bound", max(0.0, sampled - grassmann_angle(V, W)))
 
     return col.finish()
 
@@ -472,25 +455,24 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _dimension_schedule(rng, trials: int, dim_max: int):
-    """All (n, p, q) combinations for small n first, then random draws."""
+def _dimension_schedule(rng, trials: int, dim_max: int, field: Field):
+    """``trials`` (n, p, q): every combination for small n first, then random draws."""
     out = []
-    for n in range(2, min(dim_max, ORACLE_DIM_CAP) + 1):
+    for n in range(2, max(2, min(dim_max, ORACLE_DIM_CAP)) + 1):
         for p in range(0, n + 1):
             for q in range(0, n + 1):
                 out.append((n, p, q))
-    while len(out) < trials:
-        n = int(rng.integers(2, dim_max + 1))
+    for _, n in _draws(rng, trials - len(out), min(dim_max, DIM_MAX_LIMIT), (field,)):
         out.append((n, int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))))
-    return out[:trials] if trials < len(out) else out
+    return out[:trials]
 
 
 def run_oracle_equivalence(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("oracle-equivalence")
-    dim_max = max(2, min(dim_max, DIM_MAX_LIMIT))
-    for field in _fields():
-        for n, p, q in _dimension_schedule(rng, trials, dim_max):
+    # Field-major, unlike the trial loops: each field draws and runs its whole schedule in turn.
+    for field in (Field.REAL, Field.COMPLEX):
+        for n, p, q in _dimension_schedule(rng, trials, dim_max, field):
             V = haar_subspace(rng, n, p, field)
             W = haar_subspace(rng, n, q, field)
             basis_v = _skewed_list(rng, V, field)
@@ -551,88 +533,75 @@ def _skewed_list(rng, V: Subspace, field: Field) -> list[np.ndarray]:
 def run_bounds(seed: int, trials: int, dim_max: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     col = _Collector("bounds")
-    dim_max = max(2, min(dim_max, DIM_MAX_LIMIT))
-    for _ in range(trials):
-        for field in _fields():
-            n = int(rng.integers(2, dim_max + 1))
-            p = int(rng.integers(1, n + 1))
-            q = int(rng.integers(0, n + 1))
-            V = haar_subspace(rng, n, p, field)
-            W = haar_subspace(rng, n, q, field)
-            report = theta_pair_feasibility(V, W)
-            col.add("cos_sq_sum_upper", max(0.0, report.cos_sq_sum - 1.0))
-            col.add("cos_sq_sum_lower", max(0.0, -report.cos_sq_sum))
-            # The angle-sum bounds are equivalent to the squared-cosine
-            # bound (cos is decreasing on [0, pi]); the literal sums are
-            # checked at the arccos-conditioning tolerance.
-            col.add("angle_sum_lower", max(0.0, math.pi / 2 - report.angle_sum))
-            col.add("angle_sum_upper", max(0.0, report.angle_sum - math.pi))
-            if report.delta is not None:
-                cos_sum = report.cos_theta + report.cos_theta_perp
-                if p == 1:
-                    col.add("dim1_cos_sum_lower", max(0.0, 1.0 - cos_sum))
-                    # Exact complementarity, cross-checked against the
-                    # independent definitional route through the complement.
-                    col.add(
-                        "dim1_exact_complementarity",
-                        abs(
-                            math.cos(report.theta_perp)
-                            - math.cos(grassmann_angle(V, complement(W)))
-                        ),
-                    )
-                elif p == 2:
-                    col.add("dim2_cos_sum_equality", abs(cos_sum - report.cos_delta))
-                else:
-                    col.add("cos_sum_spread_bound", max(0.0, cos_sum - report.cos_delta))
-            col.add("feasibility_violations", float(len(report.violations)))
+    for field, n in _draws(rng, trials, min(dim_max, DIM_MAX_LIMIT)):
+        p = int(rng.integers(1, n + 1))
+        q = int(rng.integers(0, n + 1))
+        V = haar_subspace(rng, n, p, field)
+        W = haar_subspace(rng, n, q, field)
+        report = theta_pair_feasibility(V, W)
+        col.add("cos_sq_sum_upper", max(0.0, report.cos_sq_sum - 1.0))
+        col.add("cos_sq_sum_lower", max(0.0, -report.cos_sq_sum))
+        # The angle-sum bounds are equivalent to the squared-cosine
+        # bound (cos is decreasing on [0, pi]); the literal sums are
+        # checked at the arccos-conditioning tolerance.
+        col.add("angle_sum_lower", max(0.0, math.pi / 2 - report.angle_sum))
+        col.add("angle_sum_upper", max(0.0, report.angle_sum - math.pi))
+        if report.delta is not None:
+            cos_sum = report.cos_theta + report.cos_theta_perp
+            if p == 1:
+                col.add("dim1_cos_sum_lower", max(0.0, 1.0 - cos_sum))
+                # Exact complementarity, cross-checked against the
+                # independent definitional route through the complement.
+                col.add(
+                    "dim1_exact_complementarity",
+                    abs(
+                        math.cos(report.theta_perp)
+                        - math.cos(grassmann_angle(V, complement(W)))
+                    ),
+                )
+            elif p == 2:
+                col.add("dim2_cos_sum_equality", abs(cos_sum - report.cos_delta))
+            else:
+                col.add("cos_sum_spread_bound", max(0.0, cos_sum - report.cos_delta))
+        col.add("feasibility_violations", float(len(report.violations)))
 
-            # Norm identity tying the wedge of two blades to the
-            # complementary/ordinary angle ratio (equal-dim disjoint pairs).
-            if n <= 8:
-                r = int(rng.integers(1, n // 2 + 1))
-                lists = [
-                    [random_vector(rng, n, field) for _ in range(r)] for _ in range(2)
-                ]
-                V1 = from_spanning(lists[0], field, ambient_dim=n)
-                V2 = from_spanning(lists[1], field, ambient_dim=n)
-                if V1.dim == r and V2.dim == r and intersect(V1, V2).is_zero:
-                    col.add("wedge_norm_identity", _miao_ben_israel_residual(lists[0], lists[1], V1, V2, field))
-                    theta = grassmann_angle(V1, V2)
-                    theta_perp = complementary_angle(V1, V2)
-                    if math.sin(theta) > 1e-6:
-                        ratio = math.cos(theta_perp) ** 2 / math.sin(theta) ** 2
-                        col.add("wedge_ratio_bound", max(0.0, ratio - 1.0))
+        # Norm identity tying the wedge of two blades to the
+        # complementary/ordinary angle ratio (equal-dim disjoint pairs).
+        r = int(rng.integers(1, n // 2 + 1))
+        lists = [[random_vector(rng, n, field) for _ in range(r)] for _ in range(2)]
+        V1 = from_spanning(lists[0], field, ambient_dim=n)
+        V2 = from_spanning(lists[1], field, ambient_dim=n)
+        if V1.dim == r and V2.dim == r and intersect(V1, V2).is_zero:
+            theta = grassmann_angle(V1, V2)
+            theta_perp = complementary_angle(V1, V2)
+            col.add("wedge_norm_identity", _miao_ben_israel_residual(lists, n, field, theta, theta_perp))
+            if math.sin(theta) > 1e-6:
+                ratio = math.cos(theta_perp) ** 2 / math.sin(theta) ** 2
+                col.add("wedge_ratio_bound", max(0.0, ratio - 1.0))
 
     # Realifications of genuinely complex pairs are never obstructed.
-    pair_trials = min(trials, 100)
-    for _ in range(pair_trials):
-        n = int(rng.integers(2, min(dim_max, REALIFIED_DIM_CAP) + 1))
+    for field, n in _draws(rng, min(trials, 100), min(dim_max, REALIFIED_DIM_CAP), (Field.COMPLEX,)):
         p = int(rng.integers(1, n + 1))
         q = int(rng.integers(1, n + 1))
-        Vc = haar_subspace(rng, n, p, Field.COMPLEX)
-        Wc = haar_subspace(rng, n, q, Field.COMPLEX)
+        Vc = haar_subspace(rng, n, p, field)
+        Wc = haar_subspace(rng, n, q, field)
         verdict = complexifiability_obstruction(realify(Vc), realify(Wc))
         col.add("realified_pair_inconclusive", 0.0 if verdict is ComplexifiabilityVerdict.INCONCLUSIVE else 1.0)
 
     return col.finish()
 
 
-def _miao_ben_israel_residual(list1, list2, V1: Subspace, V2: Subspace, field: Field) -> float:
-    nu1 = exterior.scalar_multivector(V1.ambient_dim, field)
-    for v in list1:
-        nu1 = exterior.wedge_vector(nu1, v)
-    nu2 = exterior.scalar_multivector(V1.ambient_dim, field)
-    for v in list2:
-        nu2 = exterior.wedge_vector(nu2, v)
+def _miao_ben_israel_residual(lists, n: int, field: Field, theta: float, theta_perp: float) -> float:
+    """Relative residual of |nu1 ^ nu2|^2 = det Gram(nu1, nu2) cos^2(theta_perp)
+    / sin^2(theta) for the blades nu1, nu2 of two spanning lists."""
+    if math.sin(theta) < 1e-9:
+        return 0.0
+    nu1, nu2 = (exterior._wedge_all(vectors, n, field) for vectors in lists)
     lhs = exterior.wedge(nu1, nu2).norm ** 2
     g11 = exterior.inner(nu1, nu1)
     g12 = exterior.inner(nu1, nu2)
     g22 = exterior.inner(nu2, nu2)
     gram_det = float(np.real(g11 * g22 - g12 * np.conj(g12)))
-    theta = grassmann_angle(V1, V2)
-    theta_perp = complementary_angle(V1, V2)
-    if math.sin(theta) < 1e-9:
-        return 0.0
     rhs = gram_det * math.cos(theta_perp) ** 2 / math.sin(theta) ** 2
     scale = max(1.0, abs(lhs))
     return abs(lhs - rhs) / scale

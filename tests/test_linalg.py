@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,10 +144,21 @@ class TestSmallHelpers:
         assert clamped_products(np.zeros(3)) == 0.0
         assert clamped_products(np.zeros(0)) == 1.0
 
+    def test_clamped_products_within_k_ulps_of_exact(self):
+        """A product of k factors in [0, 1] is within k * 2**-53 relative
+        error of the exact rational product, long vectors included."""
+        rng = np.random.default_rng(2024)
+        for _ in range(800):
+            k = int(rng.integers(21, 129))
+            vals = rng.uniform(0.05, 1.0, size=k)
+            exact = math.prod(Fraction(float(x)) for x in vals)
+            err = abs(Fraction(clamped_products(vals)) - exact) / exact
+            assert err <= Fraction(k, 2**53), (k, float(err))
+
     @pytest.mark.parametrize("k", [0, 1, 20, 21, 40, 128])
     def test_clamped_products_rows_match_vector_call(self, k):
-        """Each row of a stack gives the 1-D call's bits, on both sides of
-        the 20-factor switch to log-space; a row holding a 0 gives 0.0."""
+        """Each row of a stack gives the 1-D call's bits, for short and
+        long rows alike; a row holding a 0 gives 0.0."""
         rng = np.random.default_rng(k)
         stack = rng.uniform(0.9, 1.05, size=(2, 3, k))  # some factors above 1, clamped
         if k:
