@@ -53,7 +53,7 @@ _MODULE_EXPORTS = {
         "partition_angle_product",
         "theta_pair_feasibility",
     ),
-    "linalg": ("Field", "det", "orthonormalize", "svd"),
+    "linalg": ("Field", "det"),
     "metrics": (
         "TriangleCase",
         "TriangleTag",

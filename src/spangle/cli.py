@@ -54,14 +54,34 @@ def _load(path: str, side: str):
         _fail(side, f"cannot read {path}: {exc}")
 
 
-def _check_compatible(left, right) -> None:
-    if left.field is not right.field:
-        _fail("field", f"field mismatch: {left.field.value} vs {right.field.value}")
-    if left.ambient_dim != right.ambient_dim:
-        _fail(
-            "ambient_dim",
-            f"ambient dimension mismatch: {left.ambient_dim} vs {right.ambient_dim}",
-        )
+def _load_pair(left: str, right: str):
+    """``(V, v_vectors, W, w_vectors)`` from the two files of a pair
+    command, which must share the field and the ambient dimension."""
+    V, v_vectors = _load(left, "left")
+    W, w_vectors = _load(right, "right")
+    if V.field is not W.field:
+        _fail("field", f"field mismatch: {V.field.value} vs {W.field.value}")
+    if V.ambient_dim != W.ambient_dim:
+        _fail("ambient_dim", f"ambient dimension mismatch: {V.ambient_dim} vs {W.ambient_dim}")
+    return V, v_vectors, W, w_vectors
+
+
+def _pair_header(V, W, degrees: bool) -> dict:
+    """What every pair report starts with: the pair's shape and its
+    principal angles."""
+    return {
+        "ambient_dim": V.ambient_dim,
+        "field": V.field.value,
+        "units": "degrees" if degrees else "radians",
+        "dim_left": V.dim,
+        "dim_right": W.dim,
+        "principal_angles": [_angle_out(a, degrees) for a in principal_angles(V, W)],
+    }
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        _fail("seed", "seed must be nonnegative")
 
 
 @click.group()
@@ -76,18 +96,10 @@ def main() -> None:
 @click.option("--oriented", "oriented_flag", is_flag=True, help="include the oriented angle (equal dimensions)")
 def cmd_angle(left: str, right: str, degrees: bool, oriented_flag: bool) -> None:
     """Full angle report for a pair of subspace files."""
-    V, v_vectors = _load(left, "left")
-    W, w_vectors = _load(right, "right")
-    _check_compatible(V, W)
+    V, v_vectors, W, w_vectors = _load_pair(left, right)
     report = angle_report(V, W)
-    angles = principal_angles(V, W)
     out = {
-        "ambient_dim": V.ambient_dim,
-        "field": V.field.value,
-        "units": "degrees" if degrees else "radians",
-        "dim_left": V.dim,
-        "dim_right": W.dim,
-        "principal_angles": [_angle_out(a, degrees) for a in angles],
+        **_pair_header(V, W, degrees),
         "theta_left_right": _angle_out(report.theta, degrees),
         "theta_right_left": _angle_out(grassmann_angle(W, V), degrees),
         "theta_perp": _angle_out(report.theta_perp, degrees),
@@ -120,31 +132,21 @@ def cmd_angle(left: str, right: str, degrees: bool, oriented_flag: bool) -> None
 @click.option("--degrees", is_flag=True, help="format angles in degrees")
 def cmd_principal(left: str, right: str, degrees: bool) -> None:
     """Principal angles of a pair of subspace files."""
-    V, _ = _load(left, "left")
-    W, _ = _load(right, "right")
-    _check_compatible(V, W)
-    angles = principal_angles(V, W)
-    out = {
-        "ambient_dim": V.ambient_dim,
-        "field": V.field.value,
-        "units": "degrees" if degrees else "radians",
-        "dim_left": V.dim,
-        "dim_right": W.dim,
-        "principal_angles": [_angle_out(a, degrees) for a in angles],
-    }
-    click.echo(dump_json(out), nl=False)
+    V, _, W, _ = _load_pair(left, right)
+    click.echo(dump_json(_pair_header(V, W, degrees)), nl=False)
 
 
 @main.command("random")
 @click.argument("ambient_dim", type=int)
 @click.argument("dim", type=int)
 @click.option("--field", "field_name", type=click.Choice(["real", "complex"]), default="real")
-@click.option("--seed", type=int, default=0, help="RNG seed (reproducible output)")
+@click.option("--seed", type=int, default=0, help="nonnegative RNG seed (reproducible output)")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="write to a file instead of stdout")
 def cmd_random(ambient_dim: int, dim: int, field_name: str, seed: int, out_path: str | None) -> None:
     """Write a Haar-uniform random subspace document."""
     if not 0 <= dim <= ambient_dim:
         _fail("dim", f"need 0 <= dim <= ambient_dim, got dim={dim}, ambient_dim={ambient_dim}")
+    _check_seed(seed)
     field = Field.COMPLEX if field_name == "complex" else Field.REAL
     rng = np.random.default_rng(seed)
     V = haar_subspace(rng, ambient_dim, dim, field)
@@ -166,7 +168,7 @@ def cmd_random(ambient_dim: int, dim: int, field_name: str, seed: int, out_path:
     f"the realified loop at {REALIFIED_DIM_CAP}",
 )
 @click.option("--trials", type=int, default=200)
-@click.option("--seed", type=int, default=42)
+@click.option("--seed", type=int, default=42, help="nonnegative RNG seed")
 def cmd_verify(suite: str, dim_max: int, trials: int, seed: int) -> None:
     """Run the randomized verification suites; exit 0 iff all pass."""
     if suite != "all" and suite not in SUITE_NAMES:
@@ -175,6 +177,7 @@ def cmd_verify(suite: str, dim_max: int, trials: int, seed: int) -> None:
         _fail("trials", "trials must be nonnegative")
     if not 2 <= dim_max <= DIM_MAX_LIMIT:
         _fail("dim-max", f"dim-max must be between 2 and {DIM_MAX_LIMIT}")
+    _check_seed(seed)
     from .verify import run_suites  # the verify stack loads only for this command
 
     reports = run_suites(suite, seed=seed, trials=trials, dim_max=dim_max)
@@ -201,9 +204,10 @@ def cmd_verify(suite: str, dim_max: int, trials: int, seed: int) -> None:
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_geodesic(left: str, right: str, t_param: float, phase: float | None, out_path: str | None) -> None:
     """Point on the geodesic between two codimension-1-intersecting subspaces."""
-    U, _ = _load(left, "left")
-    W, _ = _load(right, "right")
-    _check_compatible(U, W)
+    for name, value in (("t", t_param), ("phase", phase)):
+        if value is not None and not math.isfinite(value):
+            _fail(name, f"{name} must be finite")
+    U, _, W, _ = _load_pair(left, right)
     try:
         V = geodesic_point(U, W, t_param, phase=phase)
     except ValueError as exc:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import Field, angle_from_cosine, clamp01, det, rank_cutoff, solve, stack_columns
+from .linalg import Field, angle_from_cosine, clamp01, det, rank_cutoff, stack_columns
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -79,6 +79,11 @@ def _psd_det_rank_floored(M: np.ndarray, reference: np.ndarray) -> float:
     return float(np.prod(eigs))
 
 
+def _angle_from_cos_sq(cos_sq: float) -> float:
+    """The angle of a squared cosine, clamped into [0, 1] first."""
+    return angle_from_cosine(math.sqrt(clamp01(cos_sq)))
+
+
 def angle_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
     """Directed angle of span(basis_v) with span(basis_w) from raw bases.
 
@@ -86,9 +91,8 @@ def angle_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | None = No
     determinant vanishes, giving pi/2 as it must.
     """
     A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
-    numerator = _psd_det_rank_floored(B.conj().T @ solve(A, B), D)
-    cos_sq = clamp01(numerator / float(np.real(det(D))))
-    return angle_from_cosine(math.sqrt(cos_sq))
+    numerator = _psd_det_rank_floored(B.conj().T @ np.linalg.solve(A, B), D)
+    return _angle_from_cos_sq(numerator / float(np.real(det(D))))
 
 
 def angle_from_gram_equal_dim(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
@@ -98,20 +102,14 @@ def angle_from_gram_equal_dim(basis_v, basis_w, field: Field, ambient_dim: int |
         raise ValueError(
             f"the equal-dimension shortcut needs equally many vectors, got {B.shape[1]} and {B.shape[0]}"
         )
-    cos_sq = clamp01(
-        abs(det(B)) ** 2 / (float(np.real(det(A))) * float(np.real(det(D))))
-        if B.shape[0]
-        else 1.0
-    )
-    return angle_from_cosine(math.sqrt(cos_sq))
+    return _angle_from_cos_sq(abs(det(B)) ** 2 / (float(np.real(det(A))) * float(np.real(det(D)))))
 
 
 def complementary_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
     """Complementary angle from raw bases via the Schur complement."""
     A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
-    schur = A - B @ solve(D, B.conj().T)
-    cos_sq = clamp01(_psd_det_rank_floored(schur, A) / float(np.real(det(A))))
-    return angle_from_cosine(math.sqrt(cos_sq))
+    schur = A - B @ np.linalg.solve(D, B.conj().T)
+    return _angle_from_cos_sq(_psd_det_rank_floored(schur, A) / float(np.real(det(A))))
 
 
 def angle_from_projection_matrix(P: np.ndarray, mode: ProjectionAngleMode) -> float:
@@ -131,5 +129,4 @@ def angle_from_projection_matrix(P: np.ndarray, mode: ProjectionAngleMode) -> fl
         value = det(np.eye(q, dtype=P.dtype) - P @ P.conj().T)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
-    cos_sq = clamp01(float(np.real(value)))
-    return angle_from_cosine(math.sqrt(cos_sq))
+    return _angle_from_cos_sq(float(np.real(value)))

@@ -110,53 +110,14 @@ def rank_cutoff(top, shape: tuple[int, ...]):
     return RANK_REL_TOL * top * max(shape)
 
 
-def numerical_rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
-    """Rank = number of singular values above the relative threshold.
-
-    The threshold scales with the largest singular value and the matrix
-    size, so rank detection is invariant under rescaling of the input.
-    """
-    if sigma.size == 0:
-        return 0
-    return int(np.count_nonzero(sigma > rank_cutoff(float(sigma[0]), shape)))
-
-
-def orthonormalize(
-    vectors: Sequence,
-    field: Field | None = None,
-    ambient_dim: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Orthonormal basis for the span of ``vectors`` via SVD.
-
-    Returns ``(Q, rank)`` where ``Q`` is (n, rank) with orthonormal columns
-    spanning the same subspace as the input.  ``field=None`` infers the
-    field from the data; passing ``Field.REAL`` with complex data raises.
-    """
-    if field is None:
-        probe = [np.asarray(v) for v in vectors]
-        field = Field.COMPLEX if any(np.iscomplexobj(v) for v in probe) else Field.REAL
-        vectors = probe
-    M = stack_columns(vectors, field, ambient_dim=ambient_dim)
-    return orthonormalize_columns(M)
-
-
 def orthonormalize_columns(M: np.ndarray) -> tuple[np.ndarray, int]:
-    """SVD-based column orthonormalization of a matrix, with rank cut."""
-    if M.shape[1] == 0:
-        return M.copy(), 0
+    """SVD-based column orthonormalization of a matrix, with the rank cut
+    of ``rank_cutoff``: returns ``(Q, rank)``, Q of shape (n, rank)."""
+    if min(M.shape) == 0:
+        return M[:, :0].copy(), 0
     U, sigma, _ = np.linalg.svd(M, full_matrices=False)
-    rank = numerical_rank(sigma, M.shape)
+    rank = int(np.count_nonzero(sigma > rank_cutoff(float(sigma[0]), M.shape)))
     return np.ascontiguousarray(U[:, :rank]), rank
-
-
-def svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD returning ``(U, sigma, V)`` with ``M = U @ diag(sigma) @ V*``.
-
-    ``sigma`` is descending and nonnegative; ``U`` and ``V`` have
-    orthonormal columns.  Empty matrices yield empty factors.
-    """
-    U, sigma, Vh = np.linalg.svd(M, full_matrices=False)
-    return U, sigma, Vh.conj().T
 
 
 def det(M: np.ndarray):
@@ -169,13 +130,6 @@ def det(M: np.ndarray):
     if M.shape[0] == 1:
         return M[0, 0].item()
     return np.linalg.det(M).item()
-
-
-def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Linear solve A X = B (never forms an explicit inverse)."""
-    if A.shape[0] == 0:
-        return np.zeros((0,) + B.shape[1:], dtype=B.dtype)
-    return np.linalg.solve(A, B)
 
 
 def clamped_products(values: np.ndarray):

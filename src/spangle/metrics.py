@@ -168,7 +168,7 @@ def classify_triangle_equality(U: Subspace, V: Subspace, W: Subspace) -> Triangl
         if u_pperp_w or is_subspace_of(project_subspace(W, U), V):
             return TriangleCase(TriangleTag.CASE_II)
 
-    witness = _triangle_witness(U, V, W)
+    witness = _triangle_witness(U, V, W, t_uv, t_vw, t_uw)
     if witness is not None:
         return TriangleCase(TriangleTag.CASE_III, witness)
     # Equality holds but no case could be validated numerically; report
@@ -187,7 +187,10 @@ def _unit_complement_direction(V: Subspace, A: Subspace) -> np.ndarray | None:
     return Q.basis[:, 0]
 
 
-def _triangle_witness(U: Subspace, V: Subspace, W: Subspace) -> TriangleWitness | None:
+def _triangle_witness(
+    U: Subspace, V: Subspace, W: Subspace, t_uv: float, t_vw: float, t_uw: float
+) -> TriangleWitness | None:
+    """The CASE_III witness, checked against the pairs' directed angles."""
     A = intersect(intersect(U, V), W)
     u = _unit_complement_direction(U, A)
     if u is None:
@@ -222,9 +225,6 @@ def _triangle_witness(U: Subspace, V: Subspace, W: Subspace) -> TriangleWitness 
     C = intersect(complement(span_wab), W)
 
     # Validate the advertised angle equalities on the witness vectors.
-    t_uv = grassmann_angle(U, V)
-    t_vw = grassmann_angle(V, W)
-    t_uw = grassmann_angle(U, W)
     g_uv = vector_angles(u, v, U.field).gamma
     g_vw = vector_angles(v, w, U.field).gamma
     g_uw = vector_angles(u, w, U.field).gamma

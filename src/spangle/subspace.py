@@ -65,10 +65,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def projector(self) -> np.ndarray:
-        """The (n, n) orthogonal projection matrix onto this subspace."""
-        return self.basis @ self.basis.conj().T
-
 
 def zero_subspace(ambient_dim: int, field: Field) -> Subspace:
     return Subspace._trusted(ambient_dim, field, np.zeros((ambient_dim, 0), dtype=field.dtype))
@@ -167,39 +163,43 @@ def _pairwise_orthogonal(parts: Sequence[Subspace]) -> bool:
     return True
 
 
+def _inside(X: np.ndarray, W: Subspace) -> np.ndarray:
+    """The containment rule, per unit column of X: whether its residual
+    from W has no entry above COMPARE_TOL in absolute value."""
+    residual = X - W.basis @ (W.basis.conj().T @ X)
+    return (np.abs(residual) <= COMPARE_TOL).all(axis=0)
+
+
 def intersect(V: Subspace, W: Subspace) -> Subspace:
     """V intersect W, from the principal directions at a numerically zero angle.
 
-    A principal direction is counted as common when its cosine is within
-    COMPARE_TOL of 1; thresholding the angle itself is hopeless in
-    double precision because arccos is ill-conditioned at 0.
+    The candidates are the principal directions of V whose cosine is
+    within COMPARE_TOL of 1 (thresholding the angle itself is hopeless in
+    double precision because arccos is ill-conditioned at 0); of those,
+    only the ones that pass the containment rule of ``is_subspace_of``
+    are kept, so the result always lies in both V and W.
     """
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
         return zero_subspace(V.ambient_dim, V.field)
     M = W.basis.conj().T @ V.basis
     _, sigma, Vh = np.linalg.svd(M, full_matrices=False)
-    keep = sigma >= 1.0 - COMPARE_TOL
-    common = V.basis @ Vh.conj().T[:, keep]
-    Q, _ = orthonormalize_columns(common)
+    common = V.basis @ Vh.conj().T[:, sigma >= 1.0 - COMPARE_TOL]
+    Q, _ = orthonormalize_columns(common[:, _inside(common, W)])
     return Subspace._trusted(V.ambient_dim, V.field, Q)
 
 
 def is_subspace_of(V: Subspace, W: Subspace) -> bool:
-    """True when every basis direction of V lies in W."""
+    """True when every basis direction of V lies in W: the one containment
+    rule, which also decides ``spans_equal`` and ``intersect``."""
     _check_pair(V, W)
-    if V.is_zero:
-        return True
-    residual = V.basis - W.basis @ (W.basis.conj().T @ V.basis)
-    return float(np.max(np.abs(residual))) <= COMPARE_TOL
+    return bool(_inside(V.basis, W).all())
 
 
 def spans_equal(V: Subspace, W: Subspace) -> bool:
-    """Span equality, compared through the projection matrices."""
+    """Span equality: equal dimensions, and V lies in W."""
     _check_pair(V, W)
-    if V.dim != W.dim:
-        return False
-    return float(np.max(np.abs(V.projector() - W.projector()))) <= COMPARE_TOL
+    return V.dim == W.dim and is_subspace_of(V, W)
 
 
 def realify_vector(v: np.ndarray) -> np.ndarray:

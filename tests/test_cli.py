@@ -164,6 +164,15 @@ class TestRandomCommand:
         assert json.loads(result.output)["field"] == "dim"
 
 
+@pytest.mark.parametrize("command", [["random", "4", "2"], ["verify", "--trials", "1"]])
+def test_negative_seed_exit_2(runner, command):
+    result = runner.invoke(main, command + ["--seed", "-1"])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert json.loads(result.output)["field"] == "seed"
+    assert "nonnegative" in runner.invoke(main, [command[0], "--help"]).output
+
+
 class TestVerifyCommand:
     def test_small_run_passes(self, runner):
         result = runner.invoke(
@@ -241,6 +250,20 @@ class TestGeodesicCommand:
         assert "codimension" in json.loads(result.output)["error"]
 
 
+    @pytest.mark.parametrize(
+        "option, value", [("--t", "nan"), ("--t", "inf"), ("--phase", "inf"), ("--phase", "-inf"), ("--phase", "nan")]
+    )
+    def test_non_finite_parameter_exit_2_names_option(self, runner, tmp_path, option, value):
+        left = write_doc(tmp_path / "u.json", "complex", 3, [[1, 0, 0], [0, 1, 0]])
+        right = write_doc(tmp_path / "w.json", "complex", 3, [[1, 0, 0], [0, 0.6, 0.8]])
+        args = ["geodesic", left, right, "--t", "0.3", option, value]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        out = json.loads(result.output)
+        assert out["field"] == option.removeprefix("--")
+        assert "finite" in out["error"]
+
+
 class TestIoRoundTrip:
     def test_document_round_trip(self, tmp_path, rng):
         from spangle.sampling import haar_subspace
@@ -278,4 +301,4 @@ def test_angle_commands_do_not_load_the_verify_stack():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "76"  # 68 functions and classes, 8 modules
+    assert proc.stdout.strip() == "74"  # 66 functions and classes, 8 modules

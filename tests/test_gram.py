@@ -111,6 +111,18 @@ class TestAngleFromGram:
             angle_from_gram_equal_dim(vs, ws, Field.REAL)
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("p, q", [(0, 0), (0, 2), (2, 0)])
+def test_zero_subspace_sides_match_orthonormal_route(field, p, q, rng):
+    """A side of {0} gives an empty Gram matrix, whose linear solve is
+    empty too; both Gram routes still match the orthonormal-basis route."""
+    V = haar_subspace(rng, 3, p, field)
+    W = haar_subspace(rng, 3, q, field)
+    vs, ws = list(V.basis.T), list(W.basis.T)
+    assert angle_from_gram(vs, ws, field, ambient_dim=3) == grassmann_angle(V, W)
+    assert complementary_from_gram(vs, ws, field, ambient_dim=3) == complementary_angle(V, W)
+
+
 class TestComplementaryFromGram:
     def test_r4_pair_both_orders(self):
         vs, ws = r4_line_plane()

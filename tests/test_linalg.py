@@ -13,11 +13,10 @@ from spangle.linalg import (
     arccos_clamped,
     clamped_products,
     det,
-    orthonormalize,
     principal_phase,
-    svd,
 )
 from spangle.sampling import gaussian_matrix
+from spangle.subspace import from_spanning
 
 
 def test_tolerance_ordering():
@@ -25,30 +24,34 @@ def test_tolerance_ordering():
 
 
 class TestOrthonormalize:
+    """Orthonormalization with its rank cut (``linalg.orthonormalize_columns``),
+    reached through ``from_spanning``, which validates the vectors first."""
+
     def test_already_orthonormal(self):
-        Q, rank = orthonormalize([[1, 0, 0], [0, 1, 0]])
-        assert rank == 2
-        np.testing.assert_allclose(Q.T @ Q, np.eye(2), atol=1e-12)
+        V = from_spanning([[1, 0, 0], [0, 1, 0]], Field.REAL)
+        assert V.dim == 2
+        np.testing.assert_allclose(V.basis.T @ V.basis, np.eye(2), atol=1e-12)
 
     def test_duplicate_direction_collapses(self):
-        Q, rank = orthonormalize([[1, 0, 1, 0], [2, 0, 2, 0]])
-        assert rank == 1
+        V = from_spanning([[1, 0, 1, 0], [2, 0, 2, 0]], Field.REAL)
+        assert V.dim == 1
         expected = np.array([1, 0, 1, 0]) / np.sqrt(2)
         # column is the direction up to sign
-        assert min(np.linalg.norm(Q[:, 0] - expected), np.linalg.norm(Q[:, 0] + expected)) < 1e-12
+        q = V.basis[:, 0]
+        assert min(np.linalg.norm(q - expected), np.linalg.norm(q + expected)) < 1e-12
 
     def test_independent_pair_gives_orthonormal_q(self):
-        Q, rank = orthonormalize([[1, 0, 1, 0], [0, 1, 0, 1]])
-        assert rank == 2
-        np.testing.assert_allclose(Q.conj().T @ Q, np.eye(2), atol=1e-12)
+        V = from_spanning([[1, 0, 1, 0], [0, 1, 0, 1]], Field.REAL)
+        assert V.dim == 2
+        np.testing.assert_allclose(V.basis.conj().T @ V.basis, np.eye(2), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            orthonormalize([[1, 0], [1, 0, 0]])
+            from_spanning([[1, 0], [1, 0, 0]], Field.REAL)
 
     def test_complex_data_under_real_tag(self):
         with pytest.raises(ValueError, match="REAL"):
-            orthonormalize([[1j, 0]], field=Field.REAL)
+            from_spanning([[1j, 0]], Field.REAL)
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -57,50 +60,18 @@ class TestOrthonormalize:
     )
     def test_non_finite_entries_rejected(self, field, bad):
         with pytest.raises(ValueError, match="finite"):
-            orthonormalize([[1, 0, 0], [0, bad, 0]], field=field)
+            from_spanning([[1, 0, 0], [0, bad, 0]], field)
 
     def test_idempotent_on_own_output(self, rng):
         for field in (Field.REAL, Field.COMPLEX):
             M = gaussian_matrix(rng, 7, 4, field)
-            Q1, r1 = orthonormalize([M[:, j] for j in range(4)])
-            Q2, r2 = orthonormalize([Q1[:, j] for j in range(r1)])
-            assert r1 == r2 == 4
+            V1 = from_spanning([M[:, j] for j in range(4)], field)
+            V2 = from_spanning([V1.basis[:, j] for j in range(V1.dim)], field)
+            assert V1.dim == V2.dim == 4
             # same span: projectors agree
             np.testing.assert_allclose(
-                Q1 @ Q1.conj().T, Q2 @ Q2.conj().T, atol=1e-11
+                V1.basis @ V1.basis.conj().T, V2.basis @ V2.basis.conj().T, atol=1e-11
             )
-
-
-class TestSvd:
-    def test_diagonal(self):
-        _, sigma, _ = svd(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(sigma, [3.0, 1.0])
-
-    def test_zero_matrix(self):
-        _, sigma, _ = svd(np.zeros((2, 3)))
-        np.testing.assert_allclose(sigma, [0.0, 0.0])
-
-    def test_rank_one_upper(self):
-        # hand oracle: eigenvalues of M^T M = [[1,1],[1,1]] are 2 and 0
-        _, sigma, _ = svd(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(sigma, [math.sqrt(2.0), 0.0], atol=1e-14)
-
-    def test_empty(self):
-        U, sigma, V = svd(np.zeros((0, 3)))
-        assert sigma.size == 0
-
-    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-    def test_reconstruction_random(self, field, rng):
-        for _ in range(25):
-            m = int(rng.integers(1, 17))
-            n = int(rng.integers(1, 17))
-            M = gaussian_matrix(rng, m, n, field)
-            U, sigma, V = svd(M)
-            recon = U @ np.diag(sigma) @ V.conj().T
-            assert np.linalg.norm(recon - M) <= COMPARE_TOL * np.linalg.norm(M)
-            np.testing.assert_allclose(U.conj().T @ U, np.eye(U.shape[1]), atol=1e-12)
-            np.testing.assert_allclose(V.conj().T @ V, np.eye(V.shape[1]), atol=1e-12)
-            assert np.all(np.diff(sigma) <= 1e-15)
 
 
 class TestDet:

@@ -5,7 +5,7 @@ import pytest
 
 from spangle import Field, Subspace
 from spangle.principal import principal_angles
-from spangle.sampling import haar_subspace, random_vector
+from spangle.sampling import gaussian_matrix, haar_subspace, random_vector
 from spangle.subspace import (
     complement,
     from_spanning,
@@ -170,6 +170,51 @@ class TestIntersect:
             angles = principal_angles(V, W)
             nonzero = int(np.count_nonzero(np.cos(angles) < 1 - 1e-9))
             assert intersect(V, W).dim + nonzero == m
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("t, dim", [(1e-3, 1), (3e-5, 1), (1e-7, 1), (1e-11, 2), (0.0, 2)])
+    def test_slightly_tilted_plane_lies_in_both(self, field, t, dim):
+        """A candidate direction with cosine within COMPARE_TOL of 1 is kept
+        only when it passes the containment rule, so a tilt of 3e-5 (cosine
+        1 - 4.5e-10) does not make the whole plane common."""
+        V = from_spanning([[1, 0, 0], [0, 1, 0]], field)
+        W = from_spanning([[1, 0, 0], [0, math.cos(t), math.sin(t)]], field)
+        for X, Y in ((V, W), (W, V)):
+            common = intersect(X, Y)
+            assert common.dim == dim
+            assert is_subspace_of(common, X) and is_subspace_of(common, Y)
+
+
+class TestSpansEqual:
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_same_span_different_bases(self, field, rng):
+        V = haar_subspace(rng, 6, 3, field)
+        mixed = V.basis @ gaussian_matrix(rng, 3, 3, field)
+        W = from_spanning(list(mixed.T), field)
+        assert spans_equal(V, W) and spans_equal(W, V)
+
+    def test_nested_pair_is_not_equal(self):
+        line = from_spanning([[1, 1, 0]], Field.REAL)
+        plane = from_spanning([[1, 0, 0], [0, 1, 0]], Field.REAL)
+        assert is_subspace_of(line, plane)
+        assert not spans_equal(line, plane) and not spans_equal(plane, line)
+
+    @pytest.mark.parametrize("t, equal", [(1e-7, False), (1e-11, True)])
+    def test_tilted_plane_decided_by_containment(self, t, equal):
+        V = from_spanning([[1, 0, 0], [0, 1, 0]], Field.REAL)
+        W = from_spanning([[1, 0, 0], [0, math.cos(t), math.sin(t)]], Field.REAL)
+        assert spans_equal(V, W) is equal and spans_equal(W, V) is equal
+
+    def test_different_dimensions_and_zero(self, rng):
+        zero = zero_subspace(4, Field.COMPLEX)
+        V = haar_subspace(rng, 4, 2, Field.COMPLEX)
+        assert spans_equal(zero, zero_subspace(4, Field.COMPLEX))
+        assert not spans_equal(zero, V) and not spans_equal(V, zero)
+        assert not spans_equal(V, full_space(4, Field.COMPLEX))
+
+    def test_ambient_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="ambient"):
+            spans_equal(zero_subspace(3, Field.REAL), full_space(4, Field.REAL))
 
 
 class TestRealify:
