@@ -31,7 +31,7 @@ from .linalg import (
     stack_columns,
 )
 from .principal import pair_spectrum
-from .subspace import Subspace, _check_pair, realify, sum_subspace, zero_subspace
+from .subspace import Subspace, _check_pair, intersect, realify, zero_subspace
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,18 @@ def complementary_angle(V: Subspace, W: Subspace) -> float:
 def angle_from_complement(V: Subspace, W: Subspace) -> float:
     """Directed angle of complement(V) with W, without forming the complement.
 
-    Equals arccos of the product of sines of the *nonzero* principal
-    angles when V + W spans the ambient space, and pi/2 otherwise.
+    With k = dim intersect(V, W), V + W has dimension dim V + dim W - k:
+    pi/2 when that is less than the ambient dimension, else arccos of the
+    product of the sines of the principal angles past the k shared ones.
     Symmetric under swapping V and W.
     """
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
         raise ValueError("both subspaces must be nonzero")
-    if sum_subspace(V, W).dim < V.ambient_dim:
+    shared = intersect(V, W).dim
+    if V.dim + W.dim - shared < V.ambient_dim:
         return HALF_PI
-    s = pair_spectrum(V, W)
-    nonzero = s.cosines < 1.0 - COMPARE_TOL  # skip intersection directions
-    return angle_from_cosine(clamped_products(s.sines[nonzero]))
+    return angle_from_cosine(clamped_products(pair_spectrum(V, W).sines[shared:]))
 
 
 def min_symmetrized_angle(V: Subspace, W: Subspace) -> float:

@@ -253,7 +253,7 @@ def direct_sum_angle(V1: Subspace, V2: Subspace, W: Subspace) -> IdentityResult:
     """cos(V1 + V2, W) as the product of the individual cosines times the
     ratio of complementary cosines of the projections and the summands.
     Both sides vanish together when either summand is partially
-    orthogonal to W."""
+    orthogonal to W, which is when its projection on W loses a dimension."""
     _check_pair(V1, V2)
     _check_pair(V1, W)
     if not intersect(V1, V2).is_zero:
@@ -262,11 +262,11 @@ def direct_sum_angle(V1: Subspace, V2: Subspace, W: Subspace) -> IdentityResult:
     lhs = math.cos(grassmann_angle(direct, W))
     c1 = math.cos(grassmann_angle(V1, W))
     c2 = math.cos(grassmann_angle(V2, W))
-    if c1 <= COMPARE_TOL or c2 <= COMPARE_TOL:
+    P1 = project_subspace(W, V1)
+    P2 = project_subspace(W, V2)
+    if P1.dim < V1.dim or P2.dim < V2.dim:
         rhs = 0.0
     else:
-        P1 = project_subspace(W, V1)
-        P2 = project_subspace(W, V2)
         numerator = math.cos(complementary_angle(P1, P2))
         denominator = math.cos(complementary_angle(V1, V2))
         rhs = c1 * c2 * numerator / denominator

@@ -29,9 +29,10 @@ class Field(enum.Enum):
         return np.dtype(np.complex128 if self is Field.COMPLEX else np.float64)
 
 
-# The numerical policy, the same for every operation: singular values at
-# or below RANK_REL_TOL * sigma_max * max(shape) count as zero, and
-# equality, orthogonality and containment are decided within COMPARE_TOL.
+# The numerical policy, one job per tolerance: RANK_REL_TOL ranks a
+# spanning list or matrix (singular values at or below RANK_REL_TOL *
+# sigma_max * max(shape) count as zero); COMPARE_TOL decides every relation
+# between two subspaces, and a principal cosine at or below it is a right angle.
 RANK_REL_TOL = 1e-12
 COMPARE_TOL = 1e-9
 

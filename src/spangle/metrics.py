@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import grassmann_angle, max_symmetrized_angle, vector_angles
-from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, clamped_products, rank_cutoff
+from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, clamped_products
 from .principal import is_partially_orthogonal
 from .sampling import gaussian_matrix
 from .subspace import (
@@ -25,7 +25,6 @@ from .subspace import (
     _check_pair,
     complement,
     from_basis_matrix,
-    from_spanning,
     intersect,
     is_subspace_of,
     project_subspace,
@@ -76,15 +75,17 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
     coordinate frames A and B (Haar: orthonormalized Gaussians).  With
     M = W* V formed once, the candidate's cosine is |det(B* M A)|, and the
     projection's is the product of the singular values of M A, kept only
-    when M A has full numerical rank (the cut of ``orthonormalize_columns``
-    on the n x k projected basis).  Samples are batched by k: one stacked
+    when none is at most COMPARE_TOL (``project_subspace``'s right-angle
+    rule).  Samples are batched by k: one stacked
     SVD orthonormalizes each group's frames, one stacked SVD and one
     stacked determinant give its cosines.  Random numbers are drawn sample
     by sample: k, A, then four B only when q >= k, none when k = 0.  A
     sample of dimension 0 is at distance 0; one above dim W has no
-    candidate and is at pi/2.
+    candidate and is at pi/2.  Negative ``samples`` raise ValueError.
     """
     _check_pair(V, W)
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     p, q, field = V.dim, W.dim, V.field
     groups: dict[int, tuple[list, list]] = {}  # k -> (A draws, [B draws] per sample)
     for _ in range(samples):
@@ -107,7 +108,7 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
         B = np.linalg.svd(np.stack(outer), full_matrices=False)[0]  # (m, 4, q, k)
         MA = M @ A
         sigma = np.linalg.svd(MA, compute_uv=False)
-        full_rank = sigma[:, -1] > rank_cutoff(sigma[:, 0], V.basis.shape)
+        full_rank = sigma[:, -1] > COMPARE_TOL
         projection = np.where(full_rank, clamped_products(sigma), 0.0)
         frames = np.abs(np.linalg.det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
         best = np.maximum(projection, np.minimum(frames, 1.0).max(axis=1))
@@ -176,15 +177,12 @@ def classify_triangle_equality(U: Subspace, V: Subspace, W: Subspace) -> Triangl
     return TriangleCase(TriangleTag.CASE_III)
 
 
-def _unit_complement_direction(V: Subspace, A: Subspace) -> np.ndarray | None:
-    """The unit direction of V orthogonal to A, when it is unique."""
-    if V.dim != A.dim + 1:
-        return None
-    residual = V.basis - A.basis @ (A.basis.conj().T @ V.basis)
-    Q = from_basis_matrix(residual, V.field)
-    if Q.dim != 1:
-        return None
-    return Q.basis[:, 0]
+def _unit_complement_direction(V: Subspace, A: Subspace) -> np.ndarray:
+    """The unit direction of V widest from A (for dim V = dim A + 1 with
+    A inside V, the one orthogonal to A): V's basis times the last right
+    singular vector of A* V.  It makes no rank decision."""
+    _, _, Vh = np.linalg.svd(A.basis.conj().T @ V.basis, full_matrices=True)
+    return V.basis @ Vh[-1].conj()
 
 
 def _triangle_witness(
@@ -192,9 +190,9 @@ def _triangle_witness(
 ) -> TriangleWitness | None:
     """The CASE_III witness, checked against the pairs' directed angles."""
     A = intersect(intersect(U, V), W)
-    u = _unit_complement_direction(U, A)
-    if u is None:
+    if U.dim != A.dim + 1:
         return None
+    u = _unit_complement_direction(U, A)
     v_dir = project_vector(V, u)
     if np.linalg.norm(v_dir) <= COMPARE_TOL:
         return None
@@ -219,9 +217,9 @@ def _triangle_witness(
         return None
 
     # Paddings: A completes U; B completes V past span(v) + A; C completes W.
-    span_va = from_spanning([v] + [A.basis[:, j] for j in range(A.dim)], V.field, ambient_dim=V.ambient_dim)
+    span_va = from_basis_matrix(np.column_stack([v, A.basis]), V.field)
     B = intersect(complement(span_va), V)
-    span_wab = sum_subspace(sum_subspace(from_spanning([w], V.field, ambient_dim=V.ambient_dim), A), B)
+    span_wab = sum_subspace(sum_subspace(from_basis_matrix(w[:, None], V.field), A), B)
     C = intersect(complement(span_wab), W)
 
     # Validate the advertised angle equalities on the witness vectors.
@@ -236,15 +234,18 @@ def _triangle_witness(
 def geodesic_point(U: Subspace, W: Subspace, t: float, phase: float | None = None) -> Subspace:
     """Point at arc length t on the geodesic from U towards W.
 
-    Defined for distinct equal-dimension subspaces whose intersection has
-    codimension 1 in each (otherwise the geodesic leaves the space of
-    p-dimensional subspaces).  The moving direction rotates from the unit
-    vector u (in U, orthogonal to the intersection) towards W at unit
-    angular speed, so V(0) = U and V(angle(U, W)) = W.  In the complex
+    Defined for distinct nonzero equal-dimension subspaces whose
+    intersection K has codimension 1 in each (otherwise the geodesic
+    leaves the space of p-dimensional subspaces); K is the one decision
+    made, within COMPARE_TOL.  The moving direction rotates from the unit
+    vector u of U widest from K towards the one of W at unit angular
+    speed, so V(0) = U and V(angle(U, W)) = W.  In the complex
     case an optional phase selects one of the circle of geodesics through
     U; phase 0 passes through W.
     """
     _check_pair(U, W)
+    if U.is_zero or W.is_zero:
+        raise ValueError("geodesics need nonzero subspaces")
     p = U.dim
     if p != W.dim:
         raise ValueError(f"geodesics require equal dimensions, got {U.dim} and {W.dim}")
@@ -256,8 +257,6 @@ def geodesic_point(U: Subspace, W: Subspace, t: float, phase: float | None = Non
         )
     u = _unit_complement_direction(U, K)
     w = _unit_complement_direction(W, K)
-    if u is None or w is None:
-        raise ValueError("could not extract the rotating directions")
     ip = complex(np.vdot(u, w))
     if U.field is Field.COMPLEX and abs(ip) > 0:
         w = w * np.exp(-1j * np.angle(ip))  # make <u, w> real nonnegative
@@ -278,5 +277,4 @@ def geodesic_point(U: Subspace, W: Subspace, t: float, phase: float | None = Non
         else:
             tangent = tangent * np.exp(1j * phase)
     moving = u * math.cos(t) + tangent * math.sin(t)
-    cols = [K.basis[:, j] for j in range(K.dim)] + [moving]
-    return from_spanning(cols, U.field, ambient_dim=U.ambient_dim)
+    return from_basis_matrix(np.column_stack([K.basis, moving]), U.field)

@@ -170,11 +170,12 @@ def principal_angles(V: Subspace, W: Subspace) -> np.ndarray:
 def is_partially_orthogonal(V: Subspace, W: Subspace) -> bool:
     """True when V contains a nonzero vector orthogonal to all of W.
 
-    Equivalent to dim V > dim W or some principal angle being pi/2.
-    {0} is never partially orthogonal to anything.
+    Equivalent to dim V > dim W or a principal cosine at most COMPARE_TOL
+    (a right angle): exactly when ``project_subspace(W, V)`` loses a
+    dimension.  {0} is never partially orthogonal to anything.
     """
     _check_pair(V, W)
-    return not V.is_zero and pair_spectrum(V, W).theta_max >= HALF_PI - COMPARE_TOL
+    return not V.is_zero and (V.dim > W.dim or float(pair_spectrum(V, W).cosines[-1]) <= COMPARE_TOL)
 
 
 def is_principal_partition(V: Subspace, partition: Partition, W: Subspace) -> bool:

@@ -113,16 +113,17 @@ def project_vector(W: Subspace, v) -> np.ndarray:
 def project_subspace(W: Subspace, V: Subspace) -> Subspace:
     """The image of V under orthogonal projection onto W.
 
-    The singular values of the projected basis are the principal cosines,
-    so directions at (numerically) a right angle to W drop out and the
-    image dimension can be smaller than dim V.
+    The singular values of the projected basis are the principal cosines
+    of (V, W); the directions whose cosine is at most COMPARE_TOL are at a
+    right angle to W and drop out, so the image dimension is smaller than
+    dim V exactly when ``is_partially_orthogonal(V, W)``.
     """
     _check_pair(W, V)
     if V.is_zero or W.is_zero:
         return zero_subspace(V.ambient_dim, V.field)
     projected = W.basis @ (W.basis.conj().T @ V.basis)
-    Q, _ = orthonormalize_columns(projected)
-    return Subspace._trusted(V.ambient_dim, V.field, Q)
+    U, cosines, _ = np.linalg.svd(projected, full_matrices=False)
+    return Subspace._trusted(V.ambient_dim, V.field, U[:, cosines > COMPARE_TOL])
 
 
 def complement(V: Subspace) -> Subspace:
@@ -177,7 +178,8 @@ def intersect(V: Subspace, W: Subspace) -> Subspace:
     within COMPARE_TOL of 1 (thresholding the angle itself is hopeless in
     double precision because arccos is ill-conditioned at 0); of those,
     only the ones that pass the containment rule of ``is_subspace_of``
-    are kept, so the result always lies in both V and W.
+    are kept, so the result always lies in both V and W.  Principal
+    directions are orthonormal, so the kept ones are the basis as they are.
     """
     _check_pair(V, W)
     if V.is_zero or W.is_zero:
@@ -185,8 +187,7 @@ def intersect(V: Subspace, W: Subspace) -> Subspace:
     M = W.basis.conj().T @ V.basis
     _, sigma, Vh = np.linalg.svd(M, full_matrices=False)
     common = V.basis @ Vh.conj().T[:, sigma >= 1.0 - COMPARE_TOL]
-    Q, _ = orthonormalize_columns(common[:, _inside(common, W)])
-    return Subspace._trusted(V.ambient_dim, V.field, Q)
+    return Subspace._trusted(V.ambient_dim, V.field, common[:, _inside(common, W)])
 
 
 def is_subspace_of(V: Subspace, W: Subspace) -> bool:

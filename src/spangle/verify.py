@@ -423,12 +423,8 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
         K = haar_subspace(rng, n, p - 1, field)
         u = random_vector(rng, n, field)
         w = random_vector(rng, n, field)
-        U = from_spanning(
-            [K.basis[:, j] for j in range(K.dim)] + [u], field, ambient_dim=n
-        )
-        W = from_spanning(
-            [K.basis[:, j] for j in range(K.dim)] + [w], field, ambient_dim=n
-        )
+        U = from_basis_matrix(np.column_stack([K.basis, u]), field)
+        W = from_basis_matrix(np.column_stack([K.basis, w]), field)
         if U.dim != p or W.dim != p or intersect(U, W).dim != p - 1:
             continue
         total = grassmann_angle(U, W)

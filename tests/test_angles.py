@@ -18,6 +18,7 @@ from spangle.angles import (
     vector_angles,
 )
 from spangle.exterior import blade_of, inner
+from spangle.identities import ANGLE_TOL
 from spangle.principal import is_partially_orthogonal
 from spangle.sampling import haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
@@ -280,6 +281,18 @@ class TestAngleFromComplement:
         V = haar_subspace(rng, 4, 2, Field.REAL)
         with pytest.raises(ValueError):
             angle_from_complement(V, zero_subspace(4, Field.REAL))
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("t", [1e-3, 3e-5, 1e-6, 1e-9, 0.0])
+    def test_small_angle_past_the_intersection(self, field, t):
+        # V = span(e1, e2), W = span(e1, cos t e2 + sin t e3): they share
+        # only e1 for t > 0, and complement(V) = span(e3) is at pi/2 - t
+        # from W, which a cosine within COMPARE_TOL of 1 must not hide.
+        phase = 1j if field is Field.COMPLEX else 1.0
+        V = from_spanning([[1, 0, 0], [0, 1, 0]], field)
+        W = from_spanning([np.array([1, 0, 0]), np.array([0, math.cos(t), phase * math.sin(t)])], field)
+        for A, B in ((V, W), (W, V)):
+            assert abs(angle_from_complement(A, B) - grassmann_angle(complement(A), B)) <= ANGLE_TOL
 
 
 class TestOrientedAngle:

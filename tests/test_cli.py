@@ -249,6 +249,13 @@ class TestGeodesicCommand:
         assert result.exit_code == 2
         assert "codimension" in json.loads(result.output)["error"]
 
+    def test_zero_subspaces_exit_2(self, runner, tmp_path):
+        left = write_doc(tmp_path / "u.json", "real", 0, [])
+        right = write_doc(tmp_path / "w.json", "real", 0, [])
+        result = runner.invoke(main, ["geodesic", left, right, "--t", "0.3"])
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {"error": "geodesics need nonzero subspaces", "field": "vectors"}
+
 
     @pytest.mark.parametrize(
         "option, value", [("--t", "nan"), ("--t", "inf"), ("--phase", "inf"), ("--phase", "-inf"), ("--phase", "nan")]

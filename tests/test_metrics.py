@@ -5,6 +5,7 @@ import pytest
 
 from spangle import Field
 from spangle.angles import grassmann_angle
+from spangle.identities import ANGLE_TOL
 from spangle.metrics import (
     TriangleTag,
     asymmetric_distance,
@@ -22,6 +23,7 @@ from spangle.subspace import (
     intersect,
     project_subspace,
     spans_equal,
+    zero_subspace,
 )
 
 HALF_PI = math.pi / 2
@@ -164,6 +166,12 @@ class TestSampledDirectedHausdorff:
         V = haar_subspace(rng, 4, 2, Field.REAL)
         assert sampled_directed_hausdorff(V, V, rng, samples=0) == 0.0
 
+    def test_negative_samples_rejected(self):
+        rng = np.random.default_rng(0)
+        V, W = haar_subspace(rng, 4, 2, Field.REAL), haar_subspace(rng, 4, 2, Field.REAL)
+        with pytest.raises(ValueError, match="samples"):
+            sampled_directed_hausdorff(V, W, rng, samples=-5)
+
     @pytest.mark.parametrize(
         "other",
         [lambda rng: haar_subspace(rng, 4, 2, Field.COMPLEX), lambda rng: haar_subspace(rng, 5, 2, Field.REAL)],
@@ -292,6 +300,40 @@ class TestGeodesic:
             geodesic_point(U, W, 0.1, phase=1.0)
         V = geodesic_point(U, W, 0.1, phase=math.pi)
         assert V.dim == 2
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11])
+    def test_nearly_shared_direction(self, field, t):
+        # U = span(e1, e2), W = span(e1 + t e4, e3): the intersection is
+        # span(e1) within COMPARE_TOL, so the t e4 left in W's residual
+        # from it is no second rotating direction.
+        e = np.eye(4)
+        phase = 1j if field is Field.COMPLEX else 1.0
+        U = from_spanning([e[0], e[1]], field)
+        W = from_spanning([e[0] + t * e[3], phase * e[2]], field)
+        total = grassmann_angle(U, W)
+        assert fubini_study(geodesic_point(U, W, 0.0), U) <= ANGLE_TOL
+        assert fubini_study(geodesic_point(U, W, total), W) <= ANGLE_TOL
+        mid = geodesic_point(U, W, total / 2)
+        assert abs(grassmann_angle(U, mid) - total / 2) <= ANGLE_TOL
+        assert abs(grassmann_angle(mid, W) - total / 2) <= ANGLE_TOL
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_lines_rotate_about_the_zero_intersection(self, field, rng):
+        # p = 1: the intersection is {0}, and the rotating directions come
+        # from the SVD of an empty cross-Gram.
+        U, W = haar_subspace(rng, 3, 1, field), haar_subspace(rng, 3, 1, field)
+        total = grassmann_angle(U, W)
+        assert fubini_study(geodesic_point(U, W, 0.0), U) <= ANGLE_TOL
+        assert fubini_study(geodesic_point(U, W, total), W) <= ANGLE_TOL
+        mid = geodesic_point(U, W, total / 2)
+        assert abs(grassmann_angle(U, mid) - total / 2) <= ANGLE_TOL
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_zero_subspaces_rejected(self, n):
+        Z = zero_subspace(n, Field.REAL)
+        with pytest.raises(ValueError, match="geodesics need nonzero subspaces"):
+            geodesic_point(Z, Z, 0.1)
 
     def test_zero_dimensional_edge(self):
         # p = 1 lines through the origin in the plane

@@ -10,7 +10,7 @@ from spangle.principal import (
     principal_decomposition,
 )
 from spangle.sampling import haar_subspace, random_unitary
-from spangle.subspace import Subspace, from_spanning, realify, zero_subspace
+from spangle.subspace import Subspace, from_spanning, project_subspace, realify, zero_subspace
 
 
 def pair_22_real():
@@ -125,6 +125,17 @@ class TestPartialOrthogonality:
         assert not is_partially_orthogonal(Z, W)
         assert not is_partially_orthogonal(Z, Z)
         assert is_partially_orthogonal(W, Z)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-13, 0.0])
+    def test_agrees_with_the_projection(self, field, eps):
+        # V = span(e1, e2), W = span(e1, e3 + eps e2): e2 is at a right
+        # angle to W exactly when its cosine, about eps, is <= COMPARE_TOL.
+        e = np.eye(4)
+        V = from_spanning([e[0], e[1]], field)
+        W = from_spanning([e[0], e[2] + eps * e[1]], field)
+        assert is_partially_orthogonal(V, W) == (eps < 1e-9)
+        assert is_partially_orthogonal(V, W) == (project_subspace(W, V).dim < V.dim)
 
 
 class TestPrincipalPartition:
