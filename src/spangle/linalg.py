@@ -50,7 +50,7 @@ def as_field_array(values: Iterable, field: Field) -> np.ndarray:
         if np.any(arr.imag != 0):
             raise ValueError("complex entries are not allowed in a REAL-tagged value")
         arr = arr.real
-    arr = np.ascontiguousarray(arr.astype(field.dtype))
+    arr = np.array(arr, dtype=field.dtype, order="C", ndmin=1)  # a fresh C-ordered copy, at least 1-D
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("entries must be finite (no NaN or infinity)")
     return arr
@@ -101,7 +101,7 @@ def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = Non
             raise ValueError(f"dimension mismatch: expected vectors of length {n}, got {v.shape[0]}")
     if ambient_dim is not None and n != ambient_dim:
         raise ValueError(f"dimension mismatch: vectors have length {n}, ambient_dim is {ambient_dim}")
-    return as_field_array(np.column_stack(vecs), field)
+    return as_field_array(np.array(vecs).T, field)
 
 
 def rank_cutoff(top, shape: tuple[int, ...]):

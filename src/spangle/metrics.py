@@ -19,7 +19,6 @@ import numpy as np
 from .angles import grassmann_angle, max_symmetrized_angle, vector_angles
 from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, clamped_products
 from .principal import is_partially_orthogonal
-from .sampling import gaussian_matrix
 from .subspace import (
     Subspace,
     _check_pair,
@@ -79,33 +78,35 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
     rule).  Samples are batched by k: one stacked
     SVD orthonormalizes each group's frames, one stacked SVD and one
     stacked determinant give its cosines.  Random numbers are drawn sample
-    by sample: k, A, then four B only when q >= k, none when k = 0.  A
-    sample of dimension 0 is at distance 0; one above dim W has no
-    candidate and is at pi/2.  Negative ``samples`` raise ValueError.
+    by sample: k, then one normal draw holding A and, only when q >= k,
+    the four B (each matrix's real part, then its imaginary part); none
+    when k = 0.  A sample of dimension 0 is at distance 0; one above
+    dim W has no candidate and is at pi/2.  Negative ``samples`` raise
+    ValueError.
     """
     _check_pair(V, W)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     p, q, field = V.dim, W.dim, V.field
-    groups: dict[int, tuple[list, list]] = {}  # k -> (A draws, [B draws] per sample)
+    parts = 2 if field is Field.COMPLEX else 1
+    groups: dict[int, list] = {}  # k -> each sample's draw
     for _ in range(samples):
         k = int(rng.integers(0, p + 1))
-        if k == 0:
-            continue
-        inner = gaussian_matrix(rng, p, k, field)
-        outer = [gaussian_matrix(rng, q, k, field) for _ in range(4)] if q >= k else None
-        draws = groups.setdefault(k, ([], []))
-        draws[0].append(inner)
-        draws[1].append(outer)
+        if k:
+            groups.setdefault(k, []).append(rng.standard_normal(parts * k * (p + 4 * q if q >= k else p)))
     if not groups:
         return 0.0
     if max(groups) > q:
         return HALF_PI
     M = W.basis.conj().T @ V.basis
     worst = 1.0  # the smallest best-candidate cosine over the samples
-    for inner, outer in groups.values():
-        A = np.linalg.svd(np.stack(inner), full_matrices=False)[0]  # (m, p, k)
-        B = np.linalg.svd(np.stack(outer), full_matrices=False)[0]  # (m, 4, q, k)
+    for k, draws in groups.items():
+        z = np.stack(draws)
+        m, split = len(draws), parts * p * k
+        inner = _field_matrices(z[:, :split].reshape(m, parts, p, k), field)
+        outer = _field_matrices(z[:, split:].reshape(m, 4, parts, q, k), field)
+        A = np.linalg.svd(inner, full_matrices=False)[0]  # (m, p, k)
+        B = np.linalg.svd(outer, full_matrices=False)[0]  # (m, 4, q, k)
         MA = M @ A
         sigma = np.linalg.svd(MA, compute_uv=False)
         full_rank = sigma[:, -1] > COMPARE_TOL
@@ -114,6 +115,14 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
         best = np.maximum(projection, np.minimum(frames, 1.0).max(axis=1))
         worst = min(worst, float(best.min()))
     return angle_from_cosine(worst)
+
+
+def _field_matrices(draws: np.ndarray, field: Field) -> np.ndarray:
+    """The matrices of a (..., parts, rows, cols) stack of normal draws:
+    real part plus i times imaginary part, as ``sampling.gaussian_matrix`` forms them."""
+    if field is Field.COMPLEX:
+        return draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+    return draws[..., 0, :, :]
 
 
 class TriangleTag(enum.Enum):

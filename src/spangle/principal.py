@@ -8,87 +8,118 @@ Principal vectors are not unique; only angles and spans are comparable.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, clamped_products, in_zero_angle_band
+from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, in_zero_angle_band
 from .subspace import Subspace, _check_pair, _pairwise_orthogonal, _sum_all, project_subspace, spans_equal
+
+
+class _Reduction:
+    """The one reduction of a pair's cosines to its angle family, on plain
+    floats, shared by both orders of the pair.  Its values are numpy's
+    bits: a product is sequential in both (the start 1.0 keeps an empty
+    one a float), and sqrt is correctly rounded in both.  The sines and
+    angles arrays are built on first use (threads racing on that build
+    equal copies, one of which is kept)."""
+
+    __slots__ = ("cosines", "field", "cos", "sin", "cos_product", "cos_theta_perp", "theta_perp", "sines", "angles")
+
+    def __init__(self, cosines: np.ndarray, field: Field):
+        self.cosines, self.field = cosines, field
+        self.cos = cosines.tolist()
+        # (1 - c)(1 + c) is never negative, so only the upper clamp acts.
+        self.sin = [0.0 if in_zero_angle_band(c) else math.sqrt(min((1.0 - c) * (1.0 + c), 1.0)) for c in self.cos]
+        self.cos_product = math.prod(self.cos, start=1.0)
+        self.cos_theta_perp = math.prod(self.sin, start=1.0)
+        self.theta_perp = angle_from_cosine(self.cos_theta_perp)
+        self.sines = self.angles = None
+
+    def oriented(self, p: int, q: int) -> PairSpectrum:
+        """The spectrum of the pair with dimensions (p, q)."""
+        cos_theta = 0.0 if p > q else self.cos_product
+        theta = angle_from_cosine(cos_theta)
+        return PairSpectrum(
+            self.cosines, p, q, self.field, cos_theta, theta, self.cos_theta_perp, self.theta_perp, self
+        )
 
 
 @dataclass(frozen=True)
 class PairSpectrum:
-    """Principal cosines (descending, clamped into [0, 1]), sines and
-    angles of an ordered pair of subspaces of dimensions p and q over
-    ``field``; all three arrays are read-only and have length min(p, q).
-    Built only by :func:`pair_spectrum`.
+    """Principal cosines (descending, clamped into [0, 1], read-only,
+    length min(p, q)) of an ordered pair of subspaces of dimensions p and
+    q over ``field``, and the pair's angle family, reduced from them once
+    when :func:`pair_spectrum`, which alone builds spectra, takes the SVD:
 
-    The cached properties below define the pair's angle family, including
-    the rule that V is at a right angle to W when p > q."""
+    cos_theta, theta            the directed angle of V with W (cos_theta
+                                is 1.0 when V = {0}); V is at a right
+                                angle to W when p > q, the one rule in
+                                which ``swapped`` differs
+    cos_theta_perp, theta_perp  the complementary angle
+
+    ``swapped`` (the spectrum of (W, V)) shares the cosines, the sines and
+    the complementary angle.  The read-only ``sines`` and ``angles``
+    arrays are built on first use; ``theta_max`` and ``cos_spread`` are
+    read off the cosines and sines when asked for."""
 
     cosines: np.ndarray
     p: int
     q: int
     field: Field
+    cos_theta: float
+    theta: float
+    cos_theta_perp: float
+    theta_perp: float
+    _reduction: _Reduction = dataclasses.field(repr=False)
 
-    @cached_property
+    @property
+    def swapped(self) -> PairSpectrum:  # the spectrum of (W, V)
+        return self._reduction.oriented(self.q, self.p)
+
+    @property
     def sines(self) -> np.ndarray:
-        """Taken on first use, since the directed angle needs none.
-        (1 - c)(1 + c) is never negative, so only the upper clamp acts."""
-        c = self.cosines
-        sines = np.sqrt(np.minimum((1.0 - c) * (1.0 + c), 1.0))
-        sines[in_zero_angle_band(c)] = 0.0
-        sines.setflags(write=False)
-        return sines
+        r = self._reduction
+        if r.sines is None:
+            r.sines = _read_only(np.array(r.sin))
+        return r.sines
 
-    @cached_property
+    @property
     def angles(self) -> np.ndarray:
         """Ascending principal angles: arccos of the cosines, exactly 0
         inside the zero-angle band like the sines, so a shared direction
         gets 0, not an arccos of roundoff that would depend on how the
-        cross-Gram was oriented and decomposed."""
-        angles = np.arccos(self.cosines)
-        angles[in_zero_angle_band(self.cosines)] = 0.0
-        angles.setflags(write=False)
-        return angles
+        cross-Gram was oriented and decomposed.  numpy's arccos, not
+        math.acos: the two differ in the last bit on some cosines."""
+        r = self._reduction
+        if r.angles is None:
+            angles = np.arccos(self.cosines)
+            angles[in_zero_angle_band(self.cosines)] = 0.0
+            r.angles = _read_only(angles)
+        return r.angles
 
-    @cached_property
-    def swapped(self) -> PairSpectrum:  # the spectrum of (W, V)
-        return PairSpectrum(self.cosines, self.q, self.p, self.field)
-
-    @cached_property
-    def cos_theta(self) -> float:
-        """Product of the cosines (1.0 when V = {0}); 0.0 when p > q."""
-        return 0.0 if self.p > self.q else clamped_products(self.cosines)
-
-    @cached_property
-    def theta(self) -> float:
-        return angle_from_cosine(self.cos_theta)
-
-    @cached_property
-    def cos_theta_perp(self) -> float:
-        return clamped_products(self.sines)
-
-    @cached_property
-    def theta_perp(self) -> float:
-        return angle_from_cosine(self.cos_theta_perp)
-
-    @cached_property
+    @property
     def theta_max(self) -> float:
         """Largest angle between a direction of V (nonzero) and W."""
         return HALF_PI if self.p > self.q else float(self.angles[-1])
 
-    @cached_property
+    @property
     def cos_spread(self) -> float:
         """cos(theta_max - smallest angle) for nonzero V and W, expanded on
         the cosines and sines of the two (differencing two arccos values
         would lose sqrt(eps) near zero angles)."""
-        c, s = self.cosines, self.sines
+        c, s = self._reduction.cos, self._reduction.sin
         cos_max, sin_max = (0.0, 1.0) if self.p > self.q else (c[-1], s[-1])
-        return min(float(cos_max * c[0] + sin_max * s[0]), 1.0)
+        return min(cos_max * c[0] + sin_max * s[0], 1.0)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # (weakref(V), weakref(W), spectrum of (V, W)), read and replaced whole, so
@@ -98,8 +129,9 @@ _last_pair: tuple | None = None
 
 def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
     """Spectrum of (V, W) from one SVD of the tall cross-Gram, with the
-    higher-dimensional side (W on a tie) conjugate-transposed.  Repeat
-    calls on the same two objects, in either order, reuse it."""
+    higher-dimensional side (W on a tie) conjugate-transposed, reduced at
+    once to the pair's angle family.  Repeat calls on the same two
+    objects, in either order, reuse it."""
     global _last_pair
     memo = _last_pair
     if memo is not None:
@@ -115,8 +147,7 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
         M = W.basis.conj().T @ V.basis if V.dim <= W.dim else V.basis.conj().T @ W.basis
         # Singular values are never negative: only the upper clamp acts.
         cosines = np.minimum(np.linalg.svd(M, compute_uv=False), 1.0)
-    cosines.setflags(write=False)
-    spectrum = PairSpectrum(cosines, V.dim, W.dim, V.field)
+    spectrum = _Reduction(_read_only(cosines), V.field).oriented(V.dim, W.dim)
     _last_pair = (weakref.ref(V), weakref.ref(W), spectrum)
     return spectrum
 

@@ -14,6 +14,7 @@ from spangle.linalg import (
     clamped_products,
     det,
     principal_phase,
+    stack_columns,
 )
 from spangle.sampling import gaussian_matrix
 from spangle.subspace import from_spanning
@@ -72,6 +73,24 @@ class TestOrthonormalize:
             np.testing.assert_allclose(
                 V1.basis @ V1.basis.conj().T, V2.basis @ V2.basis.conj().T, atol=1e-11
             )
+
+
+class TestStackColumns:
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_columns_in_c_order(self, field):
+        """Mixed ints, floats, arrays and (under REAL, zero-imaginary)
+        complex vectors stack as columns of one C-ordered matrix."""
+        vectors = [[1, 2, 3], np.array([0.5, -1.0, 2.0]), np.array([1 + 0j, 0j, 4 + 0j])]
+        M = stack_columns(vectors, field)
+        assert M.dtype == field.dtype and M.flags.c_contiguous
+        assert np.array_equal(M, np.column_stack([np.asarray(v) for v in vectors]))
+
+    def test_empty_and_mismatched(self):
+        assert stack_columns([], Field.COMPLEX, ambient_dim=3).shape == (3, 0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            stack_columns([[1, 2], [1, 2, 3]], Field.REAL)
+        with pytest.raises(ValueError, match="complex entries"):
+            stack_columns([[1, 2j]], Field.REAL)
 
 
 class TestDet:

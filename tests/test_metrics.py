@@ -6,6 +6,7 @@ import pytest
 from spangle import Field
 from spangle.angles import grassmann_angle
 from spangle.identities import ANGLE_TOL
+from spangle.linalg import COMPARE_TOL, angle_from_cosine, clamped_products
 from spangle.metrics import (
     TriangleTag,
     asymmetric_distance,
@@ -16,7 +17,7 @@ from spangle.metrics import (
     hausdorff,
     sampled_directed_hausdorff,
 )
-from spangle.sampling import haar_subspace, random_vector
+from spangle.sampling import gaussian_matrix, haar_subspace, random_vector
 from spangle.subspace import (
     from_basis_matrix,
     from_spanning,
@@ -138,6 +139,39 @@ def reference_sampled_hausdorff(V, W, rng, samples):
     return best
 
 
+def draw_by_draw_sampled_hausdorff(V, W, rng, samples):
+    """The coordinate sampler as it drew before it took one normal draw per
+    sample: one generator call per matrix, and per complex matrix one for
+    its real part, then one for its imaginary part."""
+    p, q, field = V.dim, W.dim, V.field
+    groups = {}
+    for _ in range(samples):
+        k = int(rng.integers(0, p + 1))
+        if k == 0:
+            continue
+        inner = gaussian_matrix(rng, p, k, field)
+        outer = [gaussian_matrix(rng, q, k, field) for _ in range(4)] if q >= k else None
+        draws = groups.setdefault(k, ([], []))
+        draws[0].append(inner)
+        draws[1].append(outer)
+    if not groups:
+        return 0.0
+    if max(groups) > q:
+        return HALF_PI
+    M = W.basis.conj().T @ V.basis
+    worst = 1.0
+    for inner, outer in groups.values():
+        A = np.linalg.svd(np.stack(inner), full_matrices=False)[0]
+        B = np.linalg.svd(np.stack(outer), full_matrices=False)[0]
+        MA = M @ A
+        sigma = np.linalg.svd(MA, compute_uv=False)
+        projection = np.where(sigma[:, -1] > COMPARE_TOL, clamped_products(sigma), 0.0)
+        frames = np.abs(np.linalg.det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
+        best = np.maximum(projection, np.minimum(frames, 1.0).max(axis=1))
+        worst = min(worst, float(best.min()))
+    return angle_from_cosine(worst)
+
+
 class TestSampledDirectedHausdorff:
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     @pytest.mark.parametrize("shape", ["p<=q", "p>q", "V=0", "W=0"])
@@ -160,6 +194,21 @@ class TestSampledDirectedHausdorff:
             got = sampled_directed_hausdorff(V, W, ours, samples=12)
             want = reference_sampled_hausdorff(V, W, theirs, samples=12)
             assert abs(got - want) <= 1e-12
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("samples", [0, 1, 40])
+    @pytest.mark.parametrize("p, q", [(2, 4), (3, 3), (4, 2), (3, 0), (0, 3), (0, 0), (5, 5)])
+    def test_one_draw_per_sample_reads_the_same_stream(self, field, samples, p, q):
+        """Bit for bit the draw-by-draw sampler's value, and the generator
+        left in the same state; p > q and q = 0 draw samples above dim W."""
+        for seed in range(6):
+            pick = np.random.default_rng(seed)
+            V, W = haar_subspace(pick, 6, p, field), haar_subspace(pick, 6, q, field)
+            ours, theirs = np.random.default_rng(500 + seed), np.random.default_rng(500 + seed)
+            got = sampled_directed_hausdorff(V, W, ours, samples=samples)
+            want = draw_by_draw_sampled_hausdorff(V, W, theirs, samples)
+            assert got.hex() == want.hex()
             assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_zero_samples(self, rng):

@@ -27,11 +27,11 @@ from spangle.identities import (
     complexifiability_obstruction,
     theta_pair_feasibility,
 )
-from spangle.linalg import COMPARE_TOL, HALF_PI, angle_from_cosine, clamped_products
+from spangle.linalg import COMPARE_TOL, HALF_PI, angle_from_cosine, clamped_products, in_zero_angle_band
 from spangle.metrics import fubini_study
 from spangle.principal import is_partially_orthogonal, pair_spectrum, principal_angles
 from spangle.sampling import gaussian_matrix, haar_subspace
-from spangle.subspace import Subspace, from_spanning, realify
+from spangle.subspace import Subspace, from_basis_matrix, from_spanning, realify
 
 BOTH_FIELDS = (Field.REAL, Field.COMPLEX)
 
@@ -382,3 +382,113 @@ def test_one_pair_takes_at_most_one_svd(svd_calls, rng, field):
                 if not b.is_zero:
                     angular_range(a, b)
         assert len(svd_calls) == (0 if V.is_zero or W.is_zero else 1)
+
+
+# --- The one-pass reduction against the numpy one ----------------------------
+#
+# The reference below holds the numpy reductions the spectrum's cached
+# properties applied to the cosines before the family was reduced in one
+# pass on plain floats; every member must keep their bits.
+
+
+def _numpy_family(cosines, p, q):
+    c = cosines
+    sines = np.sqrt(np.minimum((1.0 - c) * (1.0 + c), 1.0))
+    sines[in_zero_angle_band(c)] = 0.0
+    angles = np.arccos(c)
+    angles[in_zero_angle_band(c)] = 0.0
+    cos_theta = 0.0 if p > q else clamped_products(c)
+    family = {
+        "sines": sines,
+        "angles": angles,
+        "cos_theta": cos_theta,
+        "theta": angle_from_cosine(cos_theta),
+        "cos_theta_perp": clamped_products(sines),
+        "theta_perp": angle_from_cosine(clamped_products(sines)),
+    }
+    if c.size:
+        cos_max, sin_max = (0.0, 1.0) if p > q else (c[-1], sines[-1])
+        family["theta_max"] = HALF_PI if p > q else float(angles[-1])
+        family["cos_spread"] = min(float(cos_max * c[0] + sin_max * sines[0]), 1.0)
+    return family
+
+
+def _bits(x):
+    """Exact identity of a float (0.0 and -0.0 differ) or of an array's
+    dtype, shape and bytes."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    assert type(x) is float
+    return x.hex()
+
+
+def _coordinate_pair(n, left, right, field):
+    """Spans of coordinate vectors: their cross-Gram is exact, so a shared
+    coordinate gives a cosine of exactly 1 and any other one exactly 0."""
+    eye = np.eye(n)
+    return tuple(from_basis_matrix(eye[:, list(cols)].reshape(n, len(cols)), field) for cols in (left, right))
+
+
+def _reduction_corpus(rng, field):
+    pairs = _corpus(rng, field)
+    for p, q in ((128, 128), (100, 128), (128, 97), (1, 128), (128, 0)):
+        pairs.append(random_pair(rng, 256, p, q, field))
+    W = haar_subspace(rng, 256, 128, field)
+    pairs += [(_respan(rng, W), W), (W, _respan(rng, W, 1e-12))]
+    pairs += [
+        _coordinate_pair(5, (0, 1), (0, 2, 3), field),
+        _coordinate_pair(5, (0, 1, 2), (2, 0), field),
+        _coordinate_pair(4, (0, 1, 2, 3), (3, 2, 1, 0), field),
+        _coordinate_pair(4, (), (), field),
+    ]
+    return pairs
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_one_pass_reduction_keeps_the_numpy_bits(rng, field):
+    members = ("sines", "angles", "cos_theta", "theta", "cos_theta_perp", "theta_perp", "theta_max", "cos_spread")
+    seen_one = seen_band = False
+    for V, W in _reduction_corpus(rng, field):
+        forward = pair_spectrum(V, W)
+        for s in (forward, forward.swapped):
+            want = _numpy_family(s.cosines, s.p, s.q)
+            for name in members:
+                if name in want:
+                    assert _bits(getattr(s, name)) == _bits(want[name]), (V.dim, W.dim, name)
+        c = forward.cosines
+        seen_one |= bool(np.any(c == 1.0))
+        seen_band |= bool(np.any(in_zero_angle_band(c) & (c < 1.0)))
+    assert seen_one and seen_band
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_reduction_shares_and_stays_read_only(rng, field):
+    for V, W in _reduction_corpus(rng, field):
+        s = pair_spectrum(V, W)
+        back = s.swapped
+        assert back.cosines is s.cosines
+        assert (back.p, back.q) == (s.q, s.p)
+        again = back.swapped
+        assert (again.p, again.q, again.field) == (s.p, s.q, s.field)
+        assert again.cosines is s.cosines
+        for name in ("cos_theta", "theta", "cos_theta_perp", "theta_perp"):
+            assert _bits(getattr(again, name)) == _bits(getattr(s, name))
+        for name in ("sines", "angles"):
+            assert _bits(getattr(again, name)) == _bits(getattr(s, name))
+        for arr in (s.cosines, s.sines, s.angles, back.sines, back.angles):
+            assert not arr.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.theta = 0.0
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+@pytest.mark.parametrize("p, q", [(0, 3), (3, 0), (0, 0)])
+def test_empty_spectrum_products_are_floats(rng, field, p, q):
+    """An empty product is the float 1.0, as numpy's was, not the int 1."""
+    s = pair_spectrum(*random_pair(rng, 5, p, q, field))
+    assert s.cosines.size == 0
+    for spectrum in (s, s.swapped):
+        assert type(spectrum.cos_theta) is float
+        assert type(spectrum.cos_theta_perp) is float
+        assert spectrum.cos_theta_perp == 1.0
+    assert s.cos_theta == (0.0 if p > q else 1.0)
