@@ -22,12 +22,12 @@ from .linalg import (
     COMPARE_TOL,
     HALF_PI,
     Field,
+    _rank,
     angle_from_cosine,
     arccos_clamped,
     as_field_array,
     clamped_products,
     principal_phase,
-    rank_cutoff,
     stack_columns,
 )
 from .principal import pair_spectrum
@@ -196,8 +196,9 @@ def oriented_from_spanning(vectors, field: Field, ambient_dim: int | None = None
     if M.shape[1] == 0:
         return OrientedSubspace(zero_subspace(M.shape[0], field), 1.0)
     Q, R = np.linalg.qr(M)
-    diag = np.abs(np.diagonal(R))
-    if float(np.min(diag)) <= rank_cutoff(float(np.max(diag)), M.shape):
+    # |diag R| of an unpivoted QR does not reveal the rank; the singular
+    # values of R, those of M, do, by the rank rule of from_spanning.
+    if _rank(np.linalg.svd(R, compute_uv=False), M.shape) < M.shape[1]:
         raise ValueError("orientation requires linearly independent vectors")
     det_r = np.prod(np.diagonal(R))
     coeff = det_r / abs(det_r)

@@ -114,9 +114,9 @@ def cmd_angle(left: str, right: str, degrees: bool, oriented_flag: bool) -> None
         try:
             ov = oriented_from_spanning(v_vectors, V.field, ambient_dim=V.ambient_dim)
             ow = oriented_from_spanning(w_vectors, W.field, ambient_dim=W.ambient_dim)
+            oa = oriented_angle(ov, ow)
         except ValueError as exc:
             _fail("vectors", f"orientation needs independent vectors: {exc}")
-        oa = oriented_angle(ov, ow)
         cz = complex(oa.cos_value)
         out["oriented"] = {
             "magnitude": _angle_out(oa.magnitude, degrees),

@@ -78,8 +78,19 @@ class PairSpectrum:
     _reduction: _Reduction = dataclasses.field(repr=False)
 
     @property
-    def swapped(self) -> PairSpectrum:  # the spectrum of (W, V)
-        return self._reduction.oriented(self.q, self.p)
+    def swapped(self) -> PairSpectrum:
+        """The spectrum of (W, V), built on first use and kept (threads
+        racing here may each build an equal one).  The link back is weak,
+        so the two spectra form no reference cycle, which would leave
+        every pair's spectra to the cyclic collector."""
+        other = self.__dict__.get("_swapped")
+        if isinstance(other, weakref.ref):
+            other = other()
+        if other is None:
+            other = self._reduction.oriented(self.q, self.p)
+            object.__setattr__(self, "_swapped", other)
+            object.__setattr__(other, "_swapped", weakref.ref(self))
+        return other
 
     @property
     def sines(self) -> np.ndarray:

@@ -372,6 +372,21 @@ class TestOrientedAngle:
             assert grassmann_angle(V.space, W.space) == 0.0
             assert oriented_angle(V, W).magnitude == 0.0
 
+    def test_rank_deficient_list_rejected(self, kahan_vectors):
+        """Independence is decided by the rank rule of from_spanning, not by
+        |diag R| of an unpivoted QR, which stays far from zero here."""
+        R = np.linalg.qr(np.array(kahan_vectors).T)[1]
+        assert np.abs(np.diagonal(R)).min() > 1e3 * 1e-12 * 60 * np.abs(np.diagonal(R)).max()
+        assert from_spanning(kahan_vectors, Field.REAL).dim == 59
+        with pytest.raises(ValueError, match="independent"):
+            oriented_from_spanning(kahan_vectors, Field.REAL)
+
+    def test_more_vectors_than_dimensions_rejected(self, rng):
+        with pytest.raises(ValueError, match="independent"):
+            oriented_from_spanning([random_vector(rng, 2, Field.REAL) for _ in range(3)], Field.REAL)
+        with pytest.raises(ValueError, match="independent"):
+            oriented_from_spanning([[], []], Field.REAL)
+
 
 class TestProjectionFactor:
     def test_real_pair_halves_areas(self):

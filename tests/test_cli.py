@@ -121,6 +121,18 @@ class TestAngleCommand:
         result = runner.invoke(main, ["angle", left, line, "--oriented"])
         assert result.exit_code == 2
 
+    def test_oriented_rank_deficient_list_exits_2(self, runner, tmp_path, kahan_vectors, rng):
+        """The left list ranks 59 like the right one, so the dimensions
+        match; orientation then rejects it with a JSON error."""
+        left = write_doc(tmp_path / "kahan.json", "real", 60, [v.tolist() for v in kahan_vectors])
+        right = write_doc(tmp_path / "gauss.json", "real", 60, rng.standard_normal((59, 60)).tolist())
+        result = runner.invoke(main, ["angle", left, right, "--oriented"])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        out = json.loads(result.output)
+        assert out["field"] == "vectors"
+        assert "independent" in out["error"]
+
 
 class TestPrincipalCommand:
     def test_reports_angles(self, runner, real_pair_files):

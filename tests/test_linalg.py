@@ -7,17 +7,19 @@ import pytest
 from spangle import Field
 from spangle.linalg import (
     COMPARE_TOL,
+    QR_ROUTE_MIN,
     RANK_REL_TOL,
     ZERO_ANGLE_COS_BAND,
     angle_from_cosine,
     arccos_clamped,
     clamped_products,
     det,
+    orthonormalize_columns,
     principal_phase,
     stack_columns,
 )
-from spangle.sampling import gaussian_matrix
-from spangle.subspace import from_spanning
+from spangle.sampling import gaussian_matrix, random_unitary
+from spangle.subspace import Subspace, from_spanning
 
 
 def test_tolerance_ordering():
@@ -73,6 +75,93 @@ class TestOrthonormalize:
             np.testing.assert_allclose(
                 V1.basis @ V1.basis.conj().T, V2.basis @ V2.basis.conj().T, atol=1e-11
             )
+
+
+def _svd_route(M):
+    """The SVD route of ``orthonormalize_columns``, kept here as the
+    reference: the leading left singular vectors above the rank cut."""
+    if min(M.shape) == 0:
+        return M[:, :0].copy(), 0
+    U, sigma, _ = np.linalg.svd(M, full_matrices=False)
+    rank = int(np.count_nonzero(sigma > RANK_REL_TOL * float(sigma[0]) * max(M.shape)))
+    return np.ascontiguousarray(U[:, :rank]), rank
+
+
+def _deficient(rng, n, p, rank, field):
+    """p vectors in n dimensions spanning a rank-dimensional subspace: rank
+    Gaussian vectors and p - rank combinations of them, shuffled."""
+    A = gaussian_matrix(rng, n, rank, field)
+    M = np.hstack([A, A @ gaussian_matrix(rng, rank, p - rank, field)])
+    return M[:, rng.permutation(p)]
+
+
+def _planted(rng, n, p, field, factor):
+    """An (n, p) matrix, p <= n, with singular values spread over [0.5, 1]
+    and the smallest planted at ``factor`` times the rank cut."""
+    sigma = np.linspace(1.0, 0.5, p)
+    sigma[-1] = factor * RANK_REL_TOL * sigma[0] * max(n, p)
+    U = random_unitary(rng, n, field)[:, :p]
+    return (U * sigma) @ random_unitary(rng, p, field).conj().T
+
+
+def _route_cases(rng, m, field):
+    """(label, matrix) cases with min(shape) == m: tall, wide, shuffled
+    rank-deficient tall and wide, and a singular value planted just above
+    and just below the rank cut."""
+    yield "tall", gaussian_matrix(rng, m + 7, m, field)
+    yield "wide", gaussian_matrix(rng, m, m + 9, field)
+    yield "deficient tall", _deficient(rng, m + 7, m, m - 3, field)
+    yield "deficient wide", _deficient(rng, m, m + 9, m - 2, field)
+    yield "planted above", _planted(rng, m + 5, m, field, 1 + 1e-3)
+    yield "planted below", _planted(rng, m + 5, m, field, 1 - 1e-3)
+
+
+def _expected_rank(label, m):
+    return {"deficient tall": m - 3, "deficient wide": m - 2, "planted below": m - 1}.get(label, m)
+
+
+class TestOrthonormalizeRoutes:
+    """Below QR_ROUTE_MIN the SVD route gives the reference's bits; from it
+    on, the QR route gives the same rank and span."""
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("m", [15, 16, 17, 64, 256])
+    def test_same_rank_and_span_as_the_svd_route(self, field, m):
+        rng = np.random.default_rng(m)
+        for label, M in _route_cases(rng, m, field):
+            Q, rank = orthonormalize_columns(M)
+            ref, ref_rank = _svd_route(M)
+            assert rank == ref_rank == _expected_rank(label, m), label
+            assert Q.shape == (M.shape[0], rank) and Q.dtype == field.dtype
+            gap = np.abs(Q @ Q.conj().T - ref @ ref.conj().T).max()
+            if label == "planted above":
+                # The planted direction is fixed by M only to about
+                # eps ||M|| / sigma_min (its rounding moves it that far);
+                # the other directions are compared at full precision.
+                sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
+                assert gap <= np.finfo(np.float64).eps / sigma_min, (label, gap)
+                lead = ref[:, :-1]
+                gap = np.abs(lead - Q @ (Q.conj().T @ lead)).max()
+            assert gap <= 1e-12, (label, gap)
+            Subspace(M.shape[0], field, Q)  # passes the public orthonormality check
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_svd_route_bits_below_the_threshold(self, field):
+        rng = np.random.default_rng(7)
+        for m in range(3, QR_ROUTE_MIN):
+            for label, M in _route_cases(rng, m, field):
+                Q, rank = orthonormalize_columns(M)
+                ref, ref_rank = _svd_route(M)
+                assert rank == ref_rank and Q.shape == ref.shape, (m, label)
+                assert Q.tobytes() == ref.tobytes(), (m, label)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("shape", [(16, 16), (40, 16), (16, 30)])
+    def test_full_rank_basis_is_the_q_factor(self, field, shape):
+        M = gaussian_matrix(np.random.default_rng(3), *shape, field)
+        Q, rank = orthonormalize_columns(M)
+        assert rank == min(shape)
+        assert Q.tobytes() == np.linalg.qr(M)[0].tobytes()
 
 
 class TestStackColumns:

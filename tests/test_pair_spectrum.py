@@ -88,6 +88,41 @@ def test_swapped_order_hits_and_equal_contents_miss(svd_calls, rng, field):
     assert len(svd_calls) == 2
 
 
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (2, 2), (0, 3)])
+def test_each_order_is_built_once(svd_calls, rng, field, p, q):
+    """The spectrum of each order of a pair is one object: ``swapped`` is
+    built on first use and kept, and the reverse memo hit returns it."""
+    V, W = random_pair(rng, 5, p, q, field)
+    svd_calls.clear()
+    s = pair_spectrum(V, W)
+    assert s.swapped is s.swapped
+    assert s.swapped is not s
+    assert s.swapped.swapped is s
+    assert pair_spectrum(W, V) is s.swapped
+    assert pair_spectrum(W, V).swapped is s
+    assert len(svd_calls) == (1 if p and q else 0)
+
+
+def test_swapped_spectra_form_no_reference_cycle(rng):
+    """Dropping a spectrum and its swapped frees both with the cyclic
+    collector off; a swapped that outlives its spectrum builds a new one."""
+    V, W = random_pair(rng, 5, 2, 3, Field.REAL)
+    gc.disable()
+    try:
+        s = pair_spectrum(V, W)
+        refs = [weakref.ref(s), weakref.ref(s.swapped)]
+        del s
+        pair_spectrum(*random_pair(rng, 5, 1, 1, Field.REAL))  # replaces the memo slot
+        assert [r() for r in refs] == [None, None]
+        back = pair_spectrum(V, W).swapped
+        pair_spectrum(*random_pair(rng, 5, 1, 1, Field.REAL))
+        assert back.swapped.swapped is back
+        assert (back.swapped.p, back.swapped.q) == (2, 3)
+    finally:
+        gc.enable()
+
+
 def test_spectrum_arrays_are_read_only(rng):
     s = pair_spectrum(*random_pair(rng, 4, 2, 2, Field.REAL))
     for arr in (s.cosines, s.sines, s.angles):
