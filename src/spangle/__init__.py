@@ -68,6 +68,7 @@ _MODULE_EXPORTS = {
     "principal": (
         "Partition",
         "PrincipalDecomposition",
+        "intersect",
         "is_partially_orthogonal",
         "is_principal_partition",
         "principal_angles",
@@ -80,7 +81,6 @@ _MODULE_EXPORTS = {
         "from_basis_matrix",
         "from_spanning",
         "full_space",
-        "intersect",
         "is_subspace_of",
         "project_subspace",
         "project_vector",

@@ -30,8 +30,8 @@ from .linalg import (
     principal_phase,
     stack_columns,
 )
-from .principal import pair_spectrum
-from .subspace import Subspace, _check_pair, intersect, realify, zero_subspace
+from .principal import intersect, pair_spectrum
+from .subspace import Subspace, _check_pair, realify, zero_subspace
 
 
 @dataclass(frozen=True)

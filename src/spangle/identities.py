@@ -27,6 +27,7 @@ from .angles import (
 )
 from .linalg import COMPARE_TOL, HALF_PI, Field, as_field_array, clamped_products, in_zero_angle_band
 from .principal import (
+    intersect,
     is_partially_orthogonal,
     pair_spectrum,
     principal_decomposition,
@@ -36,7 +37,6 @@ from .subspace import (
     _check_pair,
     _pairwise_orthogonal,
     _sum_all,
-    intersect,
     is_subspace_of,
     project_subspace,
     spans_equal,
@@ -383,15 +383,13 @@ def theta_pair_feasibility(V: Subspace, W: Subspace) -> FeasibilityReport:
             if angle_sum < HALF_PI + delta - ANGLE_TOL:
                 violations.append("angle_sum_below_bound")
             if abs(cos_sum - cos_delta) <= COMPARE_TOL:
-                sigma = s.cosines
-                near_zero = sigma >= 1.0 - COMPARE_TOL
-                near_right = sigma <= COMPARE_TOL
-                if np.count_nonzero(near_right) >= sigma.size - 1:
+                near_right = s.cosines <= COMPARE_TOL
+                if np.count_nonzero(near_right) >= near_right.size - 1:
                     cases.add("A")
-                if np.count_nonzero(near_zero) >= p - 1:
+                if s.shared >= p - 1:
                     cases.add("B")
                 # Full spread: the widest angle is right (exactly pi/2 when p > q).
-                if near_zero[0] and (s.theta_max == HALF_PI or near_right[-1]):
+                if s.shared and (s.theta_max == HALF_PI or near_right[-1]):
                     cases.add("C")
         if delta <= COMPARE_TOL:
             # Exploratory: with all principal angles equal the pair sits on

@@ -18,13 +18,12 @@ import numpy as np
 
 from .angles import grassmann_angle, max_symmetrized_angle, vector_angles
 from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, clamped_products
-from .principal import is_partially_orthogonal
+from .principal import intersect, is_partially_orthogonal
 from .subspace import (
     Subspace,
     _check_pair,
     complement,
     from_basis_matrix,
-    intersect,
     is_subspace_of,
     project_subspace,
     project_vector,
@@ -189,7 +188,9 @@ def classify_triangle_equality(U: Subspace, V: Subspace, W: Subspace) -> Triangl
 def _unit_complement_direction(V: Subspace, A: Subspace) -> np.ndarray:
     """The unit direction of V widest from A (for dim V = dim A + 1 with
     A inside V, the one orthogonal to A): V's basis times the last right
-    singular vector of A* V.  It makes no rank decision."""
+    singular vector of A* V.  It makes no rank decision.  Its own SVD, not
+    a principal frame: the pair (V, A) never needs a spectrum, which the
+    frame would cost (8.2 more values-only SVDs per verify-all op)."""
     _, _, Vh = np.linalg.svd(A.basis.conj().T @ V.basis, full_matrices=True)
     return V.basis @ Vh[-1].conj()
 

@@ -17,7 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, in_zero_angle_band
-from .subspace import Subspace, _check_pair, _pairwise_orthogonal, _sum_all, project_subspace, spans_equal
+from .subspace import (
+    Subspace,
+    _check_pair,
+    _inside,
+    _pairwise_orthogonal,
+    _sum_all,
+    project_subspace,
+    spans_equal,
+    zero_subspace,
+)
 
 
 class _Reduction:
@@ -64,8 +73,8 @@ class PairSpectrum:
 
     ``swapped`` (the spectrum of (W, V)) shares the cosines, the sines and
     the complementary angle.  The read-only ``sines`` and ``angles``
-    arrays are built on first use; ``theta_max`` and ``cos_spread`` are
-    read off the cosines and sines when asked for."""
+    arrays are built on first use; ``theta_max``, ``cos_spread`` and
+    ``shared`` are read off the cosines and sines when asked for."""
 
     cosines: np.ndarray
     p: int
@@ -91,6 +100,21 @@ class PairSpectrum:
             object.__setattr__(self, "_swapped", other)
             object.__setattr__(other, "_swapped", weakref.ref(self))
         return other
+
+    def _frame(self, V: Subspace, W: Subspace) -> tuple[np.ndarray, np.ndarray]:
+        """(U, Vh) of the full SVD of W* V for the nonzero pair (V, W) this
+        spectrum is of, built on first use and kept like ``swapped`` (which
+        builds its own): only the factors, so the memo keeps no pair alive."""
+        if "_uvh" not in self.__dict__:
+            U, _, Vh = np.linalg.svd(W.basis.conj().T @ V.basis, full_matrices=True)
+            object.__setattr__(self, "_uvh", (U, Vh))
+        return self.__dict__["_uvh"]
+
+    @property
+    def shared(self) -> int:
+        """How many principal directions the pair shares: the cosines within
+        COMPARE_TOL of 1 (arccos is too ill-conditioned at 0 to threshold)."""
+        return sum(c >= 1.0 - COMPARE_TOL for c in self._reduction.cos)
 
     @property
     def sines(self) -> np.ndarray:
@@ -190,17 +214,26 @@ class Partition:
 
 
 def principal_decomposition(V: Subspace, W: Subspace) -> PrincipalDecomposition:
-    """Principal angles and bases of a pair of nonzero subspaces.  The
-    angles are those of :func:`principal_angles`; the SVD taken here is
-    only for the bases."""
-    _check_pair(V, W)
+    """Principal angles and bases of a pair of nonzero subspaces, read off
+    the pair's spectrum and its principal frame."""
+    s = pair_spectrum(V, W)  # checks the pair
     if V.is_zero or W.is_zero:
         raise ValueError("principal bases are undefined for the zero subspace")
-    M = W.basis.conj().T @ V.basis  # (q, p) cross-Gram
-    U, _, Vh = np.linalg.svd(M, full_matrices=True)
-    left = V.basis @ Vh.conj().T
-    right = W.basis @ U
-    return PrincipalDecomposition(angles=pair_spectrum(V, W).angles, left_basis=left, right_basis=right)
+    U, Vh = s._frame(V, W)
+    return PrincipalDecomposition(angles=s.angles, left_basis=V.basis @ Vh.conj().T, right_basis=W.basis @ U)
+
+
+def intersect(V: Subspace, W: Subspace) -> Subspace:
+    """V intersect W: the pair's ``shared`` principal directions of V (no
+    frame is built when there are none) that pass the containment rule of
+    ``is_subspace_of``, so the result lies in both V and W.  Principal
+    directions are orthonormal, so the kept ones are the basis as they are."""
+    s = pair_spectrum(V, W)
+    shared = s.shared
+    if not shared:
+        return zero_subspace(V.ambient_dim, V.field)
+    common = V.basis @ s._frame(V, W)[1].conj().T[:, :shared]
+    return Subspace._trusted(V.ambient_dim, V.field, common[:, _inside(common, W)])
 
 
 def principal_angles(V: Subspace, W: Subspace) -> np.ndarray:

@@ -3,7 +3,7 @@
 A :class:`Subspace` is an ambient dimension, a field tag and an (n, p)
 matrix with orthonormal columns; p = 0 is the zero subspace {0}, a
 first-class value accepted by every operation.  Set-level operations
-(projection, complement, intersection, sum, realification) live here.
+(projection, complement, sum, realification) live here; ``intersect`` lives in ``principal``.
 """
 
 from __future__ import annotations
@@ -121,6 +121,10 @@ def project_subspace(W: Subspace, V: Subspace) -> Subspace:
     _check_pair(W, V)
     if V.is_zero or W.is_zero:
         return zero_subspace(V.ambient_dim, V.field)
+    # Its own SVD, not W.basis @ U of the pair's principal frame: that route
+    # raised default verify's direct_sum_product and partition_product
+    # residuals from 6.66e-15 to 5.78e-14 and spherical_pythagorean's from
+    # 7.8e-16 to 1.3e-15, and took 187.3 SVDs per verify-all op, not 177.4.
     projected = W.basis @ (W.basis.conj().T @ V.basis)
     U, cosines, _ = np.linalg.svd(projected, full_matrices=False)
     return Subspace._trusted(V.ambient_dim, V.field, U[:, cosines > COMPARE_TOL])
@@ -169,25 +173,6 @@ def _inside(X: np.ndarray, W: Subspace) -> np.ndarray:
     from W has no entry above COMPARE_TOL in absolute value."""
     residual = X - W.basis @ (W.basis.conj().T @ X)
     return (np.abs(residual) <= COMPARE_TOL).all(axis=0)
-
-
-def intersect(V: Subspace, W: Subspace) -> Subspace:
-    """V intersect W, from the principal directions at a numerically zero angle.
-
-    The candidates are the principal directions of V whose cosine is
-    within COMPARE_TOL of 1 (thresholding the angle itself is hopeless in
-    double precision because arccos is ill-conditioned at 0); of those,
-    only the ones that pass the containment rule of ``is_subspace_of``
-    are kept, so the result always lies in both V and W.  Principal
-    directions are orthonormal, so the kept ones are the basis as they are.
-    """
-    _check_pair(V, W)
-    if V.is_zero or W.is_zero:
-        return zero_subspace(V.ambient_dim, V.field)
-    M = W.basis.conj().T @ V.basis
-    _, sigma, Vh = np.linalg.svd(M, full_matrices=False)
-    common = V.basis @ Vh.conj().T[:, sigma >= 1.0 - COMPARE_TOL]
-    return Subspace._trusted(V.ambient_dim, V.field, common[:, _inside(common, W)])
 
 
 def is_subspace_of(V: Subspace, W: Subspace) -> bool:

@@ -48,6 +48,7 @@ from .linalg import Field
 from .metrics import fubini_study, geodesic_point, sampled_directed_hausdorff
 from .principal import (
     Partition,
+    intersect,
     is_partially_orthogonal,
     is_principal_partition,
     principal_decomposition,
@@ -58,7 +59,6 @@ from .subspace import (
     complement,
     from_basis_matrix,
     from_spanning,
-    intersect,
     project_subspace,
     realify,
     spans_equal,

@@ -19,13 +19,12 @@ from spangle.angles import (
 )
 from spangle.exterior import blade_of, inner
 from spangle.identities import ANGLE_TOL
-from spangle.principal import is_partially_orthogonal
+from spangle.principal import intersect, is_partially_orthogonal
 from spangle.sampling import haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
     complement,
     from_basis_matrix,
     from_spanning,
-    intersect,
     project_subspace,
     sum_subspace,
     zero_subspace,

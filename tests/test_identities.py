@@ -22,14 +22,13 @@ from spangle.identities import (
     partition_angle_product,
     theta_pair_feasibility,
 )
-from spangle.principal import Partition, is_principal_partition, principal_decomposition
+from spangle.principal import Partition, intersect, is_principal_partition, principal_decomposition
 from spangle.sampling import haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
     Subspace,
     from_basis_matrix,
     from_spanning,
     full_space,
-    intersect,
     realify,
     zero_subspace,
 )

@@ -17,11 +17,11 @@ from spangle.metrics import (
     hausdorff,
     sampled_directed_hausdorff,
 )
+from spangle.principal import intersect
 from spangle.sampling import gaussian_matrix, haar_subspace, random_vector
 from spangle.subspace import (
     from_basis_matrix,
     from_spanning,
-    intersect,
     project_subspace,
     spans_equal,
     zero_subspace,

@@ -29,9 +29,17 @@ from spangle.identities import (
 )
 from spangle.linalg import COMPARE_TOL, HALF_PI, angle_from_cosine, clamped_products, in_zero_angle_band
 from spangle.metrics import fubini_study
-from spangle.principal import is_partially_orthogonal, pair_spectrum, principal_angles
+from spangle.principal import (
+    PrincipalDecomposition,
+    intersect,
+    is_partially_orthogonal,
+    pair_spectrum,
+    principal_angles,
+    principal_decomposition,
+)
 from spangle.sampling import gaussian_matrix, haar_subspace
-from spangle.subspace import Subspace, from_basis_matrix, from_spanning, realify
+from spangle.subspace import Subspace, _inside, from_basis_matrix, from_spanning, realify, spans_equal, zero_subspace
+from spangle.verify import run_suites
 
 BOTH_FIELDS = (Field.REAL, Field.COMPLEX)
 
@@ -40,14 +48,28 @@ def random_pair(rng, n, p, q, field):
     return haar_subspace(rng, n, p, field), haar_subspace(rng, n, q, field)
 
 
+class _SvdCalls(list):
+    """The shape of each numpy.linalg.svd call; ``vectors`` holds, call by
+    call, whether it computed singular vectors."""
+
+    def __init__(self):
+        super().__init__()
+        self.vectors = []
+
+    def clear(self):
+        super().clear()
+        self.vectors.clear()
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Count every call of numpy.linalg.svd made while the test runs."""
-    calls = []
+    calls = _SvdCalls()
     svd = np.linalg.svd
 
     def counting_svd(*args, **kwargs):
         calls.append(np.shape(args[0]))
+        calls.vectors.append(kwargs.get("compute_uv", True))
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -148,12 +170,106 @@ def test_shared_directions_have_exactly_zero_angles(rng, field):
 
 
 def test_memo_keeps_no_pair_alive(rng):
-    V, W = random_pair(rng, 4, 2, 2, Field.REAL)
-    pair_spectrum(V, W)
-    ref = weakref.ref(V)
-    del V
-    gc.collect()
-    assert ref() is None
+    """The remembered spectrum, before and after its principal frame is
+    built, holds no reference to either subspace of its pair."""
+    for build_frame in (False, True):
+        V, W = random_pair(rng, 4, 2, 2, Field.REAL)
+        pair_spectrum(V, W)
+        if build_frame:
+            principal_decomposition(V, W)
+            assert "_uvh" in pair_spectrum(V, W).__dict__
+        refs = [weakref.ref(V), weakref.ref(W)]
+        del V, W
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+
+# --- The principal frame ------------------------------------------------------
+#
+# Test-local copies of principal_decomposition and intersect as they were
+# before both read the pair's principal frame: each took its own SVD of
+# the cross-Gram W* V, intersect a reduced one.
+
+
+def _old_principal_decomposition(V, W):
+    U, _, Vh = np.linalg.svd(W.basis.conj().T @ V.basis, full_matrices=True)
+    return PrincipalDecomposition(pair_spectrum(V, W).angles, V.basis @ Vh.conj().T, W.basis @ U)
+
+
+def _old_intersect(V, W):
+    if V.is_zero or W.is_zero:
+        return zero_subspace(V.ambient_dim, V.field)
+    _, sigma, Vh = np.linalg.svd(W.basis.conj().T @ V.basis, full_matrices=False)
+    common = V.basis @ Vh.conj().T[:, sigma >= 1.0 - COMPARE_TOL]
+    return Subspace._trusted(V.ambient_dim, V.field, common[:, _inside(common, W)])
+
+
+def _sharing_pair(rng, n, p, q, k, field):
+    """Spanning lists of a p- and a q-dimensional subspace that share k
+    directions of a Haar frame and are generic otherwise, each list mixed."""
+    F = haar_subspace(rng, n, n, field).basis
+    left = F[:, :p] @ gaussian_matrix(rng, p, p, field)
+    shared_and_rest = np.hstack([F[:, :k], gaussian_matrix(rng, n, q - k, field)])
+    right = shared_and_rest @ gaussian_matrix(rng, q, q, field)
+    return from_basis_matrix(left, field), from_basis_matrix(right, field)
+
+
+def _frame_corpus(rng, field):
+    """Generic, intersecting, nested, equal and re-spanned pairs in R^6 or C^6."""
+    pairs = _corpus(rng, field)
+    for p, q, k in ((2, 2, 1), (3, 3, 2), (2, 4, 1), (4, 2, 2), (3, 5, 2), (2, 4, 2), (3, 3, 3)):
+        pairs.append(_sharing_pair(rng, 6, p, q, k, field))
+    return pairs
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_one_pair_takes_one_values_svd_and_one_frame(svd_calls, rng, field):
+    """Partial orthogonality, the principal bases and the intersection of
+    one pair read one spectrum and one principal frame; the swapped
+    spectrum builds its own frame."""
+    V, W = _sharing_pair(rng, 6, 3, 4, 2, field)
+    svd_calls.clear()
+    is_partially_orthogonal(V, W)
+    principal_decomposition(V, W)
+    assert intersect(V, W).dim == pair_spectrum(V, W).shared == 2
+    assert svd_calls.vectors == [False, True]
+    assert svd_calls == [(4, 3), (4, 3)]
+    principal_decomposition(W, V)
+    assert svd_calls.vectors == [False, True, True]
+    assert svd_calls[-1] == (3, 4)
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_generic_intersection_takes_no_frame(svd_calls, rng, field):
+    """Nothing shared: intersect reads the cosines only, and grassmann_angle
+    then reuses the same spectrum."""
+    V, W = random_pair(rng, 6, 2, 3, field)
+    svd_calls.clear()
+    assert intersect(V, W).is_zero
+    grassmann_angle(V, W)
+    assert svd_calls.vectors == [False]
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_frame_routes_match_the_old_svds(rng, field):
+    """principal_decomposition keeps the old bits; intersect keeps them
+    for equal dimensions and the span (and dimension) for unequal ones,
+    where the full and reduced SVDs of a non-square W* V may differ in the
+    last bits of Vh."""
+    unequal_shared = 0
+    for V, W in _frame_corpus(rng, field):
+        for a, b in ((V, W), (W, V)):
+            _flush(rng, field)
+            if not (a.is_zero or b.is_zero):
+                new, old = principal_decomposition(a, b), _old_principal_decomposition(a, b)
+                assert all(map(np.array_equal, dataclasses.astuple(new), dataclasses.astuple(old)))
+            new, old = intersect(a, b), _old_intersect(a, b)
+            if a.dim == b.dim:
+                assert np.array_equal(new.basis, old.basis)
+            else:
+                assert new.dim == old.dim and spans_equal(new, old)
+                unequal_shared += not new.is_zero
+    assert unequal_shared >= 10
 
 
 @pytest.mark.parametrize("field", BOTH_FIELDS)
@@ -417,6 +533,15 @@ def test_one_pair_takes_at_most_one_svd(svd_calls, rng, field):
                 if not b.is_zero:
                     angular_range(a, b)
         assert len(svd_calls) == (0 if V.is_zero or W.is_zero else 1)
+
+
+def test_verify_all_svd_count_stays_down(svd_calls):
+    """A guard on the SVDs the verify suites take: a per-site SVD of a
+    pair's cross-Gram coming back (each intersect or principal_decomposition
+    taking its own, as before the principal frame: 368 here) fails it."""
+    for seed in (0, 1):
+        run_suites("all", seed, 1, 8)
+    assert len(svd_calls) <= 353
 
 
 # --- The one-pass reduction against the numpy one ----------------------------

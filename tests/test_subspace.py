@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from spangle import Field, Subspace
-from spangle.principal import principal_angles
+from spangle.principal import intersect, principal_angles
 from spangle.sampling import gaussian_matrix, haar_subspace, random_vector
 from spangle.subspace import (
     complement,
     from_spanning,
     full_space,
-    intersect,
     is_subspace_of,
     project_subspace,
     project_vector,

@@ -20,6 +20,7 @@ from spangle.identities import (
     check_oriented_sum,
     coordinate_subspaces,
 )
+from spangle.principal import intersect
 from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary
 from spangle.subspace import (
     Subspace,
@@ -27,7 +28,6 @@ from spangle.subspace import (
     from_basis_matrix,
     from_spanning,
     full_space,
-    intersect,
     project_subspace,
     realify,
     sum_subspace,
