@@ -84,7 +84,41 @@ def _check_seed(seed: int) -> None:
         _fail("seed", "seed must be nonnegative")
 
 
-@click.group()
+def _usage_field(exc: click.UsageError) -> str:
+    """The option or argument a usage error is about, as the other
+    failures name it (``dim-max``, ``ambient_dim``), else ``usage``."""
+    param = getattr(exc, "param", None)
+    if param is not None:
+        return param.opts[0].lstrip("-")
+    option = getattr(exc, "option_name", None)
+    return option.lstrip("-") if option else "usage"
+
+
+class _Group(click.Group):
+    """The command group, with click's own usage errors (an unknown
+    command or option, a bad or missing value) written as the JSON error
+    of every other failure.  A bare ``spangle`` still prints the help."""
+
+    # How click 8.2 and later show the help of a bare group; earlier
+    # versions exit with it and raise no usage error.
+    _HELP_ERRORS = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except self._HELP_ERRORS:
+            raise
+        except click.UsageError as exc:
+            _fail(_usage_field(exc), exc.format_message())
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(_usage_field(exc), exc.format_message())
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Angles, metrics and verification suites for real/complex subspaces."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -117,29 +116,9 @@ def _check_match(a: Multivector, b: Multivector) -> None:
         raise ValueError(f"field mismatch: {a.field.value} vs {b.field.value}")
 
 
-def zero_multivector(n: int, field: Field) -> Multivector:
-    return Multivector(n, field, np.zeros(1 << n, dtype=field.dtype))
-
-
 def scalar_multivector(n: int, field: Field, value=1.0) -> Multivector:
     coeffs = np.zeros(1 << n, dtype=field.dtype)
     coeffs[0] = value
-    return Multivector(n, field, coeffs)
-
-
-def basis_blade(n: int, field: Field, mask: int, value=1.0) -> Multivector:
-    coeffs = np.zeros(1 << n, dtype=field.dtype)
-    coeffs[mask] = value
-    return Multivector(n, field, coeffs)
-
-
-def from_vector(v, field: Field) -> Multivector:
-    v = as_field_array(v, field)
-    n = v.shape[0]
-    _check_cap(n, field)
-    coeffs = np.zeros(1 << n, dtype=field.dtype)
-    for i in range(n):
-        coeffs[1 << i] = v[i]
     return Multivector(n, field, coeffs)
 
 
@@ -280,82 +259,3 @@ def oracle_contraction_angle(V: Subspace, W: Subspace) -> float:
     nu = blade_of(V)
     om = blade_of(W)
     return arccos_clamped(contract(nu, om).norm)
-
-
-# ---------------------------------------------------------------------------
-# Multi-index helpers (coordinate decompositions of a decomposed blade)
-# ---------------------------------------------------------------------------
-
-
-def multi_index_norm(indices: Sequence[int]) -> int:
-    """Sum of a strictly increasing 1-based index tuple."""
-    return int(sum(indices))
-
-
-def multi_index_complement(indices: Sequence[int], q: int) -> tuple[int, ...]:
-    chosen = set(indices)
-    return tuple(i for i in range(1, q + 1) if i not in chosen)
-
-
-def epsilon_sign(indices: Sequence[int]) -> int:
-    """Reordering sign of the coordinate decomposition: for a grade-p
-    index tuple, (-1) ** (sum(indices) + p (p + 1) / 2)."""
-    p = len(indices)
-    return -1 if (multi_index_norm(indices) + p * (p + 1) // 2) % 2 else 1
-
-
-def coordinate_blade(
-    factors: Sequence[np.ndarray],
-    indices: Sequence[int],
-    field: Field,
-    ambient_dim: int | None = None,
-) -> Multivector:
-    """w_{i1} ^ ... ^ w_{ip} for 1-based indices into the factor list."""
-    factors = [as_field_array(f, field) for f in factors]
-    if factors:
-        n = factors[0].shape[0]
-    elif ambient_dim is not None:
-        n = ambient_dim
-    else:
-        raise ValueError("ambient_dim is required when the factor list is empty")
-    return _wedge_all([factors[i - 1] for i in indices], n, field)
-
-
-def contract_via_coordinate_expansion(
-    nu: Multivector, factors: Sequence[np.ndarray]
-) -> Multivector:
-    """Contraction of a homogeneous element against a decomposed blade,
-    via the explicit coordinate-decomposition expansion.  Independent of
-    the bitmask production path; used to cross-check it."""
-    import itertools
-
-    grades = nu.grades()
-    if len(grades) > 1:
-        raise ValueError("expansion requires a homogeneous left argument")
-    p = grades[0] if grades else 0
-    q = len(factors)
-    field = nu.field
-    n = nu.ambient_dim
-    out = zero_multivector(n, field)
-    if p > q:
-        return out
-    for combo in itertools.combinations(range(1, q + 1), p):
-        omega_i = coordinate_blade(factors, combo, field)
-        coeff = inner(nu, omega_i) * epsilon_sign(combo)
-        if coeff == 0:
-            continue
-        omega_ic = coordinate_blade(factors, multi_index_complement(combo, q), field)
-        out = out.add(omega_ic.scale(coeff))
-    return out
-
-
-def contract_via_adjoint(nu: Multivector, omega: Multivector) -> Multivector:
-    """Contraction computed straight from the adjoint identity by testing
-    against every coordinate blade.  Slow; test oracle only."""
-    _check_match(nu, omega)
-    n = nu.ambient_dim
-    out = np.zeros_like(omega.coeffs)
-    for mask in range(1 << n):
-        mu = basis_blade(n, nu.field, mask)
-        out[mask] = inner(wedge(nu, mu), omega)
-    return Multivector(n, nu.field, out)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import Field, angle_from_cosine, clamp01, det, rank_cutoff, stack_columns
+from .linalg import Field, angle_from_cosine, as_field_array, clamp01, det, rank_cutoff, stack_columns
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -118,15 +118,16 @@ def angle_from_projection_matrix(P: np.ndarray, mode: ProjectionAngleMode) -> fl
 
     THETA: arccos sqrt(det(P* P));  PERP: arccos sqrt(det(I_q - P P*)),
     each exactly 0 inside the zero-angle band like every other route.
+    Both matrices lie between 0 and the identity, so their determinants
+    are floored against it as the other Gram routes floor theirs.
     """
-    P = np.asarray(P)
+    P = as_field_array(P, Field.COMPLEX if np.iscomplexobj(P) else Field.REAL)
     if P.ndim != 2:
         raise ValueError(f"projection matrix must be 2-dimensional, got shape {P.shape}")
     if mode is ProjectionAngleMode.THETA:
-        value = det(P.conj().T @ P)
+        M = P.conj().T @ P
     elif mode is ProjectionAngleMode.PERP:
-        q = P.shape[0]
-        value = det(np.eye(q, dtype=P.dtype) - P @ P.conj().T)
+        M = np.eye(P.shape[0], dtype=P.dtype) - P @ P.conj().T
     else:
         raise ValueError(f"unknown mode: {mode!r}")
-    return _angle_from_cos_sq(float(np.real(value)))
+    return _angle_from_cos_sq(_psd_det_rank_floored(M, np.eye(M.shape[0], dtype=M.dtype)))

@@ -152,15 +152,6 @@ def _sum_in_order(terms: np.ndarray):
     return np.cumsum(terms)[-1] if terms.size else terms.dtype.type(0)
 
 
-def coordinate_subspaces(basis: np.ndarray, q: int, field: Field):
-    """All q-column coordinate subspaces of an orthogonal basis, in
-    lexicographic index order (matching the bit-mask order of the
-    exterior module).  Yields (indices, Subspace)."""
-    unit = _unit_orthogonal_columns(as_field_array(basis, field))
-    for combo in itertools.combinations(range(unit.shape[1]), q):
-        yield combo, Subspace._trusted(unit.shape[0], field, unit[:, list(combo)])
-
-
 def check_coordinate_identity(V: Subspace, basis: np.ndarray, q: int) -> IdentityResult:
     """Sum of squared cosines against all coordinate q-subspaces of an
     orthogonal ambient basis.

@@ -201,15 +201,6 @@ def realify_vector(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def realification_j(n: int) -> np.ndarray:
-    """The matrix of multiplication by i on the realified space R^(2n)."""
-    J = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        J[2 * k, 2 * k + 1] = -1.0
-        J[2 * k + 1, 2 * k] = 1.0
-    return J
-
-
 def realify(V: Subspace) -> Subspace:
     """Underlying real subspace of a complex one: ambient 2n, dimension 2p.
 

@@ -27,8 +27,15 @@ from .angles import (
     grassmann_angle,
     oriented_angle,
     oriented_from_spanning,
+    real_complex_relation,
 )
-from .gram import angle_from_gram, complementary_from_gram
+from .gram import (
+    ProjectionAngleMode,
+    angle_from_gram,
+    angle_from_gram_equal_dim,
+    angle_from_projection_matrix,
+    complementary_from_gram,
+)
 from .identities import (
     ANGLE_TOL,
     RESIDUAL_TOL,
@@ -51,6 +58,7 @@ from .principal import (
     intersect,
     is_partially_orthogonal,
     is_principal_partition,
+    principal_angles,
     principal_decomposition,
 )
 from .sampling import gaussian_matrix, haar_subspace, random_unitary, random_vector
@@ -115,6 +123,12 @@ CHECKS: dict[str, dict[str, float]] = {
         "contraction_vs_projection_oracle": 1e-10,
         "theta_angle_agreement_generic": RESIDUAL_TOL,
         "theta_perp_angle_agreement_generic": RESIDUAL_TOL,
+        "projection_matrix_theta_cosine": RESIDUAL_TOL,
+        "projection_matrix_perp_cosine": RESIDUAL_TOL,
+        "gram_equal_dim_cosine": RESIDUAL_TOL,
+        "realified_theta_cosine": RESIDUAL_TOL,
+        "realified_perp_cosine": RESIDUAL_TOL,
+        "realified_principal_cosines": RESIDUAL_TOL,
     },
     "bounds": {
         "cos_sq_sum_upper": SLACK_TOL,
@@ -493,7 +507,42 @@ def run_oracle_equivalence(seed: int, trials: int, dim_max: int) -> SuiteReport:
                     - math.cos(theta_routes["projection_oracle"])
                 ),
             )
+            # Routes checked against the fast angles at the cosine level,
+            # after both route dicts so that complementary_angle above
+            # reuses the spectrum grassmann_angle took.
+            cos_theta = math.cos(theta_routes["fast"])
+            cos_perp = math.cos(perp_routes["fast"])
+            P = W.basis.conj().T @ V.basis
+            col.add(
+                "projection_matrix_theta_cosine",
+                abs(math.cos(angle_from_projection_matrix(P, ProjectionAngleMode.THETA)) - cos_theta),
+            )
+            col.add(
+                "projection_matrix_perp_cosine",
+                abs(math.cos(angle_from_projection_matrix(P, ProjectionAngleMode.PERP)) - cos_perp),
+            )
+            if p == q:
+                col.add(
+                    "gram_equal_dim_cosine",
+                    abs(math.cos(angle_from_gram_equal_dim(basis_v, basis_w, field, ambient_dim=n)) - cos_theta),
+                )
+            if field is Field.COMPLEX:
+                _add_realification(col, V, W, cos_perp)
     return col.finish()
+
+
+def _add_realification(col: _Collector, V: Subspace, W: Subspace, cos_perp: float) -> None:
+    """The realification squares each cosine of a complex pair: the
+    directed and complementary cosines, and each principal cosine, which
+    the realified pair has twice."""
+    cosines = np.cos(principal_angles(V, W))  # still the pair's memoized spectrum
+    cos_complex, cos_real = real_complex_relation(V, W)
+    col.add("realified_theta_cosine", abs(cos_real - cos_complex**2))
+    Vr, Wr = realify(V), realify(W)
+    col.add("realified_perp_cosine", abs(math.cos(complementary_angle(Vr, Wr)) - cos_perp**2))
+    if V.ambient_dim <= REALIFIED_DIM_CAP:
+        realified = np.cos(principal_angles(Vr, Wr))
+        col.add("realified_principal_cosines", float(np.max(np.abs(realified - np.repeat(cosines, 2)), initial=0.0)))
 
 
 def _add_route_agreement(col: _Collector, label: str, routes: dict[str, float]) -> None:

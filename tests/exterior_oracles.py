@@ -1,0 +1,92 @@
+"""Slow reference routes for the left contraction of ``spangle.exterior``.
+
+The contraction is checked two independent ways: straight from its
+adjoint identity, against every coordinate blade, and by the explicit
+coordinate-decomposition expansion of a decomposed blade.  Both are
+exponential loops kept here, next to the tests that use them.
+"""
+
+import itertools
+from typing import Sequence
+
+import numpy as np
+
+from spangle.exterior import Multivector, inner, scalar_multivector, wedge, wedge_vector
+from spangle.linalg import Field, as_field_array
+
+
+def zero_multivector(n: int, field: Field) -> Multivector:
+    return Multivector(n, field, np.zeros(1 << n, dtype=field.dtype))
+
+
+def basis_blade(n: int, field: Field, mask: int, value=1.0) -> Multivector:
+    coeffs = np.zeros(1 << n, dtype=field.dtype)
+    coeffs[mask] = value
+    return Multivector(n, field, coeffs)
+
+
+def multi_index_complement(indices: Sequence[int], q: int) -> tuple[int, ...]:
+    chosen = set(indices)
+    return tuple(i for i in range(1, q + 1) if i not in chosen)
+
+
+def epsilon_sign(indices: Sequence[int]) -> int:
+    """Reordering sign of the coordinate decomposition: for a grade-p
+    index tuple, (-1) ** (sum(indices) + p (p + 1) / 2)."""
+    p = len(indices)
+    return -1 if (sum(indices) + p * (p + 1) // 2) % 2 else 1
+
+
+def coordinate_blade(
+    factors: Sequence[np.ndarray],
+    indices: Sequence[int],
+    field: Field,
+    ambient_dim: int | None = None,
+) -> Multivector:
+    """w_{i1} ^ ... ^ w_{ip} for 1-based indices into the factor list."""
+    factors = [as_field_array(f, field) for f in factors]
+    if factors:
+        n = factors[0].shape[0]
+    elif ambient_dim is not None:
+        n = ambient_dim
+    else:
+        raise ValueError("ambient_dim is required when the factor list is empty")
+    acc = scalar_multivector(n, field)
+    for i in indices:
+        acc = wedge_vector(acc, factors[i - 1])
+    return acc
+
+
+def contract_via_coordinate_expansion(
+    nu: Multivector, factors: Sequence[np.ndarray]
+) -> Multivector:
+    """Contraction of a homogeneous element against a decomposed blade,
+    via the explicit coordinate-decomposition expansion.  Independent of
+    the bitmask production path."""
+    grades = nu.grades()
+    if len(grades) > 1:
+        raise ValueError("expansion requires a homogeneous left argument")
+    p = grades[0] if grades else 0
+    q = len(factors)
+    field = nu.field
+    out = zero_multivector(nu.ambient_dim, field)
+    if p > q:
+        return out
+    for combo in itertools.combinations(range(1, q + 1), p):
+        omega_i = coordinate_blade(factors, combo, field)
+        coeff = inner(nu, omega_i) * epsilon_sign(combo)
+        if coeff == 0:
+            continue
+        omega_ic = coordinate_blade(factors, multi_index_complement(combo, q), field)
+        out = out.add(omega_ic.scale(coeff))
+    return out
+
+
+def contract_via_adjoint(nu: Multivector, omega: Multivector) -> Multivector:
+    """Contraction computed straight from the adjoint identity by testing
+    against every coordinate blade."""
+    n = nu.ambient_dim
+    out = np.zeros_like(omega.coeffs)
+    for mask in range(1 << n):
+        out[mask] = inner(wedge(nu, basis_blade(n, nu.field, mask)), omega)
+    return Multivector(n, nu.field, out)

@@ -20,19 +20,7 @@ from spangle.angles import (
     real_complex_relation,
     vector_angles,
 )
-from spangle.exterior import (
-    basis_blade,
-    contract,
-    contract_via_adjoint,
-    contract_via_coordinate_expansion,
-    coordinate_blade,
-    epsilon_sign,
-    inner,
-    multi_index_complement,
-    scalar_multivector,
-    wedge,
-    wedge_vector,
-)
+from spangle.exterior import contract, inner, scalar_multivector, wedge, wedge_vector
 from spangle.gram import angle_from_gram, complementary_from_gram
 from spangle.identities import check_oriented_sum
 from spangle.principal import principal_angles
@@ -43,6 +31,15 @@ from spangle.verify import (
     run_oracle_equivalence,
     run_oriented,
     run_pythagorean,
+)
+
+from exterior_oracles import (
+    basis_blade,
+    contract_via_adjoint,
+    contract_via_coordinate_expansion,
+    coordinate_blade,
+    epsilon_sign,
+    multi_index_complement,
 )
 
 ANGLE_TOL = 1e-7

@@ -185,6 +185,32 @@ def test_negative_seed_exit_2(runner, command):
     assert "nonnegative" in runner.invoke(main, [command[0], "--help"]).output
 
 
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        (["verify", "--trials", "abc"], "trials"),
+        (["angle", "--bogus"], "bogus"),
+        (["nope"], "usage"),
+        (["random"], "ambient_dim"),
+    ],
+)
+def test_usage_error_exit_2_json(runner, command, field):
+    """click's own usage errors come out as the JSON error, naming the
+    option or argument, like every other failure."""
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    out = json.loads(result.output)
+    assert out["field"] == field
+    assert out["error"]
+
+
+def test_bare_command_prints_help(runner):
+    result = runner.invoke(main, [])
+    assert result.output.startswith("Usage:")
+    assert "verify" in result.output
+
+
 class TestVerifyCommand:
     def test_small_run_passes(self, runner):
         result = runner.invoke(

@@ -19,7 +19,6 @@ from spangle.identities import (
     check_coordinate_identity,
     check_oriented_sum,
     check_principal_coordinate,
-    coordinate_subspaces,
 )
 from spangle.principal import principal_decomposition
 from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary
@@ -136,17 +135,6 @@ def test_principal_coordinate_matches_loop(field):
         assert abs(got.rhs - total) <= TOL
         assert got.passed
     assert widths == {"r<=q", "r>q"}
-
-
-@pytest.mark.parametrize("field", BOTH_FIELDS)
-def test_coordinate_subspaces_match_loop(field, rng):
-    basis = scaled_orthogonal_basis(rng, 6, field)
-    for q in range(0, 7):
-        got = list(coordinate_subspaces(basis, q, field))
-        want = list(reference_coordinate_subspaces(basis, q, field))
-        assert [c for c, _ in got] == [c for c, _ in want]
-        for (_, S), (_, T) in zip(got, want):
-            np.testing.assert_array_equal(S.basis, T.basis)
 
 
 def test_validation_messages_kept(rng):

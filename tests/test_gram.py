@@ -206,6 +206,42 @@ class TestProjectionMatrixAngles:
             )
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_haar_sweep_matches_fast_cosines(self, field, n):
+        """Five Haar pairs for every (p, q): both cosines agree with the
+        fast route to 1e-12.  A bare det of P* P or I - P P* leaves
+        roundoff of order eps in a determinant that is structurally 0,
+        which its square root turns into cosines of order 1e-8."""
+        rng = np.random.default_rng([0, n, field is Field.COMPLEX])
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for _ in range(5):
+                    V = haar_subspace(rng, n, p, field)
+                    W = haar_subspace(rng, n, q, field)
+                    P = W.basis.conj().T @ V.basis
+                    theta = angle_from_projection_matrix(P, ProjectionAngleMode.THETA)
+                    perp = angle_from_projection_matrix(P, ProjectionAngleMode.PERP)
+                    assert abs(math.cos(theta) - math.cos(grassmann_angle(V, W))) <= 1e-12
+                    assert abs(math.cos(perp) - math.cos(complementary_angle(V, W))) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", list(ProjectionAngleMode))
+    def test_non_finite_entry_rejected(self, bad, mode):
+        """The floor would read a NaN eigenvalue as a zero one and answer
+        pi/2; a non-finite matrix is rejected instead."""
+        with pytest.raises(ValueError, match="finite"):
+            angle_from_projection_matrix(np.array([[bad, 0.0], [0.0, 1.0]]), mode)
+
+    def test_planes_in_r3_are_complementary_at_a_right_angle(self):
+        """Two planes in R^3 share a line: one principal sine is 0, so
+        their product is 0 and theta_perp is exactly pi/2."""
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            V = haar_subspace(rng, 3, 2, Field.REAL)
+            W = haar_subspace(rng, 3, 2, Field.REAL)
+            assert angle_from_projection_matrix(W.basis.T @ V.basis, ProjectionAngleMode.PERP) == HALF_PI
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     def test_respanned_subspace_gives_exact_zero(self, field):
         """Two orthonormal bases of one subspace: P is unitary up to
         roundoff, and THETA is exactly 0, as grassmann_angle reports,

@@ -13,7 +13,6 @@ from spangle.subspace import (
     is_subspace_of,
     project_subspace,
     project_vector,
-    realification_j,
     realify,
     realify_vector,
     spans_equal,
@@ -22,6 +21,15 @@ from spangle.subspace import (
 )
 
 XI = np.exp(2j * np.pi / 3)
+
+
+def realification_j(n: int) -> np.ndarray:
+    """The matrix of multiplication by i on the realified space R^(2n)."""
+    J = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        J[2 * k, 2 * k + 1] = -1.0
+        J[2 * k + 1, 2 * k] = 1.0
+    return J
 
 
 def pair_22_real():

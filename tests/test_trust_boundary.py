@@ -15,11 +15,7 @@ import pytest
 from spangle import Field
 from spangle import verify
 from spangle.angles import oriented_from_spanning
-from spangle.identities import (
-    check_coordinate_identity,
-    check_oriented_sum,
-    coordinate_subspaces,
-)
+from spangle.identities import check_coordinate_identity, check_oriented_sum
 from spangle.principal import intersect
 from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary
 from spangle.subspace import (
@@ -118,15 +114,6 @@ def test_oriented_from_spanning(field, rng):
 
 
 @pytest.mark.parametrize("field", BOTH_FIELDS)
-def test_coordinate_subspaces(field, rng):
-    basis = random_unitary(rng, 5, field) * np.array([1.0, 2.0, 0.5, 3.0, 1.5])
-    for q in range(0, 6):
-        subs = [S for _, S in coordinate_subspaces(basis, q, field)]
-        for i, S in enumerate(subs):
-            assert_trusted(S, basis, *(T.basis for T in subs[:i]))
-
-
-@pytest.mark.parametrize("field", BOTH_FIELDS)
 def test_random_orthogonal_partition(field, rng):
     for n in range(2, 9):
         parts = verify._random_orthogonal_partition(rng, n, field)
@@ -176,8 +163,6 @@ def test_non_finite_basis_rejected_at_entry(field, bad, rng):
     V = haar_subspace(rng, 4, 2, field)
     with pytest.raises(ValueError, match="entries must be finite"):
         check_coordinate_identity(V, basis, 2)
-    with pytest.raises(ValueError, match="entries must be finite"):
-        list(coordinate_subspaces(basis, 2, field))
     O = oriented_from_spanning(list(V.basis.T), field)
     with pytest.raises(ValueError, match="entries must be finite"):
         check_oriented_sum(O, O, basis)

@@ -43,14 +43,14 @@ DRAW_ORDER_TRIALS = {
         "pythagorean": (10, 10, 5, 10, 10, 10, 10, 10, 7, 7, 3),
         "oriented": (10, 10, 10, 10),
         "metric-axioms": (10, 10, 8, 8, 6, 1, 10, 10, 10, 10, 10),
-        "oracle-equivalence": (10, 10, 10, 10, 10, 2, 2),
+        "oracle-equivalence": (10, 10, 10, 10, 10, 2, 2, 10, 10, 4, 5, 5, 5),
         "bounds": (10, 10, 10, 10, 3, 10, 10, 10, 5, 2, 2, 5),
     },
     43: {
         "pythagorean": (10, 10, 7, 10, 10, 10, 10, 10, 9, 9, 2),
         "oriented": (10, 10, 10, 10),
         "metric-axioms": (10, 10, 7, 9, 8, 0, 10, 10, 10, 10, 10),
-        "oracle-equivalence": (10, 10, 10, 10, 10, 2, 2),
+        "oracle-equivalence": (10, 10, 10, 10, 10, 2, 2, 10, 10, 4, 5, 5, 5),
         "bounds": (10, 10, 10, 10, 2, 10, 10, 10, 6, 0, 0, 5),
     },
 }
