@@ -33,6 +33,7 @@ _MODULE_EXPORTS = {
     "gram": (
         "ProjectionAngleMode",
         "angle_from_gram",
+        "angle_from_gram_equal_dim",
         "angle_from_projection_matrix",
         "complementary_from_gram",
     ),

@@ -52,11 +52,6 @@ def shuffle_sign(mask_a: int, mask_b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _grades(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-
-
-@lru_cache(maxsize=None)
 def _right_wedge_tables(n: int):
     """Per-index scatter tables for blade := blade ^ e_j.
 
@@ -96,17 +91,8 @@ class Multivector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def grades(self) -> list[int]:
-        """Grades with a nonzero component."""
-        nz = np.nonzero(self.coeffs)[0]
-        return sorted(set(int(g) for g in _grades(self.ambient_dim)[nz]))
-
     def scale(self, c) -> "Multivector":
         return Multivector(self.ambient_dim, self.field, self.coeffs * c)
-
-    def add(self, other: "Multivector") -> "Multivector":
-        _check_match(self, other)
-        return Multivector(self.ambient_dim, self.field, self.coeffs + other.coeffs)
 
 
 def _check_match(a: Multivector, b: Multivector) -> None:

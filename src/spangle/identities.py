@@ -25,7 +25,7 @@ from .angles import (
     grassmann_angle,
     oriented_angle,
 )
-from .linalg import COMPARE_TOL, HALF_PI, Field, as_field_array, clamped_products, in_zero_angle_band
+from .linalg import COMPARE_TOL, HALF_PI, Field, _norm_within_compare_tol, as_field_array, clamped_products, in_zero_angle_band
 from .principal import (
     intersect,
     is_partially_orthogonal,
@@ -125,8 +125,7 @@ def _unit_orthogonal_columns(basis: np.ndarray) -> np.ndarray:
     if np.any(norms == 0):
         raise ValueError("basis contains a zero vector")
     unit = basis / norms
-    cross = np.abs(unit.conj().T @ unit - np.eye(basis.shape[1]))
-    if float(np.max(cross, initial=0.0)) > COMPARE_TOL:
+    if not _norm_within_compare_tol(unit.conj().T @ unit - np.eye(basis.shape[1])):
         raise ValueError("basis is not orthogonal")
     return unit
 

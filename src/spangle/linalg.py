@@ -82,6 +82,18 @@ def angle_from_cosine(c: float) -> float:
     return arccos_clamped(c)
 
 
+def _norm_within_compare_tol(M: np.ndarray) -> bool:
+    """The one relation test: whether the spectral norm of M, a residual's
+    largest principal sine or a cross-Gram's largest cosine, is at most
+    COMPARE_TOL.  It is bounded by the Frobenius norm above and the largest
+    column norm below; the SVD is taken only when those two disagree."""
+    if np.linalg.norm(M) <= COMPARE_TOL:
+        return True
+    if np.linalg.norm(M, axis=0).max() > COMPARE_TOL:
+        return False
+    return float(np.linalg.svd(M, compute_uv=False)[0]) <= COMPARE_TOL
+
+
 def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = None) -> np.ndarray:
     """Stack vectors as matrix columns, checking dimensions and field.
 

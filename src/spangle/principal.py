@@ -16,12 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, in_zero_angle_band
+from .linalg import COMPARE_TOL, HALF_PI, Field, _norm_within_compare_tol, angle_from_cosine, in_zero_angle_band
 from .subspace import (
     Subspace,
     _check_pair,
-    _inside,
     _pairwise_orthogonal,
+    _residual,
     _sum_all,
     project_subspace,
     spans_equal,
@@ -112,8 +112,9 @@ class PairSpectrum:
 
     @property
     def shared(self) -> int:
-        """How many principal directions the pair shares: the cosines within
-        COMPARE_TOL of 1 (arccos is too ill-conditioned at 0 to threshold)."""
+        """The candidates for shared directions: the cosines within
+        COMPARE_TOL of 1.  A sine at most COMPARE_TOL, which ``intersect``
+        tests, forces its cosine above that, so none is missed."""
         return sum(c >= 1.0 - COMPARE_TOL for c in self._reduction.cos)
 
     @property
@@ -225,15 +226,16 @@ def principal_decomposition(V: Subspace, W: Subspace) -> PrincipalDecomposition:
 
 def intersect(V: Subspace, W: Subspace) -> Subspace:
     """V intersect W: the pair's ``shared`` principal directions of V (no
-    frame is built when there are none) that pass the containment rule of
-    ``is_subspace_of``, so the result lies in both V and W.  Principal
-    directions are orthonormal, so the kept ones are the basis as they are."""
+    frame is built when there are none) whose own residual from W, their
+    sine, passes ``is_subspace_of``'s test, so the result lies in both.
+    Principal directions are orthonormal: the kept ones are the basis."""
     s = pair_spectrum(V, W)
     shared = s.shared
     if not shared:
         return zero_subspace(V.ambient_dim, V.field)
     common = V.basis @ s._frame(V, W)[1].conj().T[:, :shared]
-    return Subspace._trusted(V.ambient_dim, V.field, common[:, _inside(common, W)])
+    keep = [_norm_within_compare_tol(r[:, None]) for r in _residual(common, W).T]
+    return Subspace._trusted(V.ambient_dim, V.field, common[:, keep])
 
 
 def principal_angles(V: Subspace, W: Subspace) -> np.ndarray:

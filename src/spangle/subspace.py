@@ -3,18 +3,20 @@
 A :class:`Subspace` is an ambient dimension, a field tag and an (n, p)
 matrix with orthonormal columns; p = 0 is the zero subspace {0}, a
 first-class value accepted by every operation.  Set-level operations
-(projection, complement, sum, realification) live here; ``intersect`` lives in ``principal``.
+(projection, complement, sum, realification) and the relations, each
+decided on a 2-norm, live here; ``intersect`` lives in ``principal``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import COMPARE_TOL, Field, as_field_array, orthonormalize_columns, stack_columns
+from .linalg import COMPARE_TOL, Field, _norm_within_compare_tol, as_field_array, orthonormalize_columns, stack_columns
 
 _ORTHO_CHECK_TOL = 1e-8
 
@@ -157,29 +159,22 @@ def _sum_all(parts: Sequence[Subspace]) -> Subspace:
 
 
 def _pairwise_orthogonal(parts: Sequence[Subspace]) -> bool:
-    """Whether every two of the parts are orthogonal within COMPARE_TOL."""
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if parts[i].dim == 0 or parts[j].dim == 0:
-                continue
-            cross = parts[i].basis.conj().T @ parts[j].basis
-            if float(np.max(np.abs(cross))) > COMPARE_TOL:
-                return False
-    return True
+    """Whether every two of the parts are orthogonal: the 2-norm of their
+    cross-Gram, their largest principal cosine, is at most COMPARE_TOL."""
+    return all(_norm_within_compare_tol(a.basis.conj().T @ b.basis) for a, b in itertools.combinations(parts, 2))
 
 
-def _inside(X: np.ndarray, W: Subspace) -> np.ndarray:
-    """The containment rule, per unit column of X: whether its residual
-    from W has no entry above COMPARE_TOL in absolute value."""
-    residual = X - W.basis @ (W.basis.conj().T @ X)
-    return (np.abs(residual) <= COMPARE_TOL).all(axis=0)
+def _residual(X: np.ndarray, W: Subspace) -> np.ndarray:
+    """The columns of X minus their orthogonal projections onto W."""
+    return X - W.basis @ (W.basis.conj().T @ X)
 
 
 def is_subspace_of(V: Subspace, W: Subspace) -> bool:
-    """True when every basis direction of V lies in W: the one containment
-    rule, which also decides ``spans_equal`` and ``intersect``."""
+    """True when V lies in W: the 2-norm of V's residual from W, its
+    largest principal sine, is at most COMPARE_TOL.  The same test decides
+    ``spans_equal`` and, direction by direction, ``intersect``."""
     _check_pair(V, W)
-    return bool(_inside(V.basis, W).all())
+    return _norm_within_compare_tol(_residual(V.basis, W))
 
 
 def spans_equal(V: Subspace, W: Subspace) -> bool:

@@ -444,9 +444,9 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
         total = grassmann_angle(U, W)
         if total < 1e-3:
             continue
-        col.add("geodesic_start", fubini_study(geodesic_point(U, W, 0.0), U))
-        col.add("geodesic_endpoint", fubini_study(geodesic_point(U, W, total), W))
-        mid = geodesic_point(U, W, total / 2)
+        start, end, mid = [geodesic_point(U, W, t) for t in (0.0, total, total / 2)]
+        col.add("geodesic_start", fubini_study(start, U))
+        col.add("geodesic_endpoint", fubini_study(end, W))
         col.add("geodesic_midpoint_left", abs(grassmann_angle(U, mid) - total / 2))
         col.add("geodesic_midpoint_right", abs(grassmann_angle(mid, W) - total / 2))
 

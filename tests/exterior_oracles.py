@@ -25,6 +25,12 @@ def basis_blade(n: int, field: Field, mask: int, value=1.0) -> Multivector:
     return Multivector(n, field, coeffs)
 
 
+def grades(mv: Multivector) -> list[int]:
+    """Grades with a nonzero component: the popcounts of the masks of the
+    nonzero coefficients."""
+    return sorted({int(mask).bit_count() for mask in np.flatnonzero(mv.coeffs)})
+
+
 def multi_index_complement(indices: Sequence[int], q: int) -> tuple[int, ...]:
     chosen = set(indices)
     return tuple(i for i in range(1, q + 1) if i not in chosen)
@@ -63,10 +69,10 @@ def contract_via_coordinate_expansion(
     """Contraction of a homogeneous element against a decomposed blade,
     via the explicit coordinate-decomposition expansion.  Independent of
     the bitmask production path."""
-    grades = nu.grades()
-    if len(grades) > 1:
+    nu_grades = grades(nu)
+    if len(nu_grades) > 1:
         raise ValueError("expansion requires a homogeneous left argument")
-    p = grades[0] if grades else 0
+    p = nu_grades[0] if nu_grades else 0
     q = len(factors)
     field = nu.field
     out = zero_multivector(nu.ambient_dim, field)
@@ -78,7 +84,7 @@ def contract_via_coordinate_expansion(
         if coeff == 0:
             continue
         omega_ic = coordinate_blade(factors, multi_index_complement(combo, q), field)
-        out = out.add(omega_ic.scale(coeff))
+        out = Multivector(out.ambient_dim, field, out.coeffs + omega_ic.coeffs * coeff)
     return out
 
 

@@ -153,6 +153,24 @@ def test_validation_messages_kept(rng):
 
 
 @pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_basis_orthogonality_is_a_2_norm_test(field, rng):
+    """A basis is orthogonal when unit* unit - I has 2-norm at most
+    COMPARE_TOL.  Three unit columns meeting pairwise at cosine c have
+    no entry of that matrix above c and a 2-norm of 2c: c = 8e-10 is
+    rejected and c = 4e-10 accepted."""
+    V = haar_subspace(rng, 3, 1, field)
+    O = oriented_from_spanning([[1.0, 0.0, 0.0]], field)
+    for c, orthogonal in ((8e-10, False), (4e-10, True)):
+        basis = np.linalg.cholesky(np.eye(3) + c * (np.ones((3, 3)) - np.eye(3))).T.astype(field.dtype)
+        for check in (lambda: check_coordinate_identity(V, basis, 2), lambda: check_oriented_sum(O, O, basis)):
+            if orthogonal:
+                check()
+            else:
+                with pytest.raises(ValueError, match="not orthogonal"):
+                    check()
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 4), (3, 1), (3, 3)])
 def test_coordinate_subspace_hits_target_exactly(field, p, q):
     """V spanned by a rotated frame of e_0 .. e_{p-1}: every index set is

@@ -1,11 +1,14 @@
 """Every module-level function and class of the package has a caller in
-the package, or is exported through ``spangle.__all__``.
+the package, or is exported through ``spangle.__all__``, and every
+method of its classes has a caller in the package.
 
-A helper that only the tests call belongs in the tests.  Dunders and the
-click commands (reached through the command group) are exempt.
+A helper that only the tests call belongs in the tests.  Dunders, the
+click commands (reached through the command group) and overrides that
+extend their base class's method are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import spangle
@@ -39,17 +42,55 @@ def _uses(tree: ast.Module):
                 yield node.attr, top
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _extends_base(method: ast.FunctionDef) -> bool:
+    """Whether a method calls its base class's method of the same name (an
+    override, which the base class's own machinery calls)."""
+    return any(
+        isinstance(n, ast.Attribute)
+        and n.attr == method.name
+        and isinstance(n.value, ast.Call)
+        and getattr(n.value.func, "id", None) == "super"
+        for n in ast.walk(method)
+    )
+
+
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_module_level_definition_is_used_or_exported():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses = [use for tree in trees.values() for use in _uses(tree)]
+    uses = [use for tree in TREES.values() for use in _uses(tree)]
     unused = [
         f"{module}:{node.name}"
-        for module, tree in trees.items()
+        for module, tree in TREES.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _is_dunder(node.name)
         and not _is_click_command(node)
         and node.name not in spangle.__all__
         and not any(name == node.name and top is not node for name, top in uses)
+    ]
+    assert unused == []
+
+
+def test_every_method_is_used():
+    """Each method or property is read somewhere in the package outside its
+    own body; overrides that extend their base's method are exempt.  The
+    check goes by name, so a method that shares its name with one in use
+    (``set.add``, say) passes it."""
+    reads = Counter(name for tree in TREES.values() for name, _ in _uses(tree))
+    unused = [
+        f"{module}:{cls.name}.{node.name}"
+        for module, tree in TREES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not _is_dunder(node.name)
+        and not _extends_base(node)
+        and reads[node.name] == sum(name == node.name for name, _ in _uses(ast.Module(body=[node], type_ignores=[])))
     ]
     assert unused == []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spangle import Field
 from spangle.exterior import (
+    Multivector,
     blade_of,
     contract,
     inner,
@@ -30,6 +31,7 @@ from exterior_oracles import (
     contract_via_coordinate_expansion,
     coordinate_blade,
     epsilon_sign,
+    grades,
     multi_index_complement,
 )
 
@@ -58,7 +60,7 @@ class TestWedge:
     def test_linearity(self):
         e1 = _blade_from_vectors([[1, 0]], Field.REAL)
         e2 = _blade_from_vectors([[0, 1]], Field.REAL)
-        lhs = wedge(e1.add(e2), e2)
+        lhs = wedge(Multivector(2, Field.REAL, e1.coeffs + e2.coeffs), e2)
         np.testing.assert_allclose(lhs.coeffs, wedge(e1, e2).coeffs, atol=1e-15)
 
     @given(st.integers(0, 2**4 - 1), st.integers(0, 2**4 - 1), st.integers(0, 2**4 - 1))
@@ -226,14 +228,14 @@ class TestExhaustiveSmallCases:
 class TestBladeOf:
     def test_zero_subspace_gives_scalar_one(self):
         b = blade_of(zero_subspace(4, Field.REAL))
-        assert b.grades() == [0]
+        assert grades(b) == [0]
         assert b.coeffs[0] == 1.0
         assert np.count_nonzero(b.coeffs) == 1
 
     def test_coordinate_plane(self):
         V = from_spanning([[1, 0, 0, 0], [0, 0, 1, 0]], Field.REAL)
         b = blade_of(V)
-        assert b.grades() == [2]
+        assert grades(b) == [2]
         nz = np.nonzero(b.coeffs)[0]
         assert list(nz) == [0b0101]
         assert abs(abs(b.coeffs[0b0101]) - 1.0) < 1e-12

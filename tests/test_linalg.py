@@ -10,6 +10,7 @@ from spangle.linalg import (
     QR_ROUTE_MIN,
     RANK_REL_TOL,
     ZERO_ANGLE_COS_BAND,
+    _norm_within_compare_tol,
     angle_from_cosine,
     arccos_clamped,
     clamped_products,
@@ -24,6 +25,31 @@ from spangle.subspace import Subspace, from_spanning
 
 def test_tolerance_ordering():
     assert 0.0 < RANK_REL_TOL < COMPARE_TOL < 1.0
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_relation_test_is_the_2_norm_against_compare_tol(field, monkeypatch):
+    """The relation test agrees with the largest singular value, and takes
+    it only when the Frobenius norm and the largest column norm fall on
+    either side of COMPARE_TOL."""
+    rng = np.random.default_rng(11)
+    svd, taken = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: taken.append(1) or svd(*a, **k))
+    cases = [
+        (np.zeros((4, 0)), True, 0),
+        (np.zeros((0, 3)), True, 0),
+        (9e-10 * np.eye(2), True, 1),  # Frobenius 1.27e-9, columns 9e-10
+        (7e-10 * np.ones((2, 2)), False, 1),  # 2-norm 1.4e-9, columns 9.9e-10
+        (1.1e-9 * np.eye(3)[:, :1], False, 0),
+        (1e-9 * random_unitary(rng, 3, field)[:, :2] * 0.5, True, 0),
+    ]
+    for M, within, svds in cases:
+        taken.clear()
+        assert _norm_within_compare_tol(M.astype(field.dtype)) is within
+        assert len(taken) == svds
+    for scale in np.geomspace(3e-10, 3e-9, 40):
+        M = scale * gaussian_matrix(rng, 5, 3, field)
+        assert _norm_within_compare_tol(M) is bool(svd(M, compute_uv=False)[0] <= COMPARE_TOL)
 
 
 class TestOrthonormalize:

@@ -5,9 +5,12 @@ import pytest
 
 from spangle import Field, Subspace
 from spangle.principal import intersect, principal_angles
-from spangle.sampling import gaussian_matrix, haar_subspace, random_vector
+from spangle.linalg import COMPARE_TOL
+from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
+    _pairwise_orthogonal,
     complement,
+    from_basis_matrix,
     from_spanning,
     full_space,
     is_subspace_of,
@@ -222,6 +225,49 @@ class TestSpansEqual:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError, match="ambient"):
             spans_equal(zero_subspace(3, Field.REAL), full_space(4, Field.REAL))
+
+
+class TestRelationsIgnoreTheBasis:
+    """Containment, equality, intersection and orthogonality are read off
+    principal sines and cosines, so a unitary change of ambient basis
+    leaves every verdict as it was.  Each configuration sits at sine or
+    cosine d from the relation, with its deviation direction drawn at
+    random, and d next to COMPARE_TOL: an entrywise test passes a
+    deviation of 1.3e-9 or 2e-9 in some frames and not in others."""
+
+    @staticmethod
+    def _verdicts(Q, k, d, a, b, field):
+        """The four verdicts on a configuration whose vectors have
+        coordinates a, b and e_k in the frame Q (orthonormal columns):
+        W is spanned by its first k columns, w by a, u by b in the last
+        n - k - 1, and x is column k."""
+        w = Q[:, :k] @ a / np.linalg.norm(a)
+        u = Q[:, k + 1 :] @ b / np.linalg.norm(b)
+        x = Q[:, k]
+
+        def span(*vectors):
+            return from_basis_matrix(np.column_stack(vectors), field)
+
+        W = from_basis_matrix(Q[:, :k], field)
+        return (
+            is_subspace_of(span(w + d * u), W),
+            spans_equal(span(w + d * u), span(w)),
+            intersect(span(w + d * u, x), W).dim,
+            _pairwise_orthogonal([W, span(u + d * w, x)]),
+        )
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("d", [1.3e-9, 2e-9, 5e-10])
+    def test_same_verdict_in_every_frame(self, field, n, d):
+        within = d / math.hypot(1.0, d) <= COMPARE_TOL
+        expected = (within, within, int(within), within)
+        for draw in range(12):
+            rng = np.random.default_rng([n, draw, int(field is Field.COMPLEX)])
+            k = 1 + draw % (n - 2)
+            a, b = gaussian_matrix(rng, k, 1, field)[:, 0], gaussian_matrix(rng, n - k - 1, 1, field)[:, 0]
+            for Q in (np.eye(n, dtype=field.dtype), random_unitary(rng, n, field)):
+                assert self._verdicts(Q, k, d, a, b, field) == expected
 
 
 class TestRealify:
