@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import Field, arccos_clamped, as_field_array
-from .subspace import Subspace
+from .subspace import Subspace, _check_pair
 
 REAL_AMBIENT_CAP = 12
 COMPLEX_AMBIENT_CAP = 10
@@ -95,16 +95,9 @@ class Multivector:
         return Multivector(self.ambient_dim, self.field, self.coeffs * c)
 
 
-def _check_match(a: Multivector, b: Multivector) -> None:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(f"ambient dimension mismatch: {a.ambient_dim} vs {b.ambient_dim}")
-    if a.field is not b.field:
-        raise ValueError(f"field mismatch: {a.field.value} vs {b.field.value}")
-
-
-def scalar_multivector(n: int, field: Field, value=1.0) -> Multivector:
+def scalar_multivector(n: int, field: Field) -> Multivector:
     coeffs = np.zeros(1 << n, dtype=field.dtype)
-    coeffs[0] = value
+    coeffs[0] = 1.0
     return Multivector(n, field, coeffs)
 
 
@@ -130,7 +123,7 @@ def wedge_vector(x: Multivector, v) -> Multivector:
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product, bilinear and graded-anticommutative."""
-    _check_match(a, b)
+    _check_pair(a, b)
     out = np.zeros_like(a.coeffs)
     nz_a = np.nonzero(a.coeffs)[0]
     nz_b = np.nonzero(b.coeffs)[0]
@@ -148,7 +141,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
 def inner(a: Multivector, b: Multivector):
     """Inner product, conjugate-linear in the left slot; distinct grades
     are orthogonal because coordinate blades are an orthonormal basis."""
-    _check_match(a, b)
+    _check_pair(a, b)
     value = np.vdot(a.coeffs, b.coeffs)
     return complex(value) if a.field is Field.COMPLEX else float(value.real if np.iscomplexobj(value) else value)
 
@@ -160,7 +153,7 @@ def contract(nu: Multivector, omega: Multivector) -> Multivector:
     when grade(nu) > grade(omega) and reduces to the inner product on
     equal grades (landing in the scalar slot).
     """
-    _check_match(nu, omega)
+    _check_pair(nu, omega)
     out = np.zeros_like(omega.coeffs)
     nz_nu = np.nonzero(nu.coeffs)[0]
     nz_om = np.nonzero(omega.coeffs)[0]
@@ -203,10 +196,7 @@ def project_multivector(W: Subspace, x: Multivector) -> Multivector:
     else it is the linear extension, i.e. the orthogonal projection onto
     the span of W's coordinate blades.
     """
-    if W.ambient_dim != x.ambient_dim:
-        raise ValueError(f"ambient dimension mismatch: {W.ambient_dim} vs {x.ambient_dim}")
-    if W.field is not x.field:
-        raise ValueError(f"field mismatch: {W.field.value} vs {x.field.value}")
+    _check_pair(W, x)
     out = np.zeros_like(x.coeffs)
     cols = [W.basis[:, j] for j in range(W.dim)]
     n = x.ambient_dim

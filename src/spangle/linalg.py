@@ -100,21 +100,25 @@ def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = Non
     Empty input is allowed when ``ambient_dim`` is given and yields an
     ``(ambient_dim, 0)`` matrix.
     """
-    vecs = [np.asarray(v) for v in vectors]
-    for v in vecs:
-        if v.ndim != 1:
-            raise ValueError("each spanning vector must be one-dimensional")
+    vecs = list(vectors)
+    try:
+        lengths = [len(v) for v in vecs]
+    except TypeError:  # a scalar entry
+        raise ValueError("each spanning vector must be one-dimensional") from None
     if not vecs:
         if ambient_dim is None:
             raise ValueError("ambient_dim is required for an empty vector list")
         return np.zeros((ambient_dim, 0), dtype=field.dtype)
-    n = vecs[0].shape[0]
-    for v in vecs:
-        if v.shape[0] != n:
-            raise ValueError(f"dimension mismatch: expected vectors of length {n}, got {v.shape[0]}")
+    n = lengths[0]
+    for length in lengths:
+        if length != n:
+            raise ValueError(f"dimension mismatch: expected vectors of length {n}, got {length}")
     if ambient_dim is not None and n != ambient_dim:
         raise ValueError(f"dimension mismatch: vectors have length {n}, ambient_dim is {ambient_dim}")
-    return as_field_array(np.array(vecs).T, field)
+    rows = np.asarray(vecs)  # the one conversion; as_field_array makes the one C-ordered copy
+    if rows.ndim != 2:
+        raise ValueError("each spanning vector must be one-dimensional")
+    return as_field_array(rows.T, field)
 
 
 def rank_cutoff(top, shape: tuple[int, ...]):
@@ -142,9 +146,9 @@ def _rank(sigma: np.ndarray, shape: tuple[int, ...]) -> int:
     return int(np.count_nonzero(sigma > rank_cutoff(float(sigma[0]), shape)))
 
 
-def orthonormalize_columns(M: np.ndarray) -> tuple[np.ndarray, int]:
+def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of a matrix, with the rank cut
-    of ``rank_cutoff``: returns ``(Q, rank)``, Q of shape (n, rank).
+    of ``rank_cutoff``: Q of shape (n, rank), its width the rank.
 
     Below ``QR_ROUTE_MIN`` it is the leading left singular vectors of M.
     From it on, M = QR by Householder and the rank comes from the singular
@@ -153,17 +157,16 @@ def orthonormalize_columns(M: np.ndarray) -> tuple[np.ndarray, int]:
     """
     size = min(M.shape)
     if size == 0:
-        return M[:, :0].copy(), 0
+        return M[:, :0].copy()
     if size < QR_ROUTE_MIN:
         U, sigma, _ = np.linalg.svd(M, full_matrices=False)
-        rank = _rank(sigma, M.shape)
-        return np.ascontiguousarray(U[:, :rank]), rank
+        return np.ascontiguousarray(U[:, :_rank(sigma, M.shape)])
     Q, R = np.linalg.qr(M)
     rank = _rank(np.linalg.svd(R, compute_uv=False), M.shape)
     if rank == Q.shape[1]:
-        return Q, rank
+        return Q
     U_R = np.linalg.svd(R, full_matrices=False)[0]
-    return Q @ U_R[:, :rank], rank
+    return Q @ U_R[:, :rank]
 
 
 def det(M: np.ndarray):

@@ -22,6 +22,7 @@ from .principal import intersect, is_partially_orthogonal
 from .subspace import (
     Subspace,
     _check_pair,
+    _span,
     complement,
     from_basis_matrix,
     is_subspace_of,
@@ -227,9 +228,9 @@ def _triangle_witness(
         return None
 
     # Paddings: A completes U; B completes V past span(v) + A; C completes W.
-    span_va = from_basis_matrix(np.column_stack([v, A.basis]), V.field)
+    span_va = _span(np.column_stack([v, A.basis]), V.field)
     B = intersect(complement(span_va), V)
-    span_wab = sum_subspace(sum_subspace(from_basis_matrix(w[:, None], V.field), A), B)
+    span_wab = sum_subspace(sum_subspace(_span(w[:, None], V.field), A), B)
     C = intersect(complement(span_wab), W)
 
     # Validate the advertised angle equalities on the witness vectors.

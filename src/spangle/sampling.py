@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Field
-from .subspace import Subspace, from_basis_matrix, zero_subspace
+from .subspace import Subspace, _span, zero_subspace
 
 
 def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, field: Field) -> np.ndarray:
@@ -25,7 +25,7 @@ def haar_subspace(rng: np.random.Generator, ambient_dim: int, dim: int, field: F
         raise ValueError(f"need 0 <= dim <= ambient_dim, got dim={dim}, ambient_dim={ambient_dim}")
     if dim == 0:
         return zero_subspace(ambient_dim, field)
-    return from_basis_matrix(gaussian_matrix(rng, ambient_dim, dim, field), field)
+    return _span(gaussian_matrix(rng, ambient_dim, dim, field), field)
 
 
 def random_unitary(rng: np.random.Generator, n: int, field: Field) -> np.ndarray:

@@ -38,7 +38,8 @@ class Subspace:
         if basis.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension cannot exceed the ambient dimension")
         gram = basis.conj().T @ basis
-        if basis.shape[1] and np.max(np.abs(gram - np.eye(basis.shape[1]))) > _ORTHO_CHECK_TOL:
+        # The 2-norm of B*B - I, its largest |eigenvalue|.
+        if basis.shape[1] and np.abs(np.linalg.eigvalsh(gram - np.eye(basis.shape[1]))).max() > _ORTHO_CHECK_TOL:
             raise ValueError("basis columns are not orthonormal")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -76,14 +77,19 @@ def full_space(ambient_dim: int, field: Field) -> Subspace:
     return Subspace._trusted(ambient_dim, field, np.eye(ambient_dim, dtype=field.dtype))
 
 
+def _span(M: np.ndarray, field: Field) -> Subspace:
+    """The column span of a matrix the library has built or checked: it
+    must already be two-dimensional with the field's dtype and finite
+    entries, and is orthonormalized and stored without further checks."""
+    return Subspace._trusted(M.shape[0], field, orthonormalize_columns(M))
+
+
 def from_spanning(vectors, field: Field, ambient_dim: int | None = None) -> Subspace:
     """Subspace spanned by the given vectors (not necessarily independent).
 
     An empty list needs an explicit ``ambient_dim`` and yields {0}.
     """
-    M = stack_columns(vectors, field, ambient_dim=ambient_dim)
-    Q, _ = orthonormalize_columns(M)
-    return Subspace._trusted(M.shape[0], field, Q)
+    return _span(stack_columns(vectors, field, ambient_dim=ambient_dim), field)
 
 
 def from_basis_matrix(M: np.ndarray, field: Field) -> Subspace:
@@ -91,11 +97,12 @@ def from_basis_matrix(M: np.ndarray, field: Field) -> Subspace:
     M = as_field_array(M, field)
     if M.ndim != 2:
         raise ValueError(f"basis matrix must be two-dimensional, got shape {M.shape}")
-    Q, _ = orthonormalize_columns(M)
-    return Subspace._trusted(M.shape[0], field, Q)
+    return _span(M, field)
 
 
 def _check_pair(V: Subspace, W: Subspace) -> None:
+    """Both operands live in one ambient space over one field (it reads only
+    ``ambient_dim`` and ``field``, so it checks exterior multivectors too)."""
     if V.ambient_dim != W.ambient_dim:
         raise ValueError(
             f"ambient dimension mismatch: {V.ambient_dim} vs {W.ambient_dim}"
@@ -148,9 +155,7 @@ def complement(V: Subspace) -> Subspace:
 def sum_subspace(V: Subspace, W: Subspace) -> Subspace:
     """V + W, the span of both."""
     _check_pair(V, W)
-    stacked = np.hstack([V.basis, W.basis])
-    Q, _ = orthonormalize_columns(stacked)
-    return Subspace._trusted(V.ambient_dim, V.field, Q)
+    return _span(np.hstack([V.basis, W.basis]), V.field)
 
 
 def _sum_all(parts: Sequence[Subspace]) -> Subspace:
@@ -183,31 +188,20 @@ def spans_equal(V: Subspace, W: Subspace) -> bool:
     return V.dim == W.dim and is_subspace_of(V, W)
 
 
-def realify_vector(v: np.ndarray) -> np.ndarray:
-    """Complex vector -> real vector of twice the length, interleaved.
-
-    Layout is (re_1, im_1, re_2, im_2, ...), which keeps multiplication
-    by i block-diagonal with 2x2 rotation blocks.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    out = np.empty(2 * v.shape[0], dtype=np.float64)
-    out[0::2] = v.real
-    out[1::2] = v.imag
-    return out
-
-
 def realify(V: Subspace) -> Subspace:
     """Underlying real subspace of a complex one: ambient 2n, dimension 2p.
 
-    The real basis pairs each complex basis vector b with i*b; the real
-    inner product is Re<.,.> so the images stay orthonormal.
+    Vectors are interleaved, (re_1, im_1, re_2, im_2, ...), which keeps
+    multiplication by i block-diagonal with 2x2 rotation blocks.  The real
+    basis pairs each complex basis vector b with i*b; the real inner
+    product is Re<.,.> so the images stay orthonormal.
     """
     if V.field is not Field.COMPLEX:
         raise ValueError("realify expects a COMPLEX subspace")
-    cols = []
-    for j in range(V.dim):
-        b = V.basis[:, j]
-        cols.append(realify_vector(b))
-        cols.append(realify_vector(1j * b))
-    basis = np.column_stack(cols) if cols else np.zeros((2 * V.ambient_dim, 0))
+    B = V.basis
+    basis = np.empty((2 * V.ambient_dim, 2 * V.dim))
+    basis[0::2, 0::2] = B.real
+    basis[1::2, 0::2] = B.imag
+    basis[0::2, 1::2] = -B.imag
+    basis[1::2, 1::2] = B.real
     return Subspace._trusted(2 * V.ambient_dim, Field.REAL, basis)

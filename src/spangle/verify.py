@@ -64,8 +64,8 @@ from .principal import (
 from .sampling import gaussian_matrix, haar_subspace, random_unitary, random_vector
 from .subspace import (
     Subspace,
+    _span,
     complement,
-    from_basis_matrix,
     from_spanning,
     project_subspace,
     realify,
@@ -234,7 +234,7 @@ def _sub_subspace(rng, V: Subspace, k: int) -> Subspace:
     inner = haar_subspace(rng, V.dim, k, V.field)
     if k == 0:
         return zero_subspace(V.ambient_dim, V.field)
-    return from_basis_matrix(V.basis @ inner.basis, V.field)
+    return _span(V.basis @ inner.basis, V.field)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
                 rng, V.dim, V.dim, field
             )
             same = (
-                from_basis_matrix(V.basis @ mix, field)
+                _span(V.basis @ mix, field)
                 if np.linalg.cond(mix) < 1e3
                 else V
             )
@@ -437,8 +437,8 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
         K = haar_subspace(rng, n, p - 1, field)
         u = random_vector(rng, n, field)
         w = random_vector(rng, n, field)
-        U = from_basis_matrix(np.column_stack([K.basis, u]), field)
-        W = from_basis_matrix(np.column_stack([K.basis, w]), field)
+        U = _span(np.column_stack([K.basis, u]), field)
+        W = _span(np.column_stack([K.basis, w]), field)
         if U.dim != p or W.dim != p or intersect(U, W).dim != p - 1:
             continue
         total = grassmann_angle(U, W)

@@ -5,6 +5,10 @@ method of its classes has a caller in the package.
 A helper that only the tests call belongs in the tests.  Dunders, the
 click commands (reached through the command group) and overrides that
 extend their base class's method are exempt.
+
+Every defaulted parameter of those functions and methods is passed by
+some call in the package or the tests: a default nobody overrides is a
+constant, not a knob.
 """
 
 import ast
@@ -59,6 +63,7 @@ def _extends_base(method: ast.FunctionDef) -> bool:
 
 
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+TEST_TREES = [ast.parse(path.read_text()) for path in sorted(Path(__file__).parent.glob("*.py"))]
 
 
 def test_every_module_level_definition_is_used_or_exported():
@@ -94,3 +99,74 @@ def test_every_method_is_used():
         and reads[node.name] == sum(name == node.name for name, _ in _uses(ast.Module(body=[node], type_ignores=[])))
     ]
     assert unused == []
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, is_method: bool):
+    """(name, position) of each defaulted parameter, the position counted
+    as a call passes it (after the bound self or cls of a method, None for
+    keyword-only)."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    bound = is_method and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls_by_name(trees):
+    """Every call in the trees, keyed by the called name (the attribute for
+    ``x.f(...)``, the imported name for an alias)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        aliases = {
+            alias.asname: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.asname
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(aliases.get(func.id, func.id), []).append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether a call passes the parameter, by keyword, by position, or
+    possibly through ``*args`` or ``**kwargs``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _functions():
+    """(module, function, is_method) for each module-level function but the
+    click commands, and each method."""
+    for module, tree in TREES.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and not _is_click_command(top):
+                yield module, top, False
+            elif isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef):
+                        yield module, node, True
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    calls = _calls_by_name([*TREES.values(), *TEST_TREES])
+    never_passed = [
+        f"{module}:{fn.name}({name})"
+        for module, fn, is_method in _functions()
+        for name, position in _defaulted_parameters(fn, is_method)
+        if not any(_passes(call, name, position) for call in calls.get(fn.name, []))
+    ]
+    assert never_passed == []

@@ -253,6 +253,22 @@ class TestBladeOf:
             blade_of(W)
 
 
+class TestOperandChecks:
+    def test_ambient_and_field_mismatch_rejected(self, rng):
+        real3, real4 = scalar_multivector(3, Field.REAL), scalar_multivector(4, Field.REAL)
+        complex3 = scalar_multivector(3, Field.COMPLEX)
+        for op in (wedge, inner, contract):
+            with pytest.raises(ValueError, match="ambient dimension mismatch: 3 vs 4"):
+                op(real3, real4)
+            with pytest.raises(ValueError, match="field mismatch: real vs complex"):
+                op(real3, complex3)
+        W = haar_subspace(rng, 4, 2, Field.REAL)
+        with pytest.raises(ValueError, match="ambient dimension mismatch: 4 vs 3"):
+            project_multivector(W, real3)
+        with pytest.raises(ValueError, match="field mismatch: real vs complex"):
+            project_multivector(W, scalar_multivector(4, Field.COMPLEX))
+
+
 class TestProjectMultivector:
     def test_fixes_elements_of_target_algebra(self, rng):
         W = haar_subspace(rng, 5, 3, Field.REAL)

@@ -14,7 +14,9 @@ from spangle.gram import (
     complementary_from_gram,
 )
 from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary
-from spangle.subspace import from_spanning, realify_vector
+from spangle.subspace import from_spanning
+
+from realify_reference import realify_vector
 
 XI = np.exp(2j * np.pi / 3)
 HALF_PI = math.pi / 2

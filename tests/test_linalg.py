@@ -155,7 +155,8 @@ class TestOrthonormalizeRoutes:
     def test_same_rank_and_span_as_the_svd_route(self, field, m):
         rng = np.random.default_rng(m)
         for label, M in _route_cases(rng, m, field):
-            Q, rank = orthonormalize_columns(M)
+            Q = orthonormalize_columns(M)
+            rank = Q.shape[1]
             ref, ref_rank = _svd_route(M)
             assert rank == ref_rank == _expected_rank(label, m), label
             assert Q.shape == (M.shape[0], rank) and Q.dtype == field.dtype
@@ -176,7 +177,8 @@ class TestOrthonormalizeRoutes:
         rng = np.random.default_rng(7)
         for m in range(3, QR_ROUTE_MIN):
             for label, M in _route_cases(rng, m, field):
-                Q, rank = orthonormalize_columns(M)
+                Q = orthonormalize_columns(M)
+                rank = Q.shape[1]
                 ref, ref_rank = _svd_route(M)
                 assert rank == ref_rank and Q.shape == ref.shape, (m, label)
                 assert Q.tobytes() == ref.tobytes(), (m, label)
@@ -185,7 +187,8 @@ class TestOrthonormalizeRoutes:
     @pytest.mark.parametrize("shape", [(16, 16), (40, 16), (16, 30)])
     def test_full_rank_basis_is_the_q_factor(self, field, shape):
         M = gaussian_matrix(np.random.default_rng(3), *shape, field)
-        Q, rank = orthonormalize_columns(M)
+        Q = orthonormalize_columns(M)
+        rank = Q.shape[1]
         assert rank == min(shape)
         assert Q.tobytes() == np.linalg.qr(M)[0].tobytes()
 

@@ -17,11 +17,12 @@ from spangle.subspace import (
     project_subspace,
     project_vector,
     realify,
-    realify_vector,
     spans_equal,
     sum_subspace,
     zero_subspace,
 )
+
+from realify_reference import realify_by_columns, realify_vector
 
 XI = np.exp(2j * np.pi / 3)
 
@@ -63,6 +64,19 @@ class TestConstruction:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):
             Subspace(2, Field.REAL, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_orthonormality_is_judged_on_the_2_norm(self, field):
+        """Three columns with pairwise cosine c: B*B - I has largest entry c
+        but 2-norm 2c, so c = 8e-9 fails the 1e-8 check and 4e-9 passes."""
+
+        def columns(c):
+            gram = (1 - c) * np.eye(3) + c * np.ones((3, 3))
+            return np.vstack([np.linalg.cholesky(gram).T, np.zeros((1, 3))]).astype(field.dtype)
+
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(4, field, columns(8e-9))
+        assert Subspace(4, field, columns(4e-9)).dim == 3
 
     def test_basis_is_read_only(self):
         V = full_space(3, Field.REAL)
@@ -287,6 +301,14 @@ class TestRealify:
         assert np.vdot(u, v).real == pytest.approx(
             float(realify_vector(u) @ realify_vector(v)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_column_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng([n, 18])
+        for p in range(n + 1):
+            V = haar_subspace(rng, n, p, Field.COMPLEX)
+            basis, ref = realify(V).basis, realify_by_columns(V)
+            assert basis.shape == ref.shape and basis.tobytes() == ref.tobytes(), p
 
     def test_j_squares_to_minus_identity(self):
         J = realification_j(5)

@@ -7,15 +7,17 @@ to owning its array: no basis shares memory with an array the caller can
 still write.  Public array arguments are checked where they enter.
 """
 
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from spangle import Field
-from spangle import verify
+from spangle import linalg, verify
 from spangle.angles import oriented_from_spanning
 from spangle.identities import check_coordinate_identity, check_oriented_sum
+from spangle.metrics import TriangleTag, classify_triangle_equality
 from spangle.principal import intersect
 from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary
 from spangle.subspace import (
@@ -139,11 +141,49 @@ def test_every_trusted_construction_in_the_suites(monkeypatch):
     monkeypatch.setattr(Subspace, "_trusted", classmethod(recording))
     for suite in verify.SUITE_NAMES:
         verify.run_suites(suite, seed=5, trials=5, dim_max=8)
-    assert {"run_pythagorean", "_random_orthogonal_partition", "from_basis_matrix"} <= callers
+    assert {"run_pythagorean", "_random_orthogonal_partition", "_span"} <= callers
     for S in built:
         assert_trusted(S)
     spans = sorted((S.basis.ctypes.data, S.basis.ctypes.data + S.basis.nbytes) for S in built if S.basis.size)
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
+def _record_conversions(monkeypatch) -> list[tuple[str, str]]:
+    """Patch ``as_field_array`` in every package module that calls it; the
+    returned list gains (calling function, its caller) for each call."""
+    calls, convert = [], linalg.as_field_array
+
+    def recording(values, field):
+        frame = sys._getframe(1)
+        calls.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+        return convert(values, field)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spangle.") and getattr(module, "as_field_array", None) is convert:
+            monkeypatch.setattr(module, "as_field_array", recording)
+    return calls
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_haar_and_sub_subspaces_are_not_converted_again(field, monkeypatch, rng):
+    calls = _record_conversions(monkeypatch)
+    for n in range(1, 7):
+        for p in range(n + 1):
+            V = haar_subspace(rng, n, p, field)
+            verify._sub_subspace(rng, V, int(rng.integers(0, p + 1)))
+    assert calls == []
+
+
+def test_only_geodesic_point_converts_a_basis_matrix(monkeypatch):
+    """The suites' own builds and the CASE_III witness's spans take the
+    library-built matrix as it is; ``from_basis_matrix`` converts only for
+    ``geodesic_point``, whose t and phase come from outside."""
+    U, V, W = (from_spanning([[math.cos(t), math.sin(t), 0.0], [0.0, 0.0, 1.0]], Field.REAL) for t in (0.0, 0.4, 1.0))
+    calls = _record_conversions(monkeypatch)
+    assert classify_triangle_equality(U, V, W).tag is TriangleTag.CASE_III
+    for suite in verify.SUITE_NAMES:
+        verify.run_suites(suite, seed=5, trials=5, dim_max=8)
+    assert {caller for function, caller in calls if function == "from_basis_matrix"} == {"geodesic_point"}
 
 
 def test_public_constructor_still_checks():
