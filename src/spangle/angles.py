@@ -23,6 +23,7 @@ from .linalg import (
     HALF_PI,
     Field,
     _rank,
+    _svd,
     angle_from_cosine,
     arccos_clamped,
     as_field_array,
@@ -198,7 +199,7 @@ def oriented_from_spanning(vectors, field: Field, ambient_dim: int | None = None
     Q, R = np.linalg.qr(M)
     # |diag R| of an unpivoted QR does not reveal the rank; the singular
     # values of R, those of M, do, by the rank rule of from_spanning.
-    if _rank(np.linalg.svd(R, compute_uv=False), M.shape) < M.shape[1]:
+    if _rank(_svd(R, compute_uv=False), M.shape) < M.shape[1]:
         raise ValueError("orientation requires linearly independent vectors")
     det_r = np.prod(np.diagonal(R))
     coeff = det_r / abs(det_r)

@@ -87,6 +87,19 @@ class Multivector:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _trusted(cls, ambient_dim: int, field: Field, coeffs: np.ndarray) -> Multivector:
+        """A multivector from coefficients the library has just computed
+        from checked operands, stored without conversion or checks:
+        ``coeffs`` must be a fresh array of the field's dtype and length
+        2^ambient_dim, within the cap.  The multivector takes ownership."""
+        coeffs.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -96,9 +109,10 @@ class Multivector:
 
 
 def scalar_multivector(n: int, field: Field) -> Multivector:
+    _check_cap(n, field)
     coeffs = np.zeros(1 << n, dtype=field.dtype)
     coeffs[0] = 1.0
-    return Multivector(n, field, coeffs)
+    return Multivector._trusted(n, field, coeffs)
 
 
 def _wedge_vector_coeffs(coeffs: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -111,14 +125,6 @@ def _wedge_vector_coeffs(coeffs: np.ndarray, v: np.ndarray, n: int) -> np.ndarra
         src, dst, sign = _right_wedge_tables(n)[j]
         out[dst] += coeffs[src] * sign * vj
     return out
-
-
-def wedge_vector(x: Multivector, v) -> Multivector:
-    """x ^ v for an ambient vector v (fast path used to assemble blades)."""
-    v = as_field_array(v, x.field)
-    if v.shape != (x.ambient_dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({x.ambient_dim},)")
-    return Multivector(x.ambient_dim, x.field, _wedge_vector_coeffs(x.coeffs, v, x.ambient_dim))
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
@@ -135,7 +141,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
             if i_mask & j_mask:
                 continue
             out[i_mask | j_mask] += shuffle_sign(i_mask, j_mask) * ai * b.coeffs[j_mask]
-    return Multivector(a.ambient_dim, a.field, out)
+    return Multivector._trusted(a.ambient_dim, a.field, out)
 
 
 def inner(a: Multivector, b: Multivector):
@@ -166,22 +172,22 @@ def contract(nu: Multivector, omega: Multivector) -> Multivector:
                 continue
             rest = j_mask & ~i_mask
             out[rest] += shuffle_sign(i_mask, rest) * ci * omega.coeffs[j_mask]
-    return Multivector(nu.ambient_dim, nu.field, out)
+    return Multivector._trusted(nu.ambient_dim, nu.field, out)
 
 
 def _wedge_all(vectors, n: int, field: Field) -> Multivector:
     """v1 ^ ... ^ vk, wedged in order onto the scalar 1 (the scalar 1 for
-    an empty list)."""
-    acc = scalar_multivector(n, field)
+    an empty list), for library-built vectors: each already of the
+    field's dtype and length n, so none is converted or checked."""
+    coeffs = scalar_multivector(n, field).coeffs  # checks the cap
     for v in vectors:
-        acc = wedge_vector(acc, v)
-    return acc
+        coeffs = _wedge_vector_coeffs(coeffs, v, n)
+    return Multivector._trusted(n, field, coeffs)
 
 
 def blade_of(V: Subspace) -> Multivector:
     """Unit blade representing a subspace: the wedge of its orthonormal
     basis columns.  The zero subspace is represented by the scalar 1."""
-    _check_cap(V.ambient_dim, V.field)
     acc = _wedge_all(V.basis.T, V.ambient_dim, V.field)
     nrm = acc.norm
     if V.dim and abs(nrm - 1.0) > 1e-12:
@@ -208,10 +214,8 @@ def project_multivector(W: Subspace, x: Multivector) -> Multivector:
         for j in range(start, len(cols)):
             visit(_wedge_vector_coeffs(blade_coeffs, cols[j], n), j + 1)
 
-    root = np.zeros(1 << n, dtype=x.field.dtype)
-    root[0] = 1.0
-    visit(root, 0)
-    return Multivector(x.ambient_dim, x.field, out)
+    visit(scalar_multivector(n, x.field).coeffs, 0)
+    return Multivector._trusted(x.ambient_dim, x.field, out)
 
 
 def oracle_grassmann_angle(V: Subspace, W: Subspace) -> float:

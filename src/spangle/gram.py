@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import Field, angle_from_cosine, as_field_array, clamp01, det, rank_cutoff, stack_columns
+from .linalg import Field, _svd, angle_from_cosine, as_field_array, clamp01, det, rank_cutoff, stack_columns
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -48,7 +48,7 @@ def _gram_matrices(basis_v, basis_w, field: Field, ambient_dim: int | None):
 def _check_conditioning(G: np.ndarray, which: str) -> None:
     if G.shape[0] == 0:
         return
-    sigma = np.linalg.svd(G, compute_uv=False)
+    sigma = _svd(G, compute_uv=False)
     if sigma[-1] == 0.0 or sigma[0] / sigma[-1] > GRAM_CONDITION_LIMIT:
         raise ValueError(
             f"the {which} basis list is numerically dependent "

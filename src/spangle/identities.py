@@ -25,7 +25,16 @@ from .angles import (
     grassmann_angle,
     oriented_angle,
 )
-from .linalg import COMPARE_TOL, HALF_PI, Field, _norm_within_compare_tol, as_field_array, clamped_products, in_zero_angle_band
+from .linalg import (
+    COMPARE_TOL,
+    HALF_PI,
+    Field,
+    _norm_within_compare_tol,
+    _svd,
+    as_field_array,
+    clamped_products,
+    in_zero_angle_band,
+)
 from .principal import (
     intersect,
     is_partially_orthogonal,
@@ -140,7 +149,7 @@ def _stacked_cosines(stack: np.ndarray) -> np.ndarray:
     """cos of the Grassmann angle of V with W for each cross-Gram W* V in
     a (B, q, p) stack with p <= q: the clamped product of its singular
     values, exactly 1 inside the zero-angle band, as in grassmann_angle."""
-    products = clamped_products(np.linalg.svd(stack, compute_uv=False))
+    products = clamped_products(_svd(stack, compute_uv=False))
     return np.where(in_zero_angle_band(products), 1.0, products)
 
 

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import grassmann_angle, max_symmetrized_angle, vector_angles
-from .linalg import COMPARE_TOL, HALF_PI, Field, angle_from_cosine, clamped_products
+from .linalg import COMPARE_TOL, HALF_PI, Field, _svd, angle_from_cosine, clamped_products
 from .principal import intersect, is_partially_orthogonal
 from .subspace import (
     Subspace,
     _check_pair,
     _span,
     complement,
-    from_basis_matrix,
     is_subspace_of,
     project_subspace,
     project_vector,
@@ -105,10 +104,10 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
         m, split = len(draws), parts * p * k
         inner = _field_matrices(z[:, :split].reshape(m, parts, p, k), field)
         outer = _field_matrices(z[:, split:].reshape(m, 4, parts, q, k), field)
-        A = np.linalg.svd(inner, full_matrices=False)[0]  # (m, p, k)
-        B = np.linalg.svd(outer, full_matrices=False)[0]  # (m, 4, q, k)
+        A = _svd(inner, full_matrices=False)[0]  # (m, p, k)
+        B = _svd(outer, full_matrices=False)[0]  # (m, 4, q, k)
         MA = M @ A
-        sigma = np.linalg.svd(MA, compute_uv=False)
+        sigma = _svd(MA, compute_uv=False)
         full_rank = sigma[:, -1] > COMPARE_TOL
         projection = np.where(full_rank, clamped_products(sigma), 0.0)
         frames = np.abs(np.linalg.det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
@@ -192,7 +191,7 @@ def _unit_complement_direction(V: Subspace, A: Subspace) -> np.ndarray:
     singular vector of A* V.  It makes no rank decision.  Its own SVD, not
     a principal frame: the pair (V, A) never needs a spectrum, which the
     frame would cost (8.2 more values-only SVDs per verify-all op)."""
-    _, _, Vh = np.linalg.svd(A.basis.conj().T @ V.basis, full_matrices=True)
+    _, _, Vh = _svd(A.basis.conj().T @ V.basis, full_matrices=True)
     return V.basis @ Vh[-1].conj()
 
 
@@ -252,8 +251,11 @@ def geodesic_point(U: Subspace, W: Subspace, t: float, phase: float | None = Non
     vector u of U widest from K towards the one of W at unit angular
     speed, so V(0) = U and V(angle(U, W)) = W.  In the complex
     case an optional phase selects one of the circle of geodesics through
-    U; phase 0 passes through W.
+    U; phase 0 passes through W.  A NaN or infinite t or phase raises
+    ValueError.
     """
+    if not math.isfinite(t) or (phase is not None and not math.isfinite(phase)):
+        raise ValueError("entries must be finite (no NaN or infinity)")
     _check_pair(U, W)
     if U.is_zero or W.is_zero:
         raise ValueError("geodesics need nonzero subspaces")
@@ -288,4 +290,4 @@ def geodesic_point(U: Subspace, W: Subspace, t: float, phase: float | None = Non
         else:
             tangent = tangent * np.exp(1j * phase)
     moving = u * math.cos(t) + tangent * math.sin(t)
-    return from_basis_matrix(np.column_stack([K.basis, moving]), U.field)
+    return _span(np.column_stack([K.basis, moving]), U.field)

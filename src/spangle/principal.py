@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import COMPARE_TOL, HALF_PI, Field, _norm_within_compare_tol, angle_from_cosine, in_zero_angle_band
+from .linalg import COMPARE_TOL, HALF_PI, Field, _norm_within_compare_tol, _svd, angle_from_cosine, in_zero_angle_band
 from .subspace import (
     Subspace,
     _check_pair,
@@ -106,7 +106,7 @@ class PairSpectrum:
         spectrum is of, built on first use and kept like ``swapped`` (which
         builds its own): only the factors, so the memo keeps no pair alive."""
         if "_uvh" not in self.__dict__:
-            U, _, Vh = np.linalg.svd(W.basis.conj().T @ V.basis, full_matrices=True)
+            U, _, Vh = _svd(W.basis.conj().T @ V.basis, full_matrices=True)
             object.__setattr__(self, "_uvh", (U, Vh))
         return self.__dict__["_uvh"]
 
@@ -182,7 +182,7 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
     else:
         M = W.basis.conj().T @ V.basis if V.dim <= W.dim else V.basis.conj().T @ W.basis
         # Singular values are never negative: only the upper clamp acts.
-        cosines = np.minimum(np.linalg.svd(M, compute_uv=False), 1.0)
+        cosines = np.minimum(_svd(M, compute_uv=False), 1.0)
     spectrum = _Reduction(_read_only(cosines), V.field).oriented(V.dim, W.dim)
     _last_pair = (weakref.ref(V), weakref.ref(W), spectrum)
     return spectrum

@@ -16,7 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import COMPARE_TOL, Field, _norm_within_compare_tol, as_field_array, orthonormalize_columns, stack_columns
+from .linalg import (
+    COMPARE_TOL,
+    Field,
+    _norm_within_compare_tol,
+    _svd,
+    as_field_array,
+    orthonormalize_columns,
+    stack_columns,
+)
 
 _ORTHO_CHECK_TOL = 1e-8
 
@@ -135,7 +143,7 @@ def project_subspace(W: Subspace, V: Subspace) -> Subspace:
     # residuals from 6.66e-15 to 5.78e-14 and spherical_pythagorean's from
     # 7.8e-16 to 1.3e-15, and took 187.3 SVDs per verify-all op, not 177.4.
     projected = W.basis @ (W.basis.conj().T @ V.basis)
-    U, cosines, _ = np.linalg.svd(projected, full_matrices=False)
+    U, cosines, _ = _svd(projected, full_matrices=False)
     return Subspace._trusted(V.ambient_dim, V.field, U[:, cosines > COMPARE_TOL])
 
 
@@ -148,7 +156,7 @@ def complement(V: Subspace) -> Subspace:
         return zero_subspace(n, V.field)
     # Full SVD of the basis: the trailing left singular vectors span the
     # orthogonal complement exactly.
-    U, _, _ = np.linalg.svd(V.basis, full_matrices=True)
+    U, _, _ = _svd(V.basis, full_matrices=True)
     return Subspace._trusted(n, V.field, U[:, p:])
 
 

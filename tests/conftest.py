@@ -1,9 +1,13 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import spangle
 from spangle import Field
+from spangle.linalg import _svd
 from spangle.sampling import haar_subspace
 
 
@@ -24,6 +28,38 @@ def kahan_vectors():
     K = np.diag(np.sin(theta) ** np.arange(n)) @ (np.eye(n) - math.cos(theta) * np.triu(np.ones((n, n)), 1))
     K = K * (1 - 1e-3 * np.arange(n))
     return list(K.T)
+
+
+class _SvdCalls(list):
+    """The shape of each call of the package's SVD entry; ``vectors``
+    holds, call by call, whether it computed singular vectors."""
+
+    def __init__(self):
+        super().__init__()
+        self.vectors = []
+
+    def clear(self):
+        super().clear()
+        self.vectors.clear()
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count every call of ``linalg._svd``, the one SVD entry of the
+    package, made while the test runs: each module holds the entry under
+    its own name, so every module's reference is replaced."""
+    calls = _SvdCalls()
+
+    def counting_svd(M, full_matrices=True, compute_uv=True):
+        calls.append(np.shape(M))
+        calls.vectors.append(compute_uv)
+        return _svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
+
+    for info in pkgutil.iter_modules(spangle.__path__):
+        module = importlib.import_module(f"spangle.{info.name}")
+        if vars(module).get("_svd") is _svd:
+            monkeypatch.setattr(module, "_svd", counting_svd)
+    return calls
 
 
 def pytest_configure(config):

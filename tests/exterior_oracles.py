@@ -1,4 +1,5 @@
-"""Slow reference routes for the left contraction of ``spangle.exterior``.
+"""Slow reference routes for the left contraction of ``spangle.exterior``,
+and ``wedge_vector``, which builds blades from arbitrary vectors.
 
 The contraction is checked two independent ways: straight from its
 adjoint identity, against every coordinate blade, and by the explicit
@@ -11,8 +12,17 @@ from typing import Sequence
 
 import numpy as np
 
-from spangle.exterior import Multivector, inner, scalar_multivector, wedge, wedge_vector
+from spangle.exterior import Multivector, _wedge_vector_coeffs, inner, scalar_multivector, wedge
 from spangle.linalg import Field, as_field_array
+
+
+def wedge_vector(x: Multivector, v) -> Multivector:
+    """x ^ v for an ambient vector v, converted and checked like any
+    caller's data (the package wedges only its own basis columns)."""
+    v = as_field_array(v, x.field)
+    if v.shape != (x.ambient_dim,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({x.ambient_dim},)")
+    return Multivector(x.ambient_dim, x.field, _wedge_vector_coeffs(x.coeffs, v, x.ambient_dim))
 
 
 def zero_multivector(n: int, field: Field) -> Multivector:

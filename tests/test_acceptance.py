@@ -20,7 +20,7 @@ from spangle.angles import (
     real_complex_relation,
     vector_angles,
 )
-from spangle.exterior import contract, inner, scalar_multivector, wedge, wedge_vector
+from spangle.exterior import contract, inner, scalar_multivector, wedge
 from spangle.gram import angle_from_gram, complementary_from_gram
 from spangle.identities import check_oriented_sum
 from spangle.principal import principal_angles
@@ -40,6 +40,7 @@ from exterior_oracles import (
     coordinate_blade,
     epsilon_sign,
     multi_index_complement,
+    wedge_vector,
 )
 
 ANGLE_TOL = 1e-7

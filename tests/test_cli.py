@@ -308,6 +308,13 @@ class TestGeodesicCommand:
         assert out["field"] == option.removeprefix("--")
         assert "finite" in out["error"]
 
+    def test_real_nan_t_exit_2(self, runner, tmp_path):
+        left = write_doc(tmp_path / "u.json", "real", 3, [[1, 0, 0], [0, 1, 0]])
+        right = write_doc(tmp_path / "w.json", "real", 3, [[1, 0, 0], [0, 0.6, 0.8]])
+        result = runner.invoke(main, ["geodesic", left, right, "--t", "nan"])
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.output) == {"error": "t must be finite", "field": "t"}
+
 
 class TestIoRoundTrip:
     def test_document_round_trip(self, tmp_path, rng):

@@ -18,7 +18,6 @@ from spangle.exterior import (
     project_multivector,
     scalar_multivector,
     wedge,
-    wedge_vector,
 )
 from spangle.linalg import det
 from spangle.principal import is_partially_orthogonal
@@ -33,6 +32,7 @@ from exterior_oracles import (
     epsilon_sign,
     grades,
     multi_index_complement,
+    wedge_vector,
 )
 
 BOTH = (Field.REAL, Field.COMPLEX)

@@ -1,16 +1,20 @@
+import ast
 import math
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spangle import Field
+from spangle import Field, linalg
 from spangle.linalg import (
     COMPARE_TOL,
     QR_ROUTE_MIN,
     RANK_REL_TOL,
     ZERO_ANGLE_COS_BAND,
     _norm_within_compare_tol,
+    _svd,
     angle_from_cosine,
     arccos_clamped,
     clamped_products,
@@ -28,13 +32,11 @@ def test_tolerance_ordering():
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-def test_relation_test_is_the_2_norm_against_compare_tol(field, monkeypatch):
+def test_relation_test_is_the_2_norm_against_compare_tol(field, svd_calls):
     """The relation test agrees with the largest singular value, and takes
     it only when the Frobenius norm and the largest column norm fall on
     either side of COMPARE_TOL."""
     rng = np.random.default_rng(11)
-    svd, taken = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: taken.append(1) or svd(*a, **k))
     cases = [
         (np.zeros((4, 0)), True, 0),
         (np.zeros((0, 3)), True, 0),
@@ -44,12 +46,84 @@ def test_relation_test_is_the_2_norm_against_compare_tol(field, monkeypatch):
         (1e-9 * random_unitary(rng, 3, field)[:, :2] * 0.5, True, 0),
     ]
     for M, within, svds in cases:
-        taken.clear()
+        svd_calls.clear()
         assert _norm_within_compare_tol(M.astype(field.dtype)) is within
-        assert len(taken) == svds
+        assert len(svd_calls) == svds
     for scale in np.geomspace(3e-10, 3e-9, 40):
         M = scale * gaussian_matrix(rng, 5, 3, field)
-        assert _norm_within_compare_tol(M) is bool(svd(M, compute_uv=False)[0] <= COMPARE_TOL)
+        assert _norm_within_compare_tol(M) is bool(np.linalg.svd(M, compute_uv=False)[0] <= COMPARE_TOL)
+
+
+class TestSvdEntry:
+    """``linalg._svd`` calls numpy's SVD gufuncs directly: every output
+    must be ``np.linalg.svd``'s, bit for bit, and a failed call must still
+    raise LinAlgError."""
+
+    # Tall, wide, square, 1 x 1 and empty matrices, then the stacks of
+    # metrics.sampled_directed_hausdorff: (m, p, k) frames, (m, 4, q, k)
+    # candidate frames, and their (m, q, k) products with the cross-Gram.
+    SHAPES = [(8, 4), (4, 2), (3, 7), (5, 5), (1, 1), (4, 0), (0, 3), (6, 5, 3), (6, 4, 4, 2), (6, 3, 2)]
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_numpy_bit_for_bit(self, field, shape):
+        rng = np.random.default_rng(sum(shape))
+        M = gaussian_matrix(rng, math.prod(shape), 1, field).reshape(shape)
+        cases = [{"compute_uv": False}, {"full_matrices": False}, {"full_matrices": True}]
+        for kwargs in cases:
+            ours, theirs = _svd(M, **kwargs), np.linalg.svd(M, **kwargs)
+            if not kwargs.get("compute_uv", True):
+                ours, theirs = (ours,), (theirs,)
+            assert len(ours) == len(theirs)
+            for a, b in zip(ours, theirs):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+    def test_a_slice_matches_numpy(self):
+        """A strided view goes to the gufunc as numpy passes it."""
+        M = np.random.default_rng(3).standard_normal((2, 9, 6))[0, ::2, 1::2]
+        assert _svd(M, compute_uv=False).tobytes() == np.linalg.svd(M, compute_uv=False).tobytes()
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("svd", {"compute_uv": False}),
+        ("svd_s", {"full_matrices": False}),
+        ("svd_f", {"full_matrices": True}),
+    ])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_nan_result_raises(self, monkeypatch, name, kwargs, stacked):
+        """numpy's gufunc fills the outputs of a failed matrix with NaN;
+        one failed matrix of a stack fails the call."""
+        gufuncs = {other: getattr(linalg._umath_linalg, other) for other in ("svd", "svd_s", "svd_f")}
+
+        def failing(M, signature):
+            out = gufuncs[name](M, signature=signature)
+            for a in out if isinstance(out, tuple) else (out,):
+                a[-1 if stacked else ...] = np.nan
+            return out
+
+        monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(**{**gufuncs, name: failing}))
+        M = np.random.default_rng(5).standard_normal((3, 4, 2) if stacked else (4, 2))
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            _svd(M, **kwargs)
+
+    def test_no_module_calls_numpy_svd(self):
+        """Every SVD in the package goes through the entry: no module calls
+        or imports ``numpy.linalg.svd``, and only ``linalg`` reaches numpy's
+        gufuncs."""
+        src = Path(linalg.__file__).parent
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                numpy_svd = isinstance(node, ast.Attribute) and node.attr == "svd"
+                if numpy_svd and getattr(node.value, "attr", None) == "linalg":
+                    offenders.append(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                    names = {alias.name for alias in node.names}
+                    if "svd" in names or ("_umath_linalg" in names and path.name != "linalg.py"):
+                        offenders.append(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.Name) and node.id == "_umath_linalg" and path.name != "linalg.py":
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestOrthonormalize:

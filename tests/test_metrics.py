@@ -384,6 +384,17 @@ class TestGeodesic:
         with pytest.raises(ValueError, match="geodesics need nonzero subspaces"):
             geodesic_point(Z, Z, 0.1)
 
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("t, phase", [(math.nan, None), (math.inf, None), (0.3, math.nan), (0.3, -math.inf)])
+    def test_non_finite_parameter_rejected(self, field, t, phase):
+        """Checked at entry, so a real NaN phase (whose cosine passes no
+        comparison) and an infinite t (where math.cos fails) raise the same
+        error as a NaN t."""
+        U = from_spanning([[1, 0, 0], [0, 1, 0]], field)
+        W = from_spanning([[1, 0, 0], [0, 0.6, 0.8]], field)
+        with pytest.raises(ValueError, match=r"^entries must be finite \(no NaN or infinity\)$"):
+            geodesic_point(U, W, t, phase=phase)
+
     def test_zero_dimensional_edge(self):
         # p = 1 lines through the origin in the plane
         U = from_spanning([[1.0, 0.0]], Field.REAL)

@@ -48,34 +48,6 @@ def random_pair(rng, n, p, q, field):
     return haar_subspace(rng, n, p, field), haar_subspace(rng, n, q, field)
 
 
-class _SvdCalls(list):
-    """The shape of each numpy.linalg.svd call; ``vectors`` holds, call by
-    call, whether it computed singular vectors."""
-
-    def __init__(self):
-        super().__init__()
-        self.vectors = []
-
-    def clear(self):
-        super().clear()
-        self.vectors.clear()
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Count every call of numpy.linalg.svd made while the test runs."""
-    calls = _SvdCalls()
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        calls.vectors.append(kwargs.get("compute_uv", True))
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    return calls
-
-
 def _flush(rng, field):
     """Evict the remembered pair by taking the spectrum of another one."""
     pair_spectrum(*random_pair(rng, 3, 1, 1, field))

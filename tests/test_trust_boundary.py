@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from spangle import Field
-from spangle import linalg, verify
+from spangle import exterior, linalg, verify
 from spangle.angles import oriented_from_spanning
 from spangle.identities import check_coordinate_identity, check_oriented_sum
-from spangle.metrics import TriangleTag, classify_triangle_equality
+from spangle.metrics import TriangleTag, classify_triangle_equality, geodesic_point
 from spangle.principal import intersect
 from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary
 from spangle.subspace import (
@@ -174,16 +174,38 @@ def test_haar_and_sub_subspaces_are_not_converted_again(field, monkeypatch, rng)
     assert calls == []
 
 
-def test_only_geodesic_point_converts_a_basis_matrix(monkeypatch):
-    """The suites' own builds and the CASE_III witness's spans take the
-    library-built matrix as it is; ``from_basis_matrix`` converts only for
-    ``geodesic_point``, whose t and phase come from outside."""
+def test_no_library_route_converts_a_basis_matrix(monkeypatch):
+    """The suites' own builds, the CASE_III witness's spans and the
+    geodesic point take the library-built matrix as it is: no library
+    route calls ``from_basis_matrix``."""
     U, V, W = (from_spanning([[math.cos(t), math.sin(t), 0.0], [0.0, 0.0, 1.0]], Field.REAL) for t in (0.0, 0.4, 1.0))
     calls = _record_conversions(monkeypatch)
     assert classify_triangle_equality(U, V, W).tag is TriangleTag.CASE_III
+    geodesic_point(U, W, 0.3)
     for suite in verify.SUITE_NAMES:
         verify.run_suites(suite, seed=5, trials=5, dim_max=8)
-    assert {caller for function, caller in calls if function == "from_basis_matrix"} == {"geodesic_point"}
+    assert [call for call in calls if "from_basis_matrix" in call] == []
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_library_built_multivectors_are_not_converted(field, monkeypatch, rng):
+    """Blades, products, contractions and projections the library computes
+    are stored as computed (read-only, the field's dtype, length 2^n); the
+    public constructor still converts and checks."""
+    V, W = haar_subspace(rng, 4, 2, field), haar_subspace(rng, 4, 3, field)
+    calls = _record_conversions(monkeypatch)
+    nu, omega = exterior.blade_of(V), exterior.blade_of(W)
+    built = [nu, omega, exterior.wedge(nu, omega), exterior.contract(nu, omega), exterior.project_multivector(W, nu)]
+    built.append(exterior.scalar_multivector(4, field))
+    assert calls == []
+    for x in built:
+        assert x.coeffs.dtype == field.dtype and x.coeffs.shape == (16,)
+        assert not x.coeffs.flags.writeable
+    with pytest.raises(ValueError, match="finite"):
+        exterior.Multivector(2, field, [1.0, np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="length 4"):
+        exterior.Multivector(2, field, [1.0, 0.0, 0.0])
+    assert [function for function, _ in calls] == ["__post_init__", "__post_init__"]
 
 
 def test_public_constructor_still_checks():
