@@ -107,10 +107,10 @@ def grassmann_angle(V: Subspace, W: Subspace) -> float:
     pi/2 when dim V > dim W (including W = {0} with V nonzero); 0 when
     V = {0}.
     """
-    _check_pair(V, W)
     if V.dim > W.dim:  # the rule of PairSpectrum.theta, without an SVD
+        _check_pair(V, W)
         return HALF_PI
-    return pair_spectrum(V, W).theta
+    return pair_spectrum(V, W).theta  # checks the pair
 
 
 def complementary_angle(V: Subspace, W: Subspace) -> float:
@@ -229,13 +229,18 @@ def oriented_angle(V: OrientedSubspace, W: OrientedSubspace) -> OrientedAngle:
 
 
 def angle_report(V: Subspace, W: Subspace) -> AngleReport:
+    """The pair's report, filled in one step from its spectrum without
+    running the constructor (equal, with an equal hash and repr, to the
+    one the constructor would build)."""
     s = pair_spectrum(V, W)
     forward, backward = s.theta, s.swapped.theta
     c = math.cos(forward)
-    return AngleReport(
+    report = object.__new__(AngleReport)
+    report.__dict__.update(
         theta=forward,
         theta_perp=s.theta_perp,
         theta_min_sym=min(forward, backward),
         theta_max_sym=max(forward, backward),
         projection_factor=c * c if V.field is Field.COMPLEX else c,
     )
+    return report

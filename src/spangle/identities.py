@@ -28,12 +28,12 @@ from .angles import (
 from .linalg import (
     COMPARE_TOL,
     HALF_PI,
+    ZERO_ANGLE_COS_BAND,
     Field,
     _norm_within_compare_tol,
     _svd,
     as_field_array,
     clamped_products,
-    in_zero_angle_band,
 )
 from .principal import (
     intersect,
@@ -150,7 +150,7 @@ def _stacked_cosines(stack: np.ndarray) -> np.ndarray:
     a (B, q, p) stack with p <= q: the clamped product of its singular
     values, exactly 1 inside the zero-angle band, as in grassmann_angle."""
     products = clamped_products(_svd(stack, compute_uv=False))
-    return np.where(in_zero_angle_band(products), 1.0, products)
+    return np.where(products >= ZERO_ANGLE_COS_BAND, 1.0, products)
 
 
 def _sum_in_order(terms: np.ndarray):

@@ -30,14 +30,14 @@ HALF_PI = math.pi / 2
 
 
 class Field(enum.Enum):
-    """Ground field of a subspace: real or complex scalars."""
+    """Ground field of a subspace: real or complex scalars, each member
+    carrying its numpy ``dtype`` as a plain attribute."""
 
     REAL = "real"
     COMPLEX = "complex"
 
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.complex128 if self is Field.COMPLEX else np.float64)
+    def __init__(self, value: str):
+        self.dtype = np.dtype(np.complex128 if value == "complex" else np.float64)
 
 
 # The numerical policy, one job per tolerance: RANK_REL_TOL ranks a
@@ -47,9 +47,10 @@ class Field(enum.Enum):
 RANK_REL_TOL = 1e-12
 COMPARE_TOL = 1e-9
 
-# Cosines above this band are indistinguishable from 1 at SVD backward
-# error, so their angles count as exact zeros, with zero sines (else every
-# genuinely shared direction would contribute a spurious sqrt(eps) sine).
+# The zero-angle band, c >= ZERO_ANGLE_COS_BAND: such cosines are
+# indistinguishable from 1 at SVD backward error, so their angles count as
+# exact zeros, with zero sines (else every genuinely shared direction would
+# contribute a spurious sqrt(eps) sine).
 ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * float(np.finfo(np.float64).eps)
 
 
@@ -57,7 +58,7 @@ def as_field_array(values: Iterable, field: Field) -> np.ndarray:
     """Convert to the dtype of ``field``, rejecting complex data under REAL
     and non-finite entries (NaN or infinity) under either field."""
     arr = np.asarray(values)
-    if field is Field.REAL and np.iscomplexobj(arr):
+    if field is Field.REAL and arr.dtype.kind == "c":
         if np.any(arr.imag != 0):
             raise ValueError("complex entries are not allowed in a REAL-tagged value")
         arr = arr.real
@@ -77,19 +78,12 @@ def arccos_clamped(x: float) -> float:
     return math.acos(clamp01(x))
 
 
-def in_zero_angle_band(c):
-    """Whether a cosine (elementwise, for an array) lies in the zero-angle
-    band, where it stands for an angle of exactly 0."""
-    return c >= ZERO_ANGLE_COS_BAND
-
-
 def angle_from_cosine(c: float) -> float:
     """The angle of a cosine: exactly 0 inside the zero-angle band, so that
     shared or contained directions give exact angles, else arccos of c
-    clamped into [0, 1]."""
-    if in_zero_angle_band(c):
-        return 0.0
-    return arccos_clamped(c)
+    clamped into [0, 1] (one call per angle: this is the scalar reduction's
+    inner step)."""
+    return 0.0 if c >= ZERO_ANGLE_COS_BAND else math.acos(min(max(c, 0.0), 1.0))
 
 
 def _svd(M: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
@@ -168,28 +162,41 @@ QR_ROUTE_MIN = 16
 
 def _rank(sigma: np.ndarray, shape: tuple[int, ...]) -> int:
     """The number of descending singular values ``sigma`` of a matrix of
-    ``shape`` above ``rank_cutoff``."""
-    if sigma.size == 0:
-        return 0
-    return int(np.count_nonzero(sigma > rank_cutoff(float(sigma[0]), shape)))
+    ``shape`` above ``rank_cutoff``: the full count less the trailing
+    values at or below it, read on plain floats."""
+    values = sigma.tolist()
+    rank = len(values)
+    while rank and values[rank - 1] <= rank_cutoff(values[0], shape):
+        rank -= 1
+    return rank
 
 
 def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of a matrix, with the rank cut
     of ``rank_cutoff``: Q of shape (n, rank), its width the rank.
 
-    Below ``QR_ROUTE_MIN`` it is the leading left singular vectors of M.
-    From it on, M = QR by Householder and the rank comes from the singular
-    values of R, which are those of M; Q itself is the basis when M has
-    full rank, else Q times the leading left singular vectors of R.
+    Below ``QR_ROUTE_MIN`` it is the leading left singular vectors of M
+    (the SVD's own U at full rank).  From it on, M = QR by Householder and
+    the rank comes from the singular values of R, which are those of M; Q
+    itself is the basis when M has full rank, else Q times the leading left
+    singular vectors of R.  For a tall or square M, R is square triangular
+    and sigma_min(R) <= min |r_kk| <= max |r_kk| <= sigma_max(R), so a
+    diagonal entry at or below the cut the largest one sets proves the
+    rank deficient: one SVD of R then gives the rank and the vectors.  Else
+    the values come first (a Kahan-type R hides its small singular value).
     """
     size = min(M.shape)
     if size == 0:
         return M[:, :0].copy()
     if size < QR_ROUTE_MIN:
         U, sigma, _ = _svd(M, full_matrices=False)
-        return np.ascontiguousarray(U[:, :_rank(sigma, M.shape)])
+        rank = _rank(sigma, M.shape)
+        return U if rank == size else np.ascontiguousarray(U[:, :rank])
     Q, R = np.linalg.qr(M)
+    diagonal = np.abs(np.diagonal(R))
+    if M.shape[0] >= M.shape[1] and diagonal.min() <= rank_cutoff(diagonal.max(), M.shape):
+        U_R, sigma, _ = _svd(R, full_matrices=False)
+        return Q @ U_R[:, :_rank(sigma, M.shape)]
     rank = _rank(_svd(R, compute_uv=False), M.shape)
     if rank == Q.shape[1]:
         return Q

@@ -38,10 +38,10 @@ def fubini_study(V: Subspace, W: Subspace) -> float:
     dimensions: pi/2, because distinct-grade components of the algebra
     are orthogonal.
     """
-    _check_pair(V, W)
     if V.dim != W.dim:
+        _check_pair(V, W)
         return HALF_PI
-    return grassmann_angle(V, W)
+    return grassmann_angle(V, W)  # checks the pair
 
 
 def asymmetric_distance(V: Subspace, W: Subspace) -> float:
@@ -256,6 +256,13 @@ def geodesic_point(U: Subspace, W: Subspace, t: float, phase: float | None = Non
     """
     if not math.isfinite(t) or (phase is not None and not math.isfinite(phase)):
         raise ValueError("entries must be finite (no NaN or infinity)")
+    return _geodesic(U, W, phase)(t)
+
+
+def _geodesic(U: Subspace, W: Subspace, phase: float | None):
+    """The map t -> ``geodesic_point(U, W, t, phase)`` for a finite (or
+    None) phase and finite t: K, u and the tangent are taken once, with
+    every check, and each point then costs one span."""
     _check_pair(U, W)
     if U.is_zero or W.is_zero:
         raise ValueError("geodesics need nonzero subspaces")
@@ -289,5 +296,9 @@ def geodesic_point(U: Subspace, W: Subspace, t: float, phase: float | None = Non
             tangent = tangent * (1.0 if factor > 0 else -1.0)
         else:
             tangent = tangent * np.exp(1j * phase)
-    moving = u * math.cos(t) + tangent * math.sin(t)
-    return _span(np.column_stack([K.basis, moving]), U.field)
+
+    def point(t: float) -> Subspace:
+        moving = u * math.cos(t) + tangent * math.sin(t)
+        return _span(np.column_stack([K.basis, moving]), U.field)
+
+    return point

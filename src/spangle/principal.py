@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import COMPARE_TOL, HALF_PI, Field, _norm_within_compare_tol, _svd, angle_from_cosine, in_zero_angle_band
+from .linalg import COMPARE_TOL, HALF_PI, ZERO_ANGLE_COS_BAND, Field, _norm_within_compare_tol, _svd, angle_from_cosine
 from .subspace import (
     Subspace,
     _check_pair,
@@ -41,24 +41,29 @@ class _Reduction:
 
     def __init__(self, cosines: np.ndarray, field: Field):
         self.cosines, self.field = cosines, field
-        self.cos = cosines.tolist()
-        # (1 - c)(1 + c) is never negative, so only the upper clamp acts.
-        self.sin = [0.0 if in_zero_angle_band(c) else math.sqrt(min((1.0 - c) * (1.0 + c), 1.0)) for c in self.cos]
-        self.cos_product = math.prod(self.cos, start=1.0)
-        self.cos_theta_perp = math.prod(self.sin, start=1.0)
+        self.cos = cos = cosines.tolist()
+        # The zero-angle band, as in angle_from_cosine; (1 - c)(1 + c) is
+        # never negative, so only the upper clamp acts.
+        self.sin = sin = [0.0 if c >= ZERO_ANGLE_COS_BAND else math.sqrt(min((1.0 - c) * (1.0 + c), 1.0)) for c in cos]
+        self.cos_product = math.prod(cos, start=1.0)
+        self.cos_theta_perp = math.prod(sin, start=1.0)
         self.theta_perp = angle_from_cosine(self.cos_theta_perp)
         self.sines = self.angles = None
 
     def oriented(self, p: int, q: int) -> PairSpectrum:
-        """The spectrum of the pair with dimensions (p, q)."""
+        """The spectrum of the pair with dimensions (p, q), filled in one
+        step without running a constructor."""
         cos_theta = 0.0 if p > q else self.cos_product
-        theta = angle_from_cosine(cos_theta)
-        return PairSpectrum(
-            self.cosines, p, q, self.field, cos_theta, theta, self.cos_theta_perp, self.theta_perp, self
+        spectrum = object.__new__(PairSpectrum)
+        spectrum.__dict__.update(
+            cosines=self.cosines, p=p, q=q, field=self.field, cos_theta=cos_theta,
+            theta=angle_from_cosine(cos_theta), cos_theta_perp=self.cos_theta_perp, theta_perp=self.theta_perp,
+            _reduction=self,
         )
+        return spectrum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairSpectrum:
     """Principal cosines (descending, clamped into [0, 1], read-only,
     length min(p, q)) of an ordered pair of subspaces of dimensions p and
@@ -74,7 +79,9 @@ class PairSpectrum:
     ``swapped`` (the spectrum of (W, V)) shares the cosines, the sines and
     the complementary angle.  The read-only ``sines`` and ``angles``
     arrays are built on first use; ``theta_max``, ``cos_spread`` and
-    ``shared`` are read off the cosines and sines when asked for."""
+    ``shared`` are read off the cosines and sines when asked for.  It has
+    no constructor: only ``_Reduction.oriented`` builds one, and no field
+    can be assigned or deleted."""
 
     cosines: np.ndarray
     p: int
@@ -97,8 +104,8 @@ class PairSpectrum:
             other = other()
         if other is None:
             other = self._reduction.oriented(self.q, self.p)
-            object.__setattr__(self, "_swapped", other)
-            object.__setattr__(other, "_swapped", weakref.ref(self))
+            self.__dict__["_swapped"] = other
+            other.__dict__["_swapped"] = weakref.ref(self)
         return other
 
     def _frame(self, V: Subspace, W: Subspace) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +114,7 @@ class PairSpectrum:
         builds its own): only the factors, so the memo keeps no pair alive."""
         if "_uvh" not in self.__dict__:
             U, _, Vh = _svd(W.basis.conj().T @ V.basis, full_matrices=True)
-            object.__setattr__(self, "_uvh", (U, Vh))
+            self.__dict__["_uvh"] = (U, Vh)
         return self.__dict__["_uvh"]
 
     @property
@@ -130,11 +137,13 @@ class PairSpectrum:
         inside the zero-angle band like the sines, so a shared direction
         gets 0, not an arccos of roundoff that would depend on how the
         cross-Gram was oriented and decomposed.  numpy's arccos, not
-        math.acos: the two differ in the last bit on some cosines."""
+        math.acos: the two differ in the last bit on some cosines.  The
+        cosines descend, so only a top cosine in the band puts any there."""
         r = self._reduction
         if r.angles is None:
             angles = np.arccos(self.cosines)
-            angles[in_zero_angle_band(self.cosines)] = 0.0
+            if r.cos and r.cos[0] >= ZERO_ANGLE_COS_BAND:
+                angles[self.cosines >= ZERO_ANGLE_COS_BAND] = 0.0
             r.angles = _read_only(angles)
         return r.angles
 
@@ -177,13 +186,20 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
         if a is W and b is V:
             return memo[2].swapped
     _check_pair(V, W)
-    if V.is_zero or W.is_zero:
-        cosines = np.zeros(0)
+    A, B = V.basis, W.basis
+    p, q = A.shape[1], B.shape[1]
+    if p and q:
+        if p > q:
+            A, B = B, A
+        # A real B needs no conjugate, which would copy it.
+        cosines = _svd((B.T if V.field is Field.REAL else B.conj().T) @ A, compute_uv=False)
+        # Singular values are never negative, and they descend: only the
+        # upper clamp can act, and only when the first is above 1.
+        if cosines[0] > 1.0:
+            cosines = np.minimum(cosines, 1.0)
     else:
-        M = W.basis.conj().T @ V.basis if V.dim <= W.dim else V.basis.conj().T @ W.basis
-        # Singular values are never negative: only the upper clamp acts.
-        cosines = np.minimum(_svd(M, compute_uv=False), 1.0)
-    spectrum = _Reduction(_read_only(cosines), V.field).oriented(V.dim, W.dim)
+        cosines = np.zeros(0)
+    spectrum = _Reduction(_read_only(cosines), V.field).oriented(p, q)
     _last_pair = (weakref.ref(V), weakref.ref(W), spectrum)
     return spectrum
 

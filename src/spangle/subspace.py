@@ -63,9 +63,7 @@ class Subspace:
         basis = np.ascontiguousarray(basis)
         basis.setflags(write=False)
         self = object.__new__(cls)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "basis", basis)
+        self.__dict__.update(ambient_dim=ambient_dim, field=field, basis=basis)
         return self
 
     @property

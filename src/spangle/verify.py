@@ -52,7 +52,7 @@ from .identities import (
     theta_pair_feasibility,
 )
 from .linalg import Field
-from .metrics import fubini_study, geodesic_point, sampled_directed_hausdorff
+from .metrics import _geodesic, fubini_study, sampled_directed_hausdorff
 from .principal import (
     Partition,
     intersect,
@@ -444,7 +444,8 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
         total = grassmann_angle(U, W)
         if total < 1e-3:
             continue
-        start, end, mid = [geodesic_point(U, W, t) for t in (0.0, total, total / 2)]
+        point = _geodesic(U, W, None)
+        start, end, mid = [point(t) for t in (0.0, total, total / 2)]
         col.add("geodesic_start", fubini_study(start, U))
         col.add("geodesic_endpoint", fubini_study(end, W))
         col.add("geodesic_midpoint_left", abs(grassmann_angle(U, mid) - total / 2))

@@ -266,6 +266,39 @@ class TestOrthonormalizeRoutes:
         assert rank == min(shape)
         assert Q.tobytes() == np.linalg.qr(M)[0].tobytes()
 
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_small_full_rank_basis_is_the_svd_factor(self, field):
+        """Below QR_ROUTE_MIN a full-rank list's basis is the SVD's own U:
+        C-ordered, and read-only once a subspace owns it."""
+        vectors = list(gaussian_matrix(np.random.default_rng(4), 8, 4, field).T)
+        M = stack_columns(vectors, field)
+        assert orthonormalize_columns(M).tobytes() == _svd(M, full_matrices=False)[0].tobytes()
+        basis = from_spanning(vectors, field).basis
+        assert basis.flags.c_contiguous and not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_small_diagonal_entry_of_r_takes_one_svd(self, field, svd_calls):
+        """A tall list whose R has a diagonal entry at or below the rank cut
+        is rank-deficient (sigma_min(R) <= min |r_kk|), so one SVD of R
+        gives both the rank and the vectors."""
+        M = _deficient(np.random.default_rng(5), 40, 20, 17, field)
+        diagonal = np.abs(np.diagonal(np.linalg.qr(M)[1]))
+        assert diagonal.min() <= RANK_REL_TOL * diagonal.max() * 40
+        svd_calls.clear()
+        Q = orthonormalize_columns(M)
+        assert Q.shape == (40, 17)
+        assert svd_calls == [(20, 20)] and svd_calls.vectors == [True]
+
+    def test_kahan_list_ranks_on_the_singular_values(self, kahan_vectors, svd_calls):
+        """A perturbed Kahan R has no diagonal entry near the cut, so its
+        rank comes from the values of R first, then its vectors."""
+        svd_calls.clear()
+        Q = orthonormalize_columns(stack_columns(kahan_vectors, Field.REAL))
+        assert Q.shape == (60, 59)
+        assert svd_calls == [(60, 60), (60, 60)] and svd_calls.vectors == [False, True]
+
 
 class TestStackColumns:
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

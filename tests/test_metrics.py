@@ -9,6 +9,7 @@ from spangle.identities import ANGLE_TOL
 from spangle.linalg import COMPARE_TOL, angle_from_cosine, clamped_products
 from spangle.metrics import (
     TriangleTag,
+    _geodesic,
     asymmetric_distance,
     classify_triangle_equality,
     directed_hausdorff,
@@ -314,6 +315,19 @@ class TestGeodesic:
             mid = geodesic_point(U, W, total / 2)
             assert grassmann_angle(U, mid) == pytest.approx(total / 2, abs=1e-9)
             assert grassmann_angle(mid, W) == pytest.approx(total / 2, abs=1e-9)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_one_frame_gives_geodesic_point_bits(self, field, rng, svd_calls):
+        """The map ``_geodesic`` takes the frame once; each of its points
+        then costs one span (one SVD) and has ``geodesic_point``'s bits."""
+        U, W = codim1_pair(rng, 5, 3, field)
+        for phase in (None, 0.7 if field is Field.COMPLEX else math.pi):
+            point = _geodesic(U, W, phase)
+            for t in (0.0, 0.4, 1.3):
+                svd_calls.clear()
+                V = point(t)
+                assert len(svd_calls) == 1
+                assert V.basis.tobytes() == geodesic_point(U, W, t, phase).basis.tobytes()
 
     def test_points_stay_in_grassmannian(self, rng):
         U, W = codim1_pair(rng, 5, 3, Field.REAL)

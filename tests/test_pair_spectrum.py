@@ -27,7 +27,7 @@ from spangle.identities import (
     complexifiability_obstruction,
     theta_pair_feasibility,
 )
-from spangle.linalg import COMPARE_TOL, HALF_PI, angle_from_cosine, clamped_products, in_zero_angle_band
+from spangle.linalg import COMPARE_TOL, HALF_PI, ZERO_ANGLE_COS_BAND, angle_from_cosine, clamped_products
 from spangle.metrics import fubini_study
 from spangle.principal import (
     PrincipalDecomposition,
@@ -531,9 +531,9 @@ def test_verify_all_svd_count_stays_down(svd_calls):
 def _numpy_family(cosines, p, q):
     c = cosines
     sines = np.sqrt(np.minimum((1.0 - c) * (1.0 + c), 1.0))
-    sines[in_zero_angle_band(c)] = 0.0
+    sines[c >= ZERO_ANGLE_COS_BAND] = 0.0
     angles = np.arccos(c)
-    angles[in_zero_angle_band(c)] = 0.0
+    angles[c >= ZERO_ANGLE_COS_BAND] = 0.0
     cos_theta = 0.0 if p > q else clamped_products(c)
     family = {
         "sines": sines,
@@ -594,7 +594,7 @@ def test_one_pass_reduction_keeps_the_numpy_bits(rng, field):
                     assert _bits(getattr(s, name)) == _bits(want[name]), (V.dim, W.dim, name)
         c = forward.cosines
         seen_one |= bool(np.any(c == 1.0))
-        seen_band |= bool(np.any(in_zero_angle_band(c) & (c < 1.0)))
+        seen_band |= bool(np.any((c >= ZERO_ANGLE_COS_BAND) & (c < 1.0)))
     assert seen_one and seen_band
 
 
@@ -614,8 +614,41 @@ def test_reduction_shares_and_stays_read_only(rng, field):
             assert _bits(getattr(again, name)) == _bits(getattr(s, name))
         for arr in (s.cosines, s.sines, s.angles, back.sines, back.angles):
             assert not arr.flags.writeable
+        for spectrum in (s, back):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                spectrum.theta = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del spectrum.cosines
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_cosines_are_the_clamped_singular_values(rng, field):
+    """The cosines keep the bits of np.minimum(singular values, 1) of the
+    conjugate-transposed cross-Gram, with the clamp skipped whenever the
+    top value is at most 1; the corpus has tops above 1."""
+    above = 0
+    for V, W in _reduction_corpus(rng, field):
+        if V.is_zero or W.is_zero:
+            continue
+        A, B = (V.basis, W.basis) if V.dim <= W.dim else (W.basis, V.basis)
+        raw = np.linalg.svd(B.conj().T @ A, compute_uv=False)
+        above += raw[0] > 1.0
+        assert _bits(pair_spectrum(V, W).cosines) == _bits(np.minimum(raw, 1.0))
+    assert above
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_library_built_report_is_the_constructors(rng, field):
+    """``angle_report`` fills its record without running the constructor:
+    it is equal to the one the constructor builds from the same values,
+    with the same hash and repr, and just as frozen."""
+    for V, W in _reduction_corpus(rng, field):
+        built = angle_report(V, W)
+        public = AngleReport(**{f.name: getattr(built, f.name) for f in dataclasses.fields(AngleReport)})
+        assert type(built) is AngleReport
+        assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            s.theta = 0.0
+            built.theta = 0.0
 
 
 @pytest.mark.parametrize("field", BOTH_FIELDS)
