@@ -141,11 +141,13 @@ def angle_from_complement(V: Subspace, W: Subspace) -> float:
 
 
 def min_symmetrized_angle(V: Subspace, W: Subspace) -> float:
-    return min(grassmann_angle(V, W), grassmann_angle(W, V))
+    s = pair_spectrum(V, W)
+    return min(s.theta, s.theta_back)
 
 
 def max_symmetrized_angle(V: Subspace, W: Subspace) -> float:
-    return max(grassmann_angle(V, W), grassmann_angle(W, V))
+    s = pair_spectrum(V, W)
+    return max(s.theta, s.theta_back)
 
 
 def projection_factor(V: Subspace, W: Subspace) -> float:
@@ -233,7 +235,7 @@ def angle_report(V: Subspace, W: Subspace) -> AngleReport:
     running the constructor (equal, with an equal hash and repr, to the
     one the constructor would build)."""
     s = pair_spectrum(V, W)
-    forward, backward = s.theta, s.swapped.theta
+    forward, backward = s.theta, s.theta_back
     c = math.cos(forward)
     report = object.__new__(AngleReport)
     report.__dict__.update(

@@ -44,20 +44,12 @@ def fubini_study(V: Subspace, W: Subspace) -> float:
     return grassmann_angle(V, W)  # checks the pair
 
 
-def asymmetric_distance(V: Subspace, W: Subspace) -> float:
-    """The directed angle as an asymmetric metric on all subspaces."""
-    return grassmann_angle(V, W)
-
-
-def directed_hausdorff(V: Subspace, W: Subspace) -> float:
-    """Directed Hausdorff distance between the full sub-Grassmannians of
-    V and W (all subspaces of each), in closed form: the directed angle."""
-    return grassmann_angle(V, W)
-
-
-def hausdorff(V: Subspace, W: Subspace) -> float:
-    """Symmetrized (two-sided) Hausdorff distance: the max-symmetrized angle."""
-    return max_symmetrized_angle(V, W)
+# The paper's closed form: the directed angle is an asymmetric metric on
+# all subspaces, and it is the directed Hausdorff distance, in the
+# Fubini-Study distance, from the full sub-Grassmannian of V (all its
+# subspaces) to that of W; so the two-sided one is the max-symmetrized angle.
+asymmetric_distance = directed_hausdorff = grassmann_angle
+hausdorff = max_symmetrized_angle
 
 
 def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generator, samples: int = 200) -> float:

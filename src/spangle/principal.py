@@ -8,7 +8,6 @@ Principal vectors are not unique; only angles and spans are comparable.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
@@ -29,40 +28,6 @@ from .subspace import (
 )
 
 
-class _Reduction:
-    """The one reduction of a pair's cosines to its angle family, on plain
-    floats, shared by both orders of the pair.  Its values are numpy's
-    bits: a product is sequential in both (the start 1.0 keeps an empty
-    one a float), and sqrt is correctly rounded in both.  The sines and
-    angles arrays are built on first use (threads racing on that build
-    equal copies, one of which is kept)."""
-
-    __slots__ = ("cosines", "field", "cos", "sin", "cos_product", "cos_theta_perp", "theta_perp", "sines", "angles")
-
-    def __init__(self, cosines: np.ndarray, field: Field):
-        self.cosines, self.field = cosines, field
-        self.cos = cos = cosines.tolist()
-        # The zero-angle band, as in angle_from_cosine; (1 - c)(1 + c) is
-        # never negative, so only the upper clamp acts.
-        self.sin = sin = [0.0 if c >= ZERO_ANGLE_COS_BAND else math.sqrt(min((1.0 - c) * (1.0 + c), 1.0)) for c in cos]
-        self.cos_product = math.prod(cos, start=1.0)
-        self.cos_theta_perp = math.prod(sin, start=1.0)
-        self.theta_perp = angle_from_cosine(self.cos_theta_perp)
-        self.sines = self.angles = None
-
-    def oriented(self, p: int, q: int) -> PairSpectrum:
-        """The spectrum of the pair with dimensions (p, q), filled in one
-        step without running a constructor."""
-        cos_theta = 0.0 if p > q else self.cos_product
-        spectrum = object.__new__(PairSpectrum)
-        spectrum.__dict__.update(
-            cosines=self.cosines, p=p, q=q, field=self.field, cos_theta=cos_theta,
-            theta=angle_from_cosine(cos_theta), cos_theta_perp=self.cos_theta_perp, theta_perp=self.theta_perp,
-            _reduction=self,
-        )
-        return spectrum
-
-
 @dataclass(frozen=True, init=False)
 class PairSpectrum:
     """Principal cosines (descending, clamped into [0, 1], read-only,
@@ -71,17 +36,17 @@ class PairSpectrum:
     when :func:`pair_spectrum`, which alone builds spectra, takes the SVD:
 
     cos_theta, theta            the directed angle of V with W (cos_theta
-                                is 1.0 when V = {0}); V is at a right
-                                angle to W when p > q, the one rule in
-                                which ``swapped`` differs
+                                is 1.0 when V = {0}): a right angle when
+                                p > q, else the arccos of the product of
+                                the cosines
+    theta_back                  the directed angle of W with V, by the
+                                same rule with p and q exchanged
     cos_theta_perp, theta_perp  the complementary angle
 
-    ``swapped`` (the spectrum of (W, V)) shares the cosines, the sines and
-    the complementary angle.  The read-only ``sines`` and ``angles``
-    arrays are built on first use; ``theta_max``, ``cos_spread`` and
-    ``shared`` are read off the cosines and sines when asked for.  It has
-    no constructor: only ``_Reduction.oriented`` builds one, and no field
-    can be assigned or deleted."""
+    The read-only ``sines`` and ``angles`` arrays are built on first use;
+    ``theta_max``, ``cos_spread`` and ``shared`` are read off the cosines
+    and sines when asked for.  It has no constructor, and no field can be
+    assigned or deleted."""
 
     cosines: np.ndarray
     p: int
@@ -89,29 +54,28 @@ class PairSpectrum:
     field: Field
     cos_theta: float
     theta: float
+    theta_back: float
     cos_theta_perp: float
     theta_perp: float
-    _reduction: _Reduction = dataclasses.field(repr=False)
 
-    @property
-    def swapped(self) -> PairSpectrum:
-        """The spectrum of (W, V), built on first use and kept (threads
-        racing here may each build an equal one).  The link back is weak,
-        so the two spectra form no reference cycle, which would leave
-        every pair's spectra to the cyclic collector."""
-        other = self.__dict__.get("_swapped")
-        if isinstance(other, weakref.ref):
-            other = other()
-        if other is None:
-            other = self._reduction.oriented(self.q, self.p)
-            self.__dict__["_swapped"] = other
-            other.__dict__["_swapped"] = weakref.ref(self)
-        return other
+    def _reversed(self) -> PairSpectrum:
+        """The spectrum of (W, V): this one's state with p and q and the
+        two directed angles exchanged, without this order's frame."""
+        state = dict(self.__dict__)
+        state.pop("_uvh", None)
+        state.update(
+            p=self.q, q=self.p, cos_theta=0.0 if self.q > self.p else self._cos_product,
+            theta=self.theta_back, theta_back=self.theta,
+        )
+        reverse = object.__new__(PairSpectrum)
+        reverse.__dict__.update(state)
+        return reverse
 
     def _frame(self, V: Subspace, W: Subspace) -> tuple[np.ndarray, np.ndarray]:
         """(U, Vh) of the full SVD of W* V for the nonzero pair (V, W) this
-        spectrum is of, built on first use and kept like ``swapped`` (which
-        builds its own): only the factors, so the memo keeps no pair alive."""
+        spectrum is of, built on first use and kept (the reverse order's
+        spectrum builds its own): only the factors, so the memo keeps no
+        pair alive."""
         if "_uvh" not in self.__dict__:
             U, _, Vh = _svd(W.basis.conj().T @ V.basis, full_matrices=True)
             self.__dict__["_uvh"] = (U, Vh)
@@ -122,14 +86,14 @@ class PairSpectrum:
         """The candidates for shared directions: the cosines within
         COMPARE_TOL of 1.  A sine at most COMPARE_TOL, which ``intersect``
         tests, forces its cosine above that, so none is missed."""
-        return sum(c >= 1.0 - COMPARE_TOL for c in self._reduction.cos)
+        return sum(c >= 1.0 - COMPARE_TOL for c in self._cos)
 
     @property
     def sines(self) -> np.ndarray:
-        r = self._reduction
-        if r.sines is None:
-            r.sines = _read_only(np.array(r.sin))
-        return r.sines
+        d = self.__dict__
+        if "_sines" not in d:
+            d["_sines"] = _read_only(np.array(self._sin))
+        return d["_sines"]
 
     @property
     def angles(self) -> np.ndarray:
@@ -139,13 +103,13 @@ class PairSpectrum:
         cross-Gram was oriented and decomposed.  numpy's arccos, not
         math.acos: the two differ in the last bit on some cosines.  The
         cosines descend, so only a top cosine in the band puts any there."""
-        r = self._reduction
-        if r.angles is None:
+        d = self.__dict__
+        if "_angles" not in d:
             angles = np.arccos(self.cosines)
-            if r.cos and r.cos[0] >= ZERO_ANGLE_COS_BAND:
+            if self._cos and self._cos[0] >= ZERO_ANGLE_COS_BAND:
                 angles[self.cosines >= ZERO_ANGLE_COS_BAND] = 0.0
-            r.angles = _read_only(angles)
-        return r.angles
+            d["_angles"] = _read_only(angles)
+        return d["_angles"]
 
     @property
     def theta_max(self) -> float:
@@ -157,7 +121,7 @@ class PairSpectrum:
         """cos(theta_max - smallest angle) for nonzero V and W, expanded on
         the cosines and sines of the two (differencing two arccos values
         would lose sqrt(eps) near zero angles)."""
-        c, s = self._reduction.cos, self._reduction.sin
+        c, s = self._cos, self._sin
         cos_max, sin_max = (0.0, 1.0) if self.p > self.q else (c[-1], s[-1])
         return min(cos_max * c[0] + sin_max * s[0], 1.0)
 
@@ -167,7 +131,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# (weakref(V), weakref(W), spectrum of (V, W)), read and replaced whole, so
+# (weakref(V), weakref(W), spectrum of (V, W), spectrum of (W, V) or None
+# until the reverse order is asked for), read and replaced whole, so
 # threads sharing it see one consistent slot; it keeps no pair alive.
 _last_pair: tuple | None = None
 
@@ -175,8 +140,13 @@ _last_pair: tuple | None = None
 def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
     """Spectrum of (V, W) from one SVD of the tall cross-Gram, with the
     higher-dimensional side (W on a tie) conjugate-transposed, reduced at
-    once to the pair's angle family.  Repeat calls on the same two
-    objects, in either order, reuse it."""
+    once to the pair's angle family on plain floats.  Repeat calls on the
+    same two objects, in either order, reuse it.
+
+    The reduction gives numpy's bits: a product is sequential in both (the
+    start 1.0 keeps an empty one a float), and sqrt is correctly rounded
+    in both.  Both directed angles come from one arccos of the cosine
+    product, since math.acos(0.0) is HALF_PI."""
     global _last_pair
     memo = _last_pair
     if memo is not None:
@@ -184,7 +154,9 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
         if a is V and b is W:
             return memo[2]
         if a is W and b is V:
-            return memo[2].swapped
+            if memo[3] is None:
+                _last_pair = memo = (*memo[:3], memo[2]._reversed())
+            return memo[3]
     _check_pair(V, W)
     A, B = V.basis, W.basis
     p, q = A.shape[1], B.shape[1]
@@ -199,8 +171,21 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
             cosines = np.minimum(cosines, 1.0)
     else:
         cosines = np.zeros(0)
-    spectrum = _Reduction(_read_only(cosines), V.field).oriented(p, q)
-    _last_pair = (weakref.ref(V), weakref.ref(W), spectrum)
+    cos = cosines.tolist()
+    # The zero-angle band, as in angle_from_cosine; (1 - c)(1 + c) is never
+    # negative, so only the upper clamp acts.
+    sin = [0.0 if c >= ZERO_ANGLE_COS_BAND else math.sqrt(min((1.0 - c) * (1.0 + c), 1.0)) for c in cos]
+    cos_product = math.prod(cos, start=1.0)
+    cos_theta_perp = math.prod(sin, start=1.0)
+    theta = angle_from_cosine(cos_product)
+    spectrum = object.__new__(PairSpectrum)
+    spectrum.__dict__.update(
+        cosines=_read_only(cosines), p=p, q=q, field=V.field, cos_theta=0.0 if p > q else cos_product,
+        theta=HALF_PI if p > q else theta, theta_back=HALF_PI if q > p else theta,
+        cos_theta_perp=cos_theta_perp, theta_perp=angle_from_cosine(cos_theta_perp),
+        _cos=cos, _sin=sin, _cos_product=cos_product,
+    )
+    _last_pair = (weakref.ref(V), weakref.ref(W), spectrum, None)
     return spectrum
 
 

@@ -45,10 +45,14 @@ class Subspace:
             )
         if basis.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension cannot exceed the ambient dimension")
-        gram = basis.conj().T @ basis
-        # The 2-norm of B*B - I, its largest |eigenvalue|.
-        if basis.shape[1] and np.abs(np.linalg.eigvalsh(gram - np.eye(basis.shape[1]))).max() > _ORTHO_CHECK_TOL:
-            raise ValueError("basis columns are not orthonormal")
+        if basis.shape[1]:
+            # The 2-norm of B*B - I, its largest |eigenvalue|.
+            if np.abs(np.linalg.eigvalsh(basis.conj().T @ basis - np.eye(basis.shape[1]))).max() > _ORTHO_CHECK_TOL:
+                raise ValueError("basis columns are not orthonormal")
+            # The nearest orthonormal basis, B's polar factor, so that no
+            # result inherits an error the check let through.
+            U, _, Vh = _svd(basis, full_matrices=False)
+            basis = U @ Vh
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spangle import Field, Subspace
+from spangle.angles import grassmann_angle
 from spangle.principal import intersect, principal_angles
 from spangle.linalg import COMPARE_TOL
 from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary, random_vector
@@ -77,6 +78,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="orthonormal"):
             Subspace(4, field, columns(8e-9))
         assert Subspace(4, field, columns(4e-9)).dim == 3
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_near_orthonormal_basis_is_stored_orthonormal(self, field, rng):
+        """A Haar basis mixed within its span so that its Gram is off by
+        about 5e-9 passes the check; the stored basis is its nearest
+        orthonormal one, so it is at angle exactly 0 to the same span."""
+        n, p = 6, 3
+        Q = haar_subspace(rng, n, p, field).basis
+        G = gaussian_matrix(rng, p, p, field)
+        H = G + G.conj().T
+        B = Q @ (np.eye(p) + 2.5e-9 * H / np.linalg.norm(H, 2))
+        assert np.linalg.norm(B.conj().T @ B - np.eye(p), 2) == pytest.approx(5e-9, rel=0.01)
+        V, W = Subspace(n, field, B), from_basis_matrix(B, field)
+        assert np.linalg.norm(V.basis.conj().T @ V.basis - np.eye(p), 2) < 1e-14
+        assert grassmann_angle(V, W) == grassmann_angle(W, V) == 0.0
 
     def test_basis_is_read_only(self):
         V = full_space(3, Field.REAL)
