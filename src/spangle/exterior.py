@@ -69,7 +69,7 @@ def _right_wedge_tables(n: int):
     return tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Multivector:
     """A graded element of the exterior algebra over the ambient space."""
 

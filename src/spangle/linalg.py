@@ -14,7 +14,9 @@ dtype: the same LAPACK calls as ``np.linalg.svd``, bit for bit, without
 its per-call Python wrapper (array wrapping, type resolution, an
 ``errstate`` context and ``astype``), which is about half of a small call.
 Values only, on numpy 2.4: 8.8 -> 4.5 us for a real 8 x 4 matrix, 6.8 ->
-2.7 us for a real 4 x 2, 15.7 -> 7.8 us for a complex 8 x 4.
+2.7 us for a real 4 x 2, 15.7 -> 7.8 us for a complex 8 x 4.  A numpy
+without one of the three gufuncs fails this module's import with an
+ImportError that names it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,15 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+_missing_gufuncs = [name for name in ("svd", "svd_s", "svd_f") if not hasattr(_umath_linalg, name)]
+if _missing_gufuncs:
+    raise ImportError(
+        f"numpy {np.__version__} has no numpy.linalg._umath_linalg.{_missing_gufuncs[0]}, a private "
+        "SVD gufunc that spangle.linalg calls; spangle is tested on numpy 2.0 and 2.4"
+    )
+
 HALF_PI = math.pi / 2
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class Field(enum.Enum):
@@ -51,7 +61,7 @@ COMPARE_TOL = 1e-9
 # indistinguishable from 1 at SVD backward error, so their angles count as
 # exact zeros, with zero sines (else every genuinely shared direction would
 # contribute a spurious sqrt(eps) sine).
-ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * float(np.finfo(np.float64).eps)
+ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * _EPS
 
 
 def as_field_array(values: Iterable, field: Field) -> np.ndarray:
@@ -153,10 +163,12 @@ def rank_cutoff(top, shape: tuple[int, ...]):
 # Spanning lists of at least this many vectors in at least this many
 # dimensions (min(M.shape) >= QR_ROUTE_MIN) are orthonormalized through
 # QR.  Timed with one OpenBLAS thread (numpy 2.4, n up to 256, both
-# fields), one SVD took 0.27-0.99 times as long as QR plus the singular
-# values of R for min(shape) < 16 (1.2-1.3 only for complex 256 x 8), and
-# 1.0-1.65 times as long for tall or square matrices with min(shape) >= 16
-# (0.83-1.04 for wide ones, 16 x 64 and wider).
+# fields), one thin SVD took 1.2-3.5 times as long as QR plus the
+# full-rank certificate for min(shape) >= 16, tall, square or wide (1.7-2.7
+# for wide lists from 16 x 64 to 64 x 256), and 0.30-1.9 times as long
+# below 16: under 1 for min(shape) <= 10 at n <= 64, over 1 for lists of
+# 12 to 15 vectors in 32 or more dimensions.  The rule stays at 16: a
+# lower one would give every list it moves another basis of its span.
 QR_ROUTE_MIN = 16
 
 
@@ -171,19 +183,43 @@ def _rank(sigma: np.ndarray, shape: tuple[int, ...]) -> int:
     return rank
 
 
+def _full_rank_certified(R: np.ndarray, shape: tuple[int, ...]) -> bool:
+    """Whether one Cholesky factorization proves full rank k for ``R``,
+    the (k, m) triangular factor of a matrix of ``shape``, k = min(shape).
+
+    It factors G = R R* less s = 8 (max(shape) + 2) eps ||R||_F^2 on the
+    diagonal.  Rounding in the product moves G by at most
+    gamma_m ||R||_F^2, and a Cholesky factorization that succeeds is exact
+    for a matrix within gamma_(k+1) ||R||_F^2 of the one factored (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3; Rump, BIT 46,
+    2006), so success proves sigma_min(R)^2 >= s / 2: sigma_min(R) >=
+    2 sqrt((max(shape) + 2) eps) sigma_max(R), about 3e-8 sqrt(max(shape))
+    sigma_max(R), far above the cut 1e-12 max(shape) sigma_max(R) of
+    ``rank_cutoff``, so the singular values of R would rank it full too.
+    False, without factoring, when ||R||_F^2 is outside [1e-280, 1e280],
+    where G could overflow or its rounding fall below the margin."""
+    frobenius_sq = np.vdot(R, R).real
+    if not 1e-280 <= frobenius_sq <= 1e280:
+        return False
+    G = R @ R.conj().T
+    G.flat[:: G.shape[0] + 1] -= 8.0 * (max(shape) + 2) * _EPS * frobenius_sq
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of a matrix, with the rank cut
     of ``rank_cutoff``: Q of shape (n, rank), its width the rank.
 
     Below ``QR_ROUTE_MIN`` it is the leading left singular vectors of M
-    (the SVD's own U at full rank).  From it on, M = QR by Householder and
-    the rank comes from the singular values of R, which are those of M; Q
-    itself is the basis when M has full rank, else Q times the leading left
-    singular vectors of R.  For a tall or square M, R is square triangular
-    and sigma_min(R) <= min |r_kk| <= max |r_kk| <= sigma_max(R), so a
-    diagonal entry at or below the cut the largest one sets proves the
-    rank deficient: one SVD of R then gives the rank and the vectors.  Else
-    the values come first (a Kahan-type R hides its small singular value).
+    (the SVD's own U at full rank).  From it on, M = QR by Householder, and
+    Q itself is the basis when ``_full_rank_certified`` proves R, and so M,
+    of full rank.  Else one SVD of R, whose singular values are those of M,
+    gives the rank, and the basis is Q at full rank, else Q times the
+    leading left singular vectors of R.
     """
     size = min(M.shape)
     if size == 0:
@@ -193,15 +229,11 @@ def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
         rank = _rank(sigma, M.shape)
         return U if rank == size else np.ascontiguousarray(U[:, :rank])
     Q, R = np.linalg.qr(M)
-    diagonal = np.abs(np.diagonal(R))
-    if M.shape[0] >= M.shape[1] and diagonal.min() <= rank_cutoff(diagonal.max(), M.shape):
-        U_R, sigma, _ = _svd(R, full_matrices=False)
-        return Q @ U_R[:, :_rank(sigma, M.shape)]
-    rank = _rank(_svd(R, compute_uv=False), M.shape)
-    if rank == Q.shape[1]:
+    if _full_rank_certified(R, M.shape):
         return Q
-    U_R = _svd(R, full_matrices=False)[0]
-    return Q @ U_R[:, :rank]
+    U_R, sigma, _ = _svd(R, full_matrices=False)
+    rank = _rank(sigma, M.shape)
+    return Q if rank == size else Q @ U_R[:, :rank]
 
 
 def det(M: np.ndarray):

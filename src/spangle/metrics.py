@@ -123,7 +123,7 @@ class TriangleTag(enum.Enum):
     CASE_III = "case_iii"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleWitness:
     """The geometric data realizing triangle equality in the generic case:
     unit vectors u, v, w with v a positive combination of u and w, and

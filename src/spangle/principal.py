@@ -28,7 +28,7 @@ from .subspace import (
 )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class PairSpectrum:
     """Principal cosines (descending, clamped into [0, 1], read-only,
     length min(p, q)) of an ordered pair of subspaces of dimensions p and
@@ -189,7 +189,7 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
     return spectrum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrincipalDecomposition:
     """Sorted principal angles plus associated principal bases.
 

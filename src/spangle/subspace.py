@@ -29,9 +29,12 @@ from .linalg import (
 _ORTHO_CHECK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace given by an orthonormal basis matrix (columns)."""
+    """A subspace given by an orthonormal basis matrix (columns).
+
+    ``==`` and ``hash`` are by identity, since one subspace has many
+    bases: :func:`spans_equal` tests whether two subspaces are equal."""
 
     ambient_dim: int
     field: Field

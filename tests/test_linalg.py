@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -106,6 +109,24 @@ class TestSvdEntry:
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
             _svd(M, **kwargs)
 
+    def test_missing_gufunc_fails_the_import(self):
+        """A numpy without one of the private gufuncs fails ``import
+        spangle.linalg`` with an ImportError that names the gufunc and the
+        numpy versions spangle is tested on."""
+        code = (
+            "from numpy.linalg import _umath_linalg\n"
+            "del _umath_linalg.svd_s\n"
+            "try:\n"
+            "    import spangle.linalg\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(linalg.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert "numpy.linalg._umath_linalg.svd_s" in out.stdout
+        assert "tested on numpy 2.0 and 2.4" in out.stdout
+
     def test_no_module_calls_numpy_svd(self):
         """Every SVD in the package goes through the entry: no module calls
         or imports ``numpy.linalg.svd``, and only ``linalg`` reaches numpy's
@@ -196,12 +217,13 @@ def _deficient(rng, n, p, rank, field):
 
 
 def _planted(rng, n, p, field, factor):
-    """An (n, p) matrix, p <= n, with singular values spread over [0.5, 1]
-    and the smallest planted at ``factor`` times the rank cut."""
-    sigma = np.linspace(1.0, 0.5, p)
+    """An (n, p) matrix with singular values spread over [0.5, 1] and the
+    smallest planted at ``factor`` times the rank cut."""
+    k = min(n, p)
+    sigma = np.linspace(1.0, 0.5, k)
     sigma[-1] = factor * RANK_REL_TOL * sigma[0] * max(n, p)
-    U = random_unitary(rng, n, field)[:, :p]
-    return (U * sigma) @ random_unitary(rng, p, field).conj().T
+    U = random_unitary(rng, n, field)[:, :k]
+    return (U * sigma) @ random_unitary(rng, p, field)[:, :k].conj().T
 
 
 def _route_cases(rng, m, field):
@@ -281,8 +303,8 @@ class TestOrthonormalizeRoutes:
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     def test_small_diagonal_entry_of_r_takes_one_svd(self, field, svd_calls):
         """A tall list whose R has a diagonal entry at or below the rank cut
-        is rank-deficient (sigma_min(R) <= min |r_kk|), so one SVD of R
-        gives both the rank and the vectors."""
+        is rank-deficient (sigma_min(R) <= min |r_kk|): the certificate
+        refuses it, and one SVD of R gives both the rank and the vectors."""
         M = _deficient(np.random.default_rng(5), 40, 20, 17, field)
         diagonal = np.abs(np.diagonal(np.linalg.qr(M)[1]))
         assert diagonal.min() <= RANK_REL_TOL * diagonal.max() * 40
@@ -292,12 +314,71 @@ class TestOrthonormalizeRoutes:
         assert svd_calls == [(20, 20)] and svd_calls.vectors == [True]
 
     def test_kahan_list_ranks_on_the_singular_values(self, kahan_vectors, svd_calls):
-        """A perturbed Kahan R has no diagonal entry near the cut, so its
-        rank comes from the values of R first, then its vectors."""
+        """A perturbed Kahan R has no diagonal entry near the cut, yet the
+        certificate refuses it, and one SVD of R gives its rank and basis."""
         svd_calls.clear()
         Q = orthonormalize_columns(stack_columns(kahan_vectors, Field.REAL))
         assert Q.shape == (60, 59)
-        assert svd_calls == [(60, 60), (60, 60)] and svd_calls.vectors == [False, True]
+        assert svd_calls == [(60, 60)] and svd_calls.vectors == [True]
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_generic_list_takes_no_svd(self, field, svd_calls):
+        M = gaussian_matrix(np.random.default_rng(9), 256, 128, field)
+        svd_calls.clear()
+        Q = orthonormalize_columns(M)
+        assert svd_calls == []
+        assert Q.tobytes() == np.linalg.qr(M)[0].tobytes()
+
+
+class TestFullRankCertificate:
+    """``linalg._full_rank_certified`` proves full rank by one Cholesky
+    factorization of R R* less a margin; whatever it decides, the rank is
+    the one the singular values give, and a full-rank basis is Q."""
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("m", [16, 64, 256])
+    def test_planted_smallest_singular_value(self, field, m):
+        rng = np.random.default_rng(m)
+        for shape in [(m + m // 4, m), (m, m), (m, m + m // 4)]:
+            cut = RANK_REL_TOL * max(shape)
+            near_margin = math.sqrt(max(shape) * linalg._EPS) / cut  # sqrt(max(shape) eps) sigma_max
+            for factor in [1e-3, 1, 1e3, 1e6, near_margin, 10 * near_margin, 100 * near_margin]:
+                label = (shape, factor)
+                M = _planted(rng, *shape, field, factor)
+                Q_M, R = np.linalg.qr(M)
+                certified = linalg._full_rank_certified(R, shape)
+                sigma_R = np.linalg.svd(R, compute_uv=False)
+                if certified:
+                    # What the certificate proves: sigma_min(R)^2 >= s / 2.
+                    margin = 4 * (max(shape) + 2) * linalg._EPS * np.sum(sigma_R**2)
+                    assert sigma_R[-1] ** 2 >= 0.99 * margin, label
+                Q = orthonormalize_columns(M)
+                rank = Q.shape[1]
+                if factor == 1:
+                    # Planted on the cut, the SVDs of M and of R fall on
+                    # either side of it by rounding alone: the rank is R's.
+                    assert not certified
+                    assert rank == int(np.count_nonzero(sigma_R > cut * sigma_R[0])), label
+                else:
+                    assert rank == _svd_route(M)[1] == m - (factor < 1), label
+                if rank == m:
+                    assert Q.tobytes() == Q_M.tobytes(), label
+            assert certified  # 100 * near_margin is proven full
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("shape, rank", [((40, 20), 20), ((40, 20), 17), ((16, 30), 16), ((16, 30), 13)])
+    def test_extreme_scales_take_the_svd(self, field, scale, shape, rank, svd_calls):
+        """||R||_F^2 outside [1e-280, 1e280] is refused unfactored, and the
+        one SVD of R still ranks the list."""
+        rng = np.random.default_rng(rank)
+        M = scale * _deficient(rng, *shape, rank, field)
+        svd_calls.clear()
+        Q = orthonormalize_columns(M)
+        assert svd_calls == [(min(shape), shape[1])] and svd_calls.vectors == [True]
+        assert Q.shape[1] == _svd_route(M)[1] == rank
+        if rank == min(shape):
+            assert Q.tobytes() == np.linalg.qr(M)[0].tobytes()
 
 
 class TestStackColumns:

@@ -5,7 +5,9 @@ import pytest
 
 from spangle import Field, Subspace
 from spangle.angles import grassmann_angle
-from spangle.principal import intersect, principal_angles
+from spangle.exterior import blade_of
+from spangle.metrics import classify_triangle_equality
+from spangle.principal import intersect, pair_spectrum, principal_angles, principal_decomposition
 from spangle.linalg import COMPARE_TOL
 from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
@@ -255,6 +257,30 @@ class TestSpansEqual:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError, match="ambient"):
             spans_equal(zero_subspace(3, Field.REAL), full_space(4, Field.REAL))
+
+
+def test_values_holding_arrays_compare_by_identity():
+    """``==`` and ``hash`` of every value that holds an array are its
+    identity (a generated field-wise compare of two arrays raised), and
+    ``spans_equal`` is the equality of subspaces."""
+    e1, e2, e3 = np.eye(3)
+    V, W, V_again = (from_spanning(vs, Field.REAL) for vs in ([e1, e2], [e1, e3], [e2, e1]))
+    assert V == V and V != W and V != V_again and len({V, W, V_again}) == 3
+    assert spans_equal(V, V_again) and not spans_equal(V, W)
+
+    def line(t):
+        return from_spanning([[math.cos(t), math.sin(t)]], Field.REAL)
+
+    witness = classify_triangle_equality(line(0.0), line(0.4), line(1.0)).witness
+    other_witness = classify_triangle_equality(line(0.0), line(0.5), line(1.0)).witness
+    pairs = [
+        (pair_spectrum(V, W), pair_spectrum(V_again, W)),
+        (principal_decomposition(V, W), principal_decomposition(V_again, W)),
+        (blade_of(V), blade_of(V_again)),
+        (witness, other_witness),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b and hash(a) == hash(a) and len({a, b}) == 2, type(a)
 
 
 class TestRelationsIgnoreTheBasis:
