@@ -36,6 +36,12 @@ from .principal import principal_angles
 from .sampling import haar_subspace
 
 
+# ``spangle random`` draws an ambient_dim x dim Gaussian: 2**22 entries
+# are 64 MiB as complex128.  A zero-dimensional request counts as dim 1,
+# so the ambient dimension is bounded too.
+RANDOM_MAX_ENTRIES = 2**22
+
+
 def _fail(field_name: str, message: str) -> None:
     click.echo(dump_json({"error": message, "field": field_name}), nl=False)
     sys.exit(2)
@@ -177,9 +183,13 @@ def cmd_principal(left: str, right: str, degrees: bool) -> None:
 @click.option("--seed", type=int, default=0, help="nonnegative RNG seed (reproducible output)")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="write to a file instead of stdout")
 def cmd_random(ambient_dim: int, dim: int, field_name: str, seed: int, out_path: str | None) -> None:
-    """Write a Haar-uniform random subspace document."""
+    """Write a Haar-uniform random subspace document.  AMBIENT_DIM times
+    max(DIM, 1) may be at most 4194304 (2**22); a larger request exits 2
+    before anything is drawn."""
     if not 0 <= dim <= ambient_dim:
         _fail("dim", f"need 0 <= dim <= ambient_dim, got dim={dim}, ambient_dim={ambient_dim}")
+    if ambient_dim * max(dim, 1) > RANDOM_MAX_ENTRIES:
+        _fail("dim", f"need ambient_dim * max(dim, 1) <= {RANDOM_MAX_ENTRIES}, got {ambient_dim} * {max(dim, 1)}")
     _check_seed(seed)
     field = Field.COMPLEX if field_name == "complex" else Field.REAL
     rng = np.random.default_rng(seed)

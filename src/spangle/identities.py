@@ -257,6 +257,8 @@ def direct_sum_angle(V1: Subspace, V2: Subspace, W: Subspace) -> IdentityResult:
     _check_pair(V1, W)
     if not intersect(V1, V2).is_zero:
         raise ValueError("summands must be disjoint")
+    # Read off the spectrum intersect just took, before other pairs evict it.
+    denominator = math.cos(complementary_angle(V1, V2))
     direct = sum_subspace(V1, V2)
     lhs = math.cos(grassmann_angle(direct, W))
     c1 = math.cos(grassmann_angle(V1, W))
@@ -266,9 +268,7 @@ def direct_sum_angle(V1: Subspace, V2: Subspace, W: Subspace) -> IdentityResult:
     if P1.dim < V1.dim or P2.dim < V2.dim:
         rhs = 0.0
     else:
-        numerator = math.cos(complementary_angle(P1, P2))
-        denominator = math.cos(complementary_angle(V1, V2))
-        rhs = c1 * c2 * numerator / denominator
+        rhs = c1 * c2 * math.cos(complementary_angle(P1, P2)) / denominator
     return _result(lhs, rhs)
 
 

@@ -267,10 +267,13 @@ def run_pythagorean(seed: int, trials: int, dim_max: int) -> SuiteReport:
                 check_coordinate_identity(V, basis, q_lo).residual,
             )
 
-        # Principal coordinate decomposition of cos^2 for U inside V.
+        # Principal coordinate decomposition of cos^2 for U inside V.  The
+        # principal partition below reads the same spectrum and frame of
+        # (V, W), so both are taken here, before other pairs evict them.
         W = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
         r = int(rng.integers(1, p + 1))
         U = _sub_subspace(rng, V, r)
+        decomp = principal_decomposition(V, W) if p >= 2 and not is_partially_orthogonal(V, W) else None
         col.add("principal_coordinate_sum", check_principal_coordinate(U, V, W).residual)
 
         # Direct sums and partitions.
@@ -296,38 +299,24 @@ def run_pythagorean(seed: int, trials: int, dim_max: int) -> SuiteReport:
         rhs = math.cos(grassmann_angle(V2b, PV)) * math.cos(grassmann_angle(PV, U2))
         col.add("spherical_pythagorean", abs(lhs - rhs))
 
-        # Product of sines equals the angle with the complement.
+        # Product of sines equals the angle with the complement, and the
+        # symmetries of the complementary angle (cosine level, where the
+        # identity is sharp).  The three angles of (A, B) and (B, A) read
+        # one spectrum; on equal dimensions a fresh (B, A) would decompose
+        # the other cross-Gram and could differ in the last bits.
         A = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
         B = haar_subspace(rng, n, int(rng.integers(1, n + 1)), field)
-        col.add(
-            "sines_vs_complement",
-            abs(
-                math.cos(complementary_angle(A, B))
-                - math.cos(grassmann_angle(A, complement(B)))
-            ),
-        )
-
-        # Symmetries of the complementary angle (cosine level, where
-        # the identity is sharp).
-        col.add(
-            "complementary_symmetry",
-            abs(
-                math.cos(complementary_angle(A, B))
-                - math.cos(complementary_angle(B, A))
-            ),
-        )
-        col.add(
-            "complement_pair_swap",
-            abs(
-                math.cos(grassmann_angle(A, B))
-                - math.cos(grassmann_angle(complement(B), complement(A)))
-            ),
-        )
+        cos_perp_ab = math.cos(complementary_angle(A, B))
+        cos_perp_ba = math.cos(complementary_angle(B, A))
+        cos_ab = math.cos(grassmann_angle(A, B))
+        B_perp = complement(B)
+        col.add("sines_vs_complement", abs(cos_perp_ab - math.cos(grassmann_angle(A, B_perp))))
+        col.add("complementary_symmetry", abs(cos_perp_ab - cos_perp_ba))
+        col.add("complement_pair_swap", abs(cos_ab - math.cos(grassmann_angle(B_perp, complement(A)))))
 
         # Principal partitions: product rule characterization agrees
         # with the projected-orthogonality predicate.
-        if p >= 2 and not is_partially_orthogonal(V, W):
-            decomp = principal_decomposition(V, W)
+        if decomp is not None:
             split = int(rng.integers(1, p))
             # Column slices of the (n >= 2)-row principal basis are not
             # contiguous, so each part gets its own copy.
@@ -395,14 +384,10 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
         t_uv = grassmann_angle(U, V)
         t_vw = grassmann_angle(V, W)
         t_uw = grassmann_angle(U, W)
+        t_wv = grassmann_angle(W, V)
+        t_vu = grassmann_angle(V, U)
         col.add("triangle_inequality", max(0.0, t_uw - t_uv - t_vw))
-        col.add(
-            "reverse_bound",
-            max(
-                0.0,
-                max(t_uv - grassmann_angle(W, V), t_vw - grassmann_angle(V, U)) - t_uw,
-            ),
-        )
+        col.add("reverse_bound", max(0.0, max(t_uv - t_wv, t_vw - t_vu) - t_uw))
         if dims[0] == dims[1] == dims[2]:
             col.add("equal_dim_reverse_bound", max(0.0, abs(t_uv - t_vw) - t_uw))
 
@@ -424,8 +409,7 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
                 max(grassmann_angle(V, same), grassmann_angle(same, V)),
             )
         if not spans_equal(U, V) and not (U.is_zero and V.is_zero):
-            both = max(grassmann_angle(U, V), grassmann_angle(V, U))
-            col.add("indiscernibles_nonzero", 0.0 if both > 1e-8 else 1.0)
+            col.add("indiscernibles_nonzero", 0.0 if max(t_uv, t_vu) > 1e-8 else 1.0)
 
         # Cross-dimension Fubini-Study distance is exactly pi/2.
         if U.dim != V.dim:

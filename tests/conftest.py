@@ -32,15 +32,19 @@ def kahan_vectors():
 
 class _SvdCalls(list):
     """The shape of each call of the package's SVD entry; ``vectors``
-    holds, call by call, whether it computed singular vectors."""
+    holds, call by call, whether it computed singular vectors, and
+    ``keys`` what the call decomposed: (bytes, shape, dtype,
+    full_matrices, compute_uv)."""
 
     def __init__(self):
         super().__init__()
         self.vectors = []
+        self.keys = []
 
     def clear(self):
         super().clear()
         self.vectors.clear()
+        self.keys.clear()
 
 
 @pytest.fixture
@@ -53,6 +57,8 @@ def svd_calls(monkeypatch):
     def counting_svd(M, full_matrices=True, compute_uv=True):
         calls.append(np.shape(M))
         calls.vectors.append(compute_uv)
+        a = np.asarray(M)
+        calls.keys.append((a.tobytes(), a.shape, a.dtype.str, full_matrices, compute_uv))
         return _svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
 
     for info in pkgutil.iter_modules(spangle.__path__):

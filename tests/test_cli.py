@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from spangle import cli
 from spangle.cli import main
 from spangle.io import dump_json, load_subspace_file, write_subspace_file
 from spangle.linalg import Field
@@ -174,6 +175,20 @@ class TestRandomCommand:
         result = runner.invoke(main, ["random", "3", "5", "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 2
         assert json.loads(result.output)["field"] == "dim"
+
+    @pytest.mark.parametrize("args", [["100000000", "1000"], ["4194305", "0"], ["2049", "2048"]])
+    def test_oversized_request_exits_2_before_drawing(self, runner, monkeypatch, args):
+        """The size bound is checked on the arguments: the sampler is never reached."""
+
+        def unreachable(*_):
+            raise AssertionError("haar_subspace reached")
+
+        monkeypatch.setattr(cli, "haar_subspace", unreachable)
+        result = runner.invoke(main, ["random", *args, "--field", "complex"])
+        assert result.exit_code == 2, result.output
+        out = json.loads(result.output)
+        assert out["field"] == "dim" and str(cli.RANDOM_MAX_ENTRIES) in out["error"]
+        assert str(cli.RANDOM_MAX_ENTRIES) in runner.invoke(main, ["random", "--help"]).output
 
 
 @pytest.mark.parametrize("command", [["random", "4", "2"], ["verify", "--trials", "1"]])
