@@ -165,7 +165,6 @@ def real_complex_relation(V: Subspace, W: Subspace) -> tuple[float, float]:
     """
     if V.field is not Field.COMPLEX:
         raise ValueError("real_complex_relation expects COMPLEX subspaces")
-    _check_pair(V, W)
     cos_complex = math.cos(grassmann_angle(V, W))
     cos_real = math.cos(grassmann_angle(realify(V), realify(W)))
     return cos_complex, cos_real

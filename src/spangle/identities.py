@@ -253,7 +253,6 @@ def direct_sum_angle(V1: Subspace, V2: Subspace, W: Subspace) -> IdentityResult:
     ratio of complementary cosines of the projections and the summands.
     Both sides vanish together when either summand is partially
     orthogonal to W, which is when its projection on W loses a dimension."""
-    _check_pair(V1, V2)
     _check_pair(V1, W)
     if not intersect(V1, V2).is_zero:
         raise ValueError("summands must be disjoint")
@@ -297,7 +296,6 @@ def characterize_principal_partition(V: Subspace, parts, W: Subspace) -> bool:
     """A partition of V (orthogonal, V not partially orthogonal to W) is
     principal with respect to W exactly when the cosine towards W is the
     plain product of the parts' cosines."""
-    _check_pair(V, W)
     if is_partially_orthogonal(V, W):
         raise ValueError("V must not be partially orthogonal to W")
     parts = list(parts)

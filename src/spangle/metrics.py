@@ -152,8 +152,6 @@ def classify_triangle_equality(U: Subspace, V: Subspace, W: Subspace) -> Triangl
     orthogonal to W); V inside W with the projection of U inside V; or a
     common-plane configuration with an explicit witness.
     """
-    _check_pair(U, V)
-    _check_pair(V, W)
     t_uv = grassmann_angle(U, V)
     t_vw = grassmann_angle(V, W)
     t_uw = grassmann_angle(U, W)

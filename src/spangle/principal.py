@@ -1,8 +1,8 @@
 """Principal angles and bases, partial orthogonality, principal partitions.
 
 Principal angles come from the SVD of the cross-Gram of orthonormal
-bases: its singular values are the cosines (clamped into [0, 1] before
-arccos) and the rotated bases satisfy <e_i, f_j> = delta_ij cos(theta_i).
+bases: its singular values are the cosines (clamped into [0, 1]) and the
+rotated bases satisfy <e_i, f_j> = delta_ij cos(theta_i).
 Principal vectors are not unique; only angles and spans are comparable.
 """
 
@@ -30,28 +30,31 @@ from .subspace import (
 
 @dataclass(frozen=True, init=False, eq=False)
 class PairSpectrum:
-    """Principal cosines (descending, clamped into [0, 1], read-only,
-    length min(p, q)) of an ordered pair of subspaces of dimensions p and
-    q over ``field``, and the pair's angle family, reduced from them once
-    when :func:`pair_spectrum`, which alone builds spectra, takes the SVD:
+    """Principal cosines (descending, clamped into [0, 1]), sines and
+    angles (ascending) of an ordered pair of subspaces of dimensions p and
+    q, each read-only and of length min(p, q), and the pair's angle family,
+    all reduced from the cosines at once when :func:`pair_spectrum`, which
+    alone builds spectra, takes the SVD:
 
     cos_theta, theta            the directed angle of V with W (cos_theta
                                 is 1.0 when V = {0}): a right angle when
-                                p > q, else the arccos of the product of
+                                p > q, else the angle of the product of
                                 the cosines
     theta_back                  the directed angle of W with V, by the
                                 same rule with p and q exchanged
     cos_theta_perp, theta_perp  the complementary angle
 
-    The read-only ``sines`` and ``angles`` arrays are built on first use;
-    ``theta_max``, ``cos_spread`` and ``shared`` are read off the cosines
-    and sines when asked for.  It has no constructor, and no field can be
-    assigned or deleted."""
+    Every angle is ``angle_from_cosine`` of its cosine, so a shared
+    direction gets exactly 0 and, for a line, ``angles[-1]`` is ``theta``
+    bit for bit.  ``theta_max``, ``cos_spread`` and ``shared`` are read off
+    the cosines and sines when asked for.  It has no constructor, and no
+    field can be assigned or deleted."""
 
     cosines: np.ndarray
     p: int
     q: int
-    field: Field
+    sines: np.ndarray
+    angles: np.ndarray
     cos_theta: float
     theta: float
     theta_back: float
@@ -89,29 +92,6 @@ class PairSpectrum:
         return sum(c >= 1.0 - COMPARE_TOL for c in self._cos)
 
     @property
-    def sines(self) -> np.ndarray:
-        d = self.__dict__
-        if "_sines" not in d:
-            d["_sines"] = _read_only(np.array(self._sin))
-        return d["_sines"]
-
-    @property
-    def angles(self) -> np.ndarray:
-        """Ascending principal angles: arccos of the cosines, exactly 0
-        inside the zero-angle band like the sines, so a shared direction
-        gets 0, not an arccos of roundoff that would depend on how the
-        cross-Gram was oriented and decomposed.  numpy's arccos, not
-        math.acos: the two differ in the last bit on some cosines.  The
-        cosines descend, so only a top cosine in the band puts any there."""
-        d = self.__dict__
-        if "_angles" not in d:
-            angles = np.arccos(self.cosines)
-            if self._cos and self._cos[0] >= ZERO_ANGLE_COS_BAND:
-                angles[self.cosines >= ZERO_ANGLE_COS_BAND] = 0.0
-            d["_angles"] = _read_only(angles)
-        return d["_angles"]
-
-    @property
     def theta_max(self) -> float:
         """Largest angle between a direction of V (nonzero) and W."""
         return HALF_PI if self.p > self.q else float(self.angles[-1])
@@ -143,10 +123,9 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
     once to the pair's angle family on plain floats.  Repeat calls on the
     same two objects, in either order, reuse it.
 
-    The reduction gives numpy's bits: a product is sequential in both (the
-    start 1.0 keeps an empty one a float), and sqrt is correctly rounded
-    in both.  Both directed angles come from one arccos of the cosine
-    product, since math.acos(0.0) is HALF_PI."""
+    The products keep numpy's bits (sequential, started at 1.0 so that an
+    empty one is a float), as do the sines (sqrt is correctly rounded), and
+    both directed angles come from the one angle of the cosine product."""
     global _last_pair
     memo = _last_pair
     if memo is not None:
@@ -180,7 +159,8 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
     theta = angle_from_cosine(cos_product)
     spectrum = object.__new__(PairSpectrum)
     spectrum.__dict__.update(
-        cosines=_read_only(cosines), p=p, q=q, field=V.field, cos_theta=0.0 if p > q else cos_product,
+        cosines=_read_only(cosines), p=p, q=q, sines=_read_only(np.array(sin)),
+        angles=_read_only(np.array([angle_from_cosine(c) for c in cos])), cos_theta=0.0 if p > q else cos_product,
         theta=HALF_PI if p > q else theta, theta_back=HALF_PI if q > p else theta,
         cos_theta_perp=cos_theta_perp, theta_perp=angle_from_cosine(cos_theta_perp),
         _cos=cos, _sin=sin, _cos_product=cos_product,

@@ -12,7 +12,7 @@ from spangle import cli
 from spangle.cli import main
 from spangle.io import dump_json, load_subspace_file, write_subspace_file
 from spangle.linalg import Field
-from spangle.subspace import from_spanning
+from spangle.subspace import from_spanning, spans_equal
 
 
 @pytest.fixture
@@ -369,3 +369,64 @@ def test_angle_commands_do_not_load_the_verify_stack():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "75"  # 67 functions and classes, 8 modules
+
+
+_REAL_PAIR = '{"field": "real", "ambient_dim": 2, "vectors": [[1, 0]]}'
+_COMPLEX_LINE = '{"field": "complex", "ambient_dim": 2, "vectors": [[[1, 0], [0, 1]]]}'
+
+
+@pytest.mark.parametrize(
+    "right, argv, field",
+    [
+        ("[1, 2]", ["angle"], "right:document"),
+        ('{"ambient_dim": 2, "vectors": []}', ["angle"], "right:field"),
+        ('{"field": "quaternion", "ambient_dim": 2, "vectors": []}', ["angle"], "right:field"),
+        ('{"field": "real", "vectors": []}', ["angle"], "right:ambient_dim"),
+        ('{"field": "real", "ambient_dim": -1, "vectors": []}', ["angle"], "right:ambient_dim"),
+        ('{"field": "real", "ambient_dim": 2}', ["angle"], "right:vectors"),
+        ('{"field": "real", "ambient_dim": 2, "vectors": 5}', ["angle"], "right:vectors"),
+        ('{"field": "real", "ambient_dim": 2, "vectors": [[1, 0], 5]}', ["angle"], "right:vectors[1]"),
+        ('{"field": "real", "ambient_dim": 2, "vectors": [[1, 0], [1]]}', ["principal"], "right:vectors[1]"),
+        ('{"field": "complex", "ambient_dim": 2, "vectors": [[[1, 0], [0, 1, 2]]]}', ["angle"], "right:vectors[0][1]"),
+        ('{"field": ', ["principal"], "right:document"),
+        (None, ["angle"], "right"),
+        (_COMPLEX_LINE, ["angle"], "field"),
+        (_REAL_PAIR, ["--bogus", "angle"], "bogus"),
+        (_REAL_PAIR, ["verify", "--trials", "-1"], "trials"),
+    ],
+)
+def test_rejected_input_exits_2_with_one_json_error(runner, tmp_path, right, argv, field):
+    """Each malformed document, unreadable path or bad option exits 2 and
+    prints one JSON object naming the offending entry, without a traceback."""
+    left = write_doc(tmp_path / "v.json", "real", 2, [[1, 0]])
+    right_path = tmp_path / "w.json"
+    if right is not None:
+        right_path.write_text(right)
+    args = argv + ([left, str(right_path)] if argv[-1] in ("angle", "principal") else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    out = json.loads(result.output)
+    assert set(out) == {"error", "field"} and out["error"]
+    assert out["field"] == field
+
+
+def test_random_writes_its_document_to_stdout(runner):
+    result = runner.invoke(main, ["random", "3", "2", "--field", "complex", "--seed", "5"])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    doc = json.loads(result.output)
+    assert (doc["field"], doc["ambient_dim"], len(doc["vectors"])) == ("complex", 3, 2)
+    assert result.output == dump_json(doc)
+
+
+def test_geodesic_out_writes_the_point_to_a_file(runner, tmp_path):
+    t = 0.4
+    left = write_doc(tmp_path / "u.json", "real", 3, [[1, 0, 0], [0, 1, 0]])
+    right = write_doc(tmp_path / "w.json", "real", 3, [[1, 0, 0], [0, math.cos(t), math.sin(t)]])
+    out_path = str(tmp_path / "point.json")
+    result = runner.invoke(main, ["geodesic", left, right, "--t", str(t), "--out", out_path])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert json.loads(result.output) == {"out": out_path}
+    assert spans_equal(load_subspace_file(out_path)[0], load_subspace_file(right)[0])

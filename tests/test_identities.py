@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from spangle.angles import (
     complementary_angle,
     grassmann_angle,
     oriented_from_spanning,
+    real_complex_relation,
 )
 from spangle.identities import (
     ComplexifiabilityVerdict,
@@ -22,6 +24,7 @@ from spangle.identities import (
     partition_angle_product,
     theta_pair_feasibility,
 )
+from spangle.metrics import classify_triangle_equality
 from spangle.principal import Partition, intersect, is_principal_partition, principal_decomposition
 from spangle.sampling import haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
@@ -322,6 +325,73 @@ class TestPrincipalPartitionCharacterization:
         V = zero_subspace(3, Field.REAL)
         with pytest.raises(ValueError, match="at least one part"):
             check(V, [], full_space(3, Field.REAL))
+
+    def test_non_orthogonal_partition_rejected(self):
+        V = from_spanning([[1, 0, 0], [0, 1, 0]], Field.REAL)
+        parts = [from_spanning([[1, 0, 0]], Field.REAL), from_spanning([[1, 1, 0]], Field.REAL)]
+        with pytest.raises(ValueError, match="partition of V is not orthogonal"):
+            characterize_principal_partition(V, parts, full_space(3, Field.REAL))
+
+    def test_parts_outside_v_rejected(self):
+        V = from_spanning([[1, 0, 0], [0, 1, 0]], Field.REAL)
+        parts = [from_spanning([[1, 0, 0]], Field.REAL), from_spanning([[0, 0, 1]], Field.REAL)]
+        with pytest.raises(ValueError, match="partition parts do not sum to V"):
+            characterize_principal_partition(V, parts, full_space(3, Field.REAL))
+
+    def test_overlapping_parts_rejected_by_the_product_form(self):
+        V = from_spanning([[1, 0, 0], [0, 1, 0]], Field.REAL)
+        parts = [from_spanning([[1, 0, 0]], Field.REAL), V]
+        with pytest.raises(ValueError, match="partition parts are not disjoint"):
+            partition_angle_product(V, parts, full_space(3, Field.REAL))
+
+    def test_non_orthogonal_partition_is_not_principal(self):
+        V = from_spanning([[1, 0, 0], [0, 1, 0]], Field.REAL)
+        parts = [from_spanning([[1, 0, 0]], Field.REAL), from_spanning([[1, 1, 0]], Field.REAL)]
+        assert is_principal_partition(V, Partition(parts), full_space(3, Field.REAL)) is False
+
+    def test_zero_w_rejected_by_the_predicate(self):
+        V = from_spanning([[1, 0, 0]], Field.REAL)
+        with pytest.raises(ValueError, match="undefined against the zero subspace"):
+            is_principal_partition(V, Partition([V]), zero_subspace(3, Field.REAL))
+
+
+@pytest.mark.parametrize("zero", ["V", "W"])
+def test_principal_coordinate_rejects_a_zero_v_or_w(zero):
+    line = from_spanning([[1, 0, 0]], Field.REAL)
+    V = zero_subspace(3, Field.REAL) if zero == "V" else line
+    W = zero_subspace(3, Field.REAL) if zero == "W" else line
+    with pytest.raises(ValueError, match="requires nonzero V and W"):
+        check_principal_coordinate(zero_subspace(3, Field.REAL), V, W)
+
+
+def _line(n, field, k=0):
+    return from_basis_matrix(np.eye(n)[:, [k]], field)
+
+
+_R, _C = Field.REAL, Field.COMPLEX
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: real_complex_relation(_line(3, _C), _line(4, _C)), "ambient dimension mismatch: 3 vs 4"),
+        (lambda: real_complex_relation(_line(3, _C), _line(3, _R)), "field mismatch: complex vs real"),
+        (lambda: characterize_principal_partition(_line(3, _R), [_line(3, _R)], _line(4, _R)),
+         "ambient dimension mismatch: 3 vs 4"),
+        (lambda: direct_sum_angle(_line(3, _R), _line(4, _R), _line(3, _R)), "ambient dimension mismatch: 3 vs 4"),
+        (lambda: direct_sum_angle(_line(3, _R, 0), _line(3, _C, 1), _line(3, _R)), "field mismatch: real vs complex"),
+        (lambda: classify_triangle_equality(_line(4, _R), _line(3, _R), _line(3, _R)),
+         "ambient dimension mismatch: 4 vs 3"),
+        (lambda: classify_triangle_equality(_line(3, _R), _line(3, _R), _line(3, _C)),
+         "field mismatch: real vs complex"),
+    ],
+)
+def test_mismatched_pairs_are_rejected_once_with_the_same_message(call, message):
+    """Each pair is checked where the first call that needs it takes it, not
+    again by the caller: the message is the pair check's, in the order of
+    the arguments."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestFeasibility:

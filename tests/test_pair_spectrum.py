@@ -595,17 +595,17 @@ def test_verify_all_repeats_few_svds(svd_calls):
 
 # --- The one-pass reduction against the numpy one ----------------------------
 #
-# The reference below holds the numpy reductions the spectrum's cached
-# properties applied to the cosines before the family was reduced in one
-# pass on plain floats; every member must keep their bits.
+# The reference below reduces the cosines with numpy where the spectrum
+# keeps numpy's bits (products and sines), and takes each principal angle
+# as math.acos of its clamped cosine, 0 in the zero-angle band, the rule
+# of every other angle; every member must keep their bits.
 
 
 def _numpy_family(cosines, p, q):
     c = cosines
     sines = np.sqrt(np.minimum((1.0 - c) * (1.0 + c), 1.0))
     sines[c >= ZERO_ANGLE_COS_BAND] = 0.0
-    angles = np.arccos(c)
-    angles[c >= ZERO_ANGLE_COS_BAND] = 0.0
+    angles = np.array([0.0 if x >= ZERO_ANGLE_COS_BAND else math.acos(min(max(x, 0.0), 1.0)) for x in c.tolist()])
     cos_theta = 0.0 if p > q else clamped_products(c)
     family = {
         "sines": sines,
@@ -678,7 +678,7 @@ def test_reduction_shares_and_stays_read_only(rng, field):
         s = pair_spectrum(V, W)
         back = pair_spectrum(W, V)
         assert back.cosines is s.cosines
-        assert (back.p, back.q, back.field) == (s.q, s.p, s.field)
+        assert (back.p, back.q) == (s.q, s.p)
         assert _bits(back.theta) == _bits(s.theta_back) and _bits(back.theta_back) == _bits(s.theta)
         for name in ("cos_theta_perp", "theta_perp", "sines", "angles"):
             assert _bits(getattr(back, name)) == _bits(getattr(s, name))
@@ -733,3 +733,43 @@ def test_empty_spectrum_products_are_floats(rng, field, p, q):
         assert type(spectrum.cos_theta_perp) is float
         assert spectrum.cos_theta_perp == 1.0
     assert s.cos_theta == (0.0 if p > q else 1.0)
+
+
+def _last_angle_mismatches(pairs):
+    """How many pairs break cos Theta = product of the principal cosines at
+    the last bit: for V no larger than W with at most one cosine off 1, the
+    directed angle is the last principal angle exactly, and theta_max too."""
+    misses = 0
+    for V, W in pairs:
+        theta = grassmann_angle(V, W)
+        misses += _bits(float(principal_angles(V, W)[-1])) != _bits(theta)
+        misses += _bits(pair_spectrum(V, W).theta_max) != _bits(theta)
+    return misses
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+def test_last_principal_angle_is_the_angle_when_all_but_one_direction_is_shared(field):
+    """V = span(e1, e2) against W = span(e1, cos t e2 + sin t e3)."""
+    e1, e2, e3 = np.eye(3)
+
+    def pairs():
+        for t in np.linspace(0.01, 1.51, 2000):
+            turned = math.cos(t) * e2 + math.sin(t) * e3
+            yield from_basis_matrix(np.stack([e1, e2], 1), field), from_basis_matrix(np.stack([e1, turned], 1), field)
+
+    assert _last_angle_mismatches(pairs()) == 0
+
+
+def test_last_principal_angle_is_the_angle_of_a_line():
+    """A Haar line against a Haar subspace of dimension 1..n, n in [2, 8],
+    the fields alternating."""
+    rng = np.random.default_rng(0)
+
+    def pairs():
+        for i in range(2000):
+            field = BOTH_FIELDS[i % 2]
+            n = int(rng.integers(2, 9))
+            q = int(rng.integers(1, n + 1))
+            yield haar_subspace(rng, n, 1, field), haar_subspace(rng, n, q, field)
+
+    assert _last_angle_mismatches(pairs()) == 0
