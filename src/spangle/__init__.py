@@ -22,7 +22,6 @@ _MODULE_EXPORTS = {
         "angle_report",
         "complementary_angle",
         "grassmann_angle",
-        "max_symmetrized_angle",
         "min_symmetrized_angle",
         "oriented_angle",
         "oriented_from_spanning",
@@ -65,9 +64,9 @@ _MODULE_EXPORTS = {
         "fubini_study",
         "geodesic_point",
         "hausdorff",
+        "max_symmetrized_angle",
     ),
     "principal": (
-        "Partition",
         "PrincipalDecomposition",
         "intersect",
         "is_partially_orthogonal",

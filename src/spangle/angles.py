@@ -42,7 +42,8 @@ class VectorAngles:
     theta     Euclidean angle in [0, pi] (real part of the inner product)
     gamma     Hermitian angle in [0, pi/2] (modulus of the inner product)
     zeta_cos  cosine of the complex angle: <v, w> / (|v| |w|)
-    phase     phase difference in (-pi, pi], or None for orthogonal vectors
+    phase     phase difference in (-pi, pi], the argument of zeta_cos, or
+              None for orthogonal vectors (|zeta_cos| at most COMPARE_TOL)
     """
 
     theta: float
@@ -96,7 +97,7 @@ def vector_angles(v, w, field: Field) -> VectorAngles:
     cos_theta = (zeta_cos.real if field is Field.COMPLEX else zeta_cos)
     theta = math.acos(min(1.0, max(-1.0, cos_theta)))
     gamma = arccos_clamped(abs(zeta_cos))
-    phase = principal_phase(complex(zeta_cos)) if abs(ip) > COMPARE_TOL else None
+    phase = principal_phase(complex(zeta_cos)) if abs(zeta_cos) > COMPARE_TOL else None
     return VectorAngles(theta=theta, gamma=gamma, zeta_cos=zeta_cos, phase=phase)
 
 
@@ -145,11 +146,6 @@ def min_symmetrized_angle(V: Subspace, W: Subspace) -> float:
     return min(s.theta, s.theta_back)
 
 
-def max_symmetrized_angle(V: Subspace, W: Subspace) -> float:
-    s = pair_spectrum(V, W)
-    return max(s.theta, s.theta_back)
-
-
 def projection_factor(V: Subspace, W: Subspace) -> float:
     """Factor by which top-dimensional volumes of V contract when
     orthogonally projected on W: cos(angle) over the reals, cos^2 over
@@ -184,7 +180,7 @@ class OrientedSubspace:
 
     def __post_init__(self) -> None:
         c = complex(self.coefficient)
-        if abs(abs(c) - 1.0) > COMPARE_TOL:
+        if not abs(abs(c) - 1.0) <= COMPARE_TOL:  # so a NaN part fails too
             raise ValueError("orientation coefficient must have unit modulus")
         if self.space.field is Field.REAL and abs(c.imag) > 1e-12:
             raise ValueError("a real subspace admits only +1/-1 orientation coefficients")

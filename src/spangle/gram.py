@@ -26,17 +26,16 @@ class ProjectionAngleMode(enum.Enum):
 
 
 def _gram_matrices(basis_v, basis_w, field: Field, ambient_dim: int | None):
-    # Empty lists denote the zero subspace; the ambient size then comes
-    # from the other list or from an explicit ambient_dim.
-    if ambient_dim is None:
-        if len(basis_v):
-            ambient_dim = np.asarray(basis_v[0]).shape[0]
-        elif len(basis_w):
-            ambient_dim = np.asarray(basis_w[0]).shape[0]
-        else:
+    # Empty lists denote the zero subspace; the ambient size then comes from
+    # an explicit ambient_dim or, through stack_columns, the other list.
+    if ambient_dim is None and not len(basis_v):
+        if not len(basis_w):
             raise ValueError("cannot infer the ambient dimension from two empty lists")
-    Vm = stack_columns(basis_v, field, ambient_dim=ambient_dim)
-    Wm = stack_columns(basis_w, field, ambient_dim=ambient_dim)
+        Wm = stack_columns(basis_w, field)
+        Vm = stack_columns(basis_v, field, ambient_dim=Wm.shape[0])
+    else:
+        Vm = stack_columns(basis_v, field, ambient_dim=ambient_dim)
+        Wm = stack_columns(basis_w, field, ambient_dim=Vm.shape[0])
     A = Wm.conj().T @ Wm
     B = Wm.conj().T @ Vm
     D = Vm.conj().T @ Vm

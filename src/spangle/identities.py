@@ -44,11 +44,11 @@ from .principal import (
 from .subspace import (
     Subspace,
     _check_pair,
+    _check_partition,
     _pairwise_orthogonal,
     _sum_all,
     is_subspace_of,
     project_subspace,
-    spans_equal,
     sum_subspace,
 )
 
@@ -94,25 +94,6 @@ def angular_range(V: Subspace, W: Subspace) -> AngularRange:
     return AngularRange(theta_min=theta_min, theta_max=s.theta_max, delta=s.theta_max - theta_min)
 
 
-def _check_orthogonal_partition(parts, total_dim: int, what: str) -> None:
-    dims = sum(p.dim for p in parts)
-    if dims != total_dim:
-        raise ValueError(f"partition does not span {what}: dimensions sum to {dims}, need {total_dim}")
-    if not _pairwise_orthogonal(parts):
-        raise ValueError(f"partition of {what} is not orthogonal")
-
-
-def _cos_and_product_over_parts(V: Subspace, parts: list[Subspace], W: Subspace) -> tuple[float, float]:
-    """cos(V, W) and the product of cos(part, W) over the parts, which
-    must sum to V."""
-    if not parts:
-        raise ValueError("partition must have at least one part")
-    if not spans_equal(_sum_all(parts), V):
-        raise ValueError("partition parts do not sum to V")
-    lhs = math.cos(grassmann_angle(V, W))
-    return lhs, math.prod(math.cos(grassmann_angle(part, W)) for part in parts)
-
-
 def check_line_partition(L: Subspace, parts) -> IdentityResult:
     """Squared cosines of a line against an orthogonal partition of the
     ambient space sum to 1."""
@@ -120,7 +101,11 @@ def check_line_partition(L: Subspace, parts) -> IdentityResult:
         raise ValueError(f"expected a line, got dimension {L.dim}")
     for p in parts:
         _check_pair(L, p)
-    _check_orthogonal_partition(parts, L.ambient_dim, "the ambient space")
+    dims = sum(p.dim for p in parts)
+    if dims != L.ambient_dim:
+        raise ValueError(f"partition does not span the ambient space: dimensions sum to {dims}, need {L.ambient_dim}")
+    if not _pairwise_orthogonal(parts):
+        raise ValueError("partition of the ambient space is not orthogonal")
     lhs = sum(math.cos(grassmann_angle(L, Wi)) ** 2 for Wi in parts)
     return _result(lhs, 1.0)
 
@@ -248,27 +233,37 @@ def check_principal_coordinate(U: Subspace, V: Subspace, W: Subspace) -> Identit
     return _result(lhs, float(_sum_in_order((u_cos * u_cos) * (w_cos * w_cos))))
 
 
+def _partition_sides(V: Subspace, parts: list[Subspace], W: Subspace) -> IdentityResult:
+    """Both sides of the partition identity for disjoint parts, at least
+    one, that sum to V: cos(V, W), and the product of the parts' cosines
+    times, for each part but the last, the complementary cosine of its and
+    its tail's projections on W over that of the part and its tail (the
+    sum of the parts after it).  The right side is exactly 0 when a part's
+    projection loses a dimension: V is then partially orthogonal to W, and
+    both sides vanish."""
+    tails = [_sum_all(parts[i + 1:]) for i in range(len(parts) - 1)]  # the last is the last part
+    # The denominators first: with two parts, the caller's disjointness
+    # test has just taken their spectrum, before other pairs evict it.
+    denominators = [math.cos(complementary_angle(part, tail)) for part, tail in zip(parts, tails)]
+    lhs = math.cos(grassmann_angle(V, W))
+    rhs = math.prod(math.cos(grassmann_angle(part, W)) for part in parts)
+    projected = [project_subspace(W, part) for part in parts]
+    if any(P.dim < part.dim for P, part in zip(projected, parts)):
+        return _result(lhs, 0.0)
+    for i, denominator in enumerate(denominators):
+        P_tail = projected[-1] if i == len(tails) - 1 else project_subspace(W, tails[i])
+        rhs = rhs * math.cos(complementary_angle(projected[i], P_tail)) / denominator
+    return _result(lhs, rhs)
+
+
 def direct_sum_angle(V1: Subspace, V2: Subspace, W: Subspace) -> IdentityResult:
     """cos(V1 + V2, W) as the product of the individual cosines times the
-    ratio of complementary cosines of the projections and the summands.
-    Both sides vanish together when either summand is partially
-    orthogonal to W, which is when its projection on W loses a dimension."""
+    ratio of complementary cosines of the projections and the summands:
+    ``partition_angle_product`` on the parts V1 and V2 of their sum."""
     _check_pair(V1, W)
     if not intersect(V1, V2).is_zero:
         raise ValueError("summands must be disjoint")
-    # Read off the spectrum intersect just took, before other pairs evict it.
-    denominator = math.cos(complementary_angle(V1, V2))
-    direct = sum_subspace(V1, V2)
-    lhs = math.cos(grassmann_angle(direct, W))
-    c1 = math.cos(grassmann_angle(V1, W))
-    c2 = math.cos(grassmann_angle(V2, W))
-    P1 = project_subspace(W, V1)
-    P2 = project_subspace(W, V2)
-    if P1.dim < V1.dim or P2.dim < V2.dim:
-        rhs = 0.0
-    else:
-        rhs = c1 * c2 * math.cos(complementary_angle(P1, P2)) / denominator
-    return _result(lhs, rhs)
+    return _partition_sides(sum_subspace(V1, V2), [V1, V2], W)
 
 
 def partition_angle_product(V: Subspace, parts, W: Subspace) -> IdentityResult:
@@ -280,16 +275,8 @@ def partition_angle_product(V: Subspace, parts, W: Subspace) -> IdentityResult:
     for i in range(1, len(parts)):
         if not intersect(_sum_all(parts[:i]), parts[i]).is_zero:
             raise ValueError("partition parts are not disjoint")
-    lhs, rhs = _cos_and_product_over_parts(V, parts, W)
-    if rhs > 0.0:
-        for i in range(len(parts) - 1):
-            tail = _sum_all(parts[i + 1:])
-            P_head = project_subspace(W, parts[i])
-            P_tail = project_subspace(W, tail)
-            numerator = math.cos(complementary_angle(P_head, P_tail))
-            denominator = math.cos(complementary_angle(parts[i], tail))
-            rhs *= numerator / denominator
-    return _result(lhs, rhs)
+    _check_partition(V, parts)
+    return _partition_sides(V, parts, W)
 
 
 def characterize_principal_partition(V: Subspace, parts, W: Subspace) -> bool:
@@ -299,9 +286,11 @@ def characterize_principal_partition(V: Subspace, parts, W: Subspace) -> bool:
     if is_partially_orthogonal(V, W):
         raise ValueError("V must not be partially orthogonal to W")
     parts = list(parts)
-    _check_orthogonal_partition(parts, V.dim, "V")
-    lhs, rhs = _cos_and_product_over_parts(V, parts, W)
-    return abs(lhs - rhs) <= RESIDUAL_TOL
+    _check_partition(V, parts)
+    if not _pairwise_orthogonal(parts):
+        raise ValueError("partition of V is not orthogonal")
+    lhs = math.cos(grassmann_angle(V, W))
+    return abs(lhs - math.prod(math.cos(grassmann_angle(part, W)) for part in parts)) <= RESIDUAL_TOL
 
 
 @dataclass(frozen=True)

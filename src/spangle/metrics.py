@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import grassmann_angle, max_symmetrized_angle, vector_angles
+from .angles import grassmann_angle, vector_angles
 from .linalg import COMPARE_TOL, HALF_PI, Field, _svd, angle_from_cosine, clamped_products
 from .principal import intersect, is_partially_orthogonal
 from .subspace import (
@@ -47,9 +47,12 @@ def fubini_study(V: Subspace, W: Subspace) -> float:
 # The paper's closed form: the directed angle is an asymmetric metric on
 # all subspaces, and it is the directed Hausdorff distance, in the
 # Fubini-Study distance, from the full sub-Grassmannian of V (all its
-# subspaces) to that of W; so the two-sided one is the max-symmetrized angle.
+# subspaces) to that of W; so the two-sided one is the max-symmetrized
+# angle.  That is the Fubini-Study distance itself: across dimensions the
+# larger directed angle is pi/2, and on equal dimensions the two directed
+# angles are one value.
 asymmetric_distance = directed_hausdorff = grassmann_angle
-hausdorff = max_symmetrized_angle
+hausdorff = max_symmetrized_angle = fubini_study
 
 
 def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generator, samples: int = 200) -> float:

@@ -19,11 +19,10 @@ from .linalg import COMPARE_TOL, HALF_PI, ZERO_ANGLE_COS_BAND, Field, _norm_with
 from .subspace import (
     Subspace,
     _check_pair,
+    _check_partition,
     _pairwise_orthogonal,
     _residual,
-    _sum_all,
     project_subspace,
-    spans_equal,
     zero_subspace,
 )
 
@@ -185,16 +184,6 @@ class PrincipalDecomposition:
     right_basis: np.ndarray
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A list of pairwise-disjoint subspaces whose direct sum is a subspace."""
-
-    parts: tuple[Subspace, ...]
-
-    def __init__(self, parts: Sequence[Subspace]):
-        object.__setattr__(self, "parts", tuple(parts))
-
-
 def principal_decomposition(V: Subspace, W: Subspace) -> PrincipalDecomposition:
     """Principal angles and bases of a pair of nonzero subspaces, read off
     the pair's spectrum and its principal frame."""
@@ -236,8 +225,9 @@ def is_partially_orthogonal(V: Subspace, W: Subspace) -> bool:
     return not V.is_zero and (V.dim > W.dim or float(pair_spectrum(V, W).cosines[-1]) <= COMPARE_TOL)
 
 
-def is_principal_partition(V: Subspace, partition: Partition, W: Subspace) -> bool:
-    """Whether a partition of V is principal with respect to W.
+def is_principal_partition(V: Subspace, parts: Sequence[Subspace], W: Subspace) -> bool:
+    """Whether a partition of V, a list of subspaces, is principal with
+    respect to W.
 
     A partition assembled from coordinate subspaces of one principal basis
     is characterized by its projections onto W being pairwise orthogonal.
@@ -246,9 +236,8 @@ def is_principal_partition(V: Subspace, partition: Partition, W: Subspace) -> bo
     _check_pair(V, W)
     if W.is_zero:
         raise ValueError("principal partitions are undefined against the zero subspace")
-    parts = partition.parts
-    if sum(p.dim for p in parts) != V.dim or (parts and not spans_equal(_sum_all(parts), V)):
-        raise ValueError("partition parts do not sum to the given subspace")
+    parts = list(parts)
+    _check_partition(V, parts)
     if not _pairwise_orthogonal(parts):
         return False
     projected = [project_subspace(W, p) for p in parts]

@@ -176,6 +176,13 @@ def _sum_all(parts: Sequence[Subspace]) -> Subspace:
     return functools.reduce(sum_subspace, parts)
 
 
+def _check_partition(V: Subspace, parts: Sequence[Subspace]) -> None:
+    """The parts, at least one, have dimensions summing to dim V and span V
+    (so they are disjoint)."""
+    if not parts or sum(p.dim for p in parts) != V.dim or not spans_equal(_sum_all(parts), V):
+        raise ValueError("partition parts do not sum to V (need at least one part, spanning V, of total dim V)")
+
+
 def _pairwise_orthogonal(parts: Sequence[Subspace]) -> bool:
     """Whether every two of the parts are orthogonal: the 2-norm of their
     cross-Gram, their largest principal cosine, is at most COMPARE_TOL."""

@@ -54,7 +54,6 @@ from .identities import (
 from .linalg import Field
 from .metrics import _geodesic, fubini_study, sampled_directed_hausdorff
 from .principal import (
-    Partition,
     intersect,
     is_partially_orthogonal,
     is_principal_partition,
@@ -323,7 +322,7 @@ def run_pythagorean(seed: int, trials: int, dim_max: int) -> SuiteReport:
             P1 = Subspace._trusted(n, field, decomp.left_basis[:, :split])
             P2 = Subspace._trusted(n, field, decomp.left_basis[:, split:])
             agrees = characterize_principal_partition(V, [P1, P2], W)
-            predicate = is_principal_partition(V, Partition([P1, P2]), W)
+            predicate = is_principal_partition(V, [P1, P2], W)
             col.add("principal_partition_characterization", 0.0 if agrees == predicate else 1.0)
 
     return col.finish()

@@ -5,11 +5,11 @@ import pytest
 
 from spangle import Field
 from spangle.angles import (
+    OrientedSubspace,
     angle_from_complement,
     angle_report,
     complementary_angle,
     grassmann_angle,
-    max_symmetrized_angle,
     min_symmetrized_angle,
     oriented_angle,
     oriented_from_spanning,
@@ -19,6 +19,7 @@ from spangle.angles import (
 )
 from spangle.exterior import blade_of, inner
 from spangle.identities import ANGLE_TOL
+from spangle.metrics import max_symmetrized_angle
 from spangle.principal import intersect, is_partially_orthogonal
 from spangle.sampling import haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
@@ -100,6 +101,22 @@ class TestVectorAngles:
     def test_real_case_phase_is_zero_or_pi(self):
         assert vector_angles([1, 0], [-2, 0], Field.REAL).phase == math.pi
         assert vector_angles([1, 0], [3, 0], Field.REAL).phase == 0.0
+
+    @pytest.mark.parametrize(
+        "v, w, field, phase",
+        [
+            ([1e-6, 0], [1e-6, 0], Field.REAL, 0.0),
+            ([-1e-6, 0], [1e-6, 0], Field.REAL, math.pi),
+            ([1e-6j, 0], [1e-6, 0], Field.COMPLEX, -HALF_PI),
+            ([1e6, 0], [1e-8, 1e6], Field.REAL, None),
+            ([1e6, 0], [1e-8j, 1e6], Field.COMPLEX, None),
+        ],
+    )
+    def test_phase_is_decided_on_the_cosine_not_the_scale(self, v, w, field, phase):
+        """Tiny parallel vectors have a phase, and large vectors at a cosine
+        of 1e-14 have none: the rule reads |zeta_cos|, as oriented_angle
+        does, not the raw inner product."""
+        assert vector_angles(v, w, field).phase == phase
 
     def test_spherical_relation_for_vectors(self, rng):
         # cos(theta) = cos(phase) * cos(gamma) whenever the phase exists
@@ -292,6 +309,15 @@ class TestAngleFromComplement:
         W = from_spanning([np.array([1, 0, 0]), np.array([0, math.cos(t), phase * math.sin(t)])], field)
         for A, B in ((V, W), (W, V)):
             assert abs(angle_from_complement(A, B) - grassmann_angle(complement(A), B)) <= ANGLE_TOL
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("coefficient", [math.nan, complex(1.0, math.nan), complex(math.nan, 0.0), math.inf])
+def test_oriented_subspace_rejects_a_non_finite_coefficient(field, coefficient):
+    """A NaN fails every comparison, so it must not slip past the
+    unit-modulus check into an angle of magnitude NaN."""
+    with pytest.raises(ValueError, match="unit modulus"):
+        OrientedSubspace(from_spanning([[1.0, 0.0]], field), coefficient)
 
 
 class TestOrientedAngle:

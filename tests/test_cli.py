@@ -368,7 +368,7 @@ def test_angle_commands_do_not_load_the_verify_stack():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "75"  # 67 functions and classes, 8 modules
+    assert proc.stdout.strip() == "74"  # 66 functions and classes, 8 modules
 
 
 _REAL_PAIR = '{"field": "real", "ambient_dim": 2, "vectors": [[1, 0]]}'

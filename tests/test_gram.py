@@ -256,3 +256,33 @@ class TestProjectionMatrixAngles:
             W = from_spanning(list((V.basis @ random_unitary(rng, p, field)).T), field)
             P = W.basis.conj().T @ V.basis
             assert angle_from_projection_matrix(P, ProjectionAngleMode.THETA) == grassmann_angle(V, W) == 0.0
+
+
+_GRAM_ROUTES = [angle_from_gram, angle_from_gram_equal_dim, complementary_from_gram]
+
+
+@pytest.mark.parametrize("route", _GRAM_ROUTES)
+@pytest.mark.parametrize(
+    "basis_v, basis_w",
+    [
+        ([1.0, 2.0], [[1.0, 0.0]]),  # scalar entries, so no ambient size to read
+        ([], [3.0]),
+        ([[1.0, 0.0]], [1.0, 2.0]),
+        ([[1.0, 0.0], 2.0], [[1.0, 0.0]]),
+        ([[[1.0, 0.0]]], [[1.0, 0.0]]),  # a matrix entry
+        ([[1.0, 0.0]], [[1.0, 0.0, 0.0]]),  # lengths disagree
+        ([[1.0, "a"]], [[1.0, 0.0]]),
+    ],
+)
+def test_gram_routes_reject_malformed_lists_with_value_error(route, basis_v, basis_w):
+    """The ambient size is read by stack_columns, so a scalar entry is
+    rejected with its ValueError, not an IndexError."""
+    with pytest.raises(ValueError):
+        route(basis_v, basis_w, Field.REAL)
+
+
+@pytest.mark.parametrize("mode", list(ProjectionAngleMode))
+@pytest.mark.parametrize("P", [3.0, [1.0, 2.0], [[[1.0]]], [[1.0, "a"]], [[1.0], [2.0, 3.0]]])
+def test_projection_route_rejects_malformed_matrices_with_value_error(P, mode):
+    with pytest.raises(ValueError):
+        angle_from_projection_matrix(P, mode)

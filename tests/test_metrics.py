@@ -16,6 +16,7 @@ from spangle.metrics import (
     fubini_study,
     geodesic_point,
     hausdorff,
+    max_symmetrized_angle,
     sampled_directed_hausdorff,
 )
 from spangle.principal import intersect
@@ -95,6 +96,13 @@ class TestAsymmetricDistance:
 
 
 class TestHausdorff:
+    def test_one_function_for_three_distances(self):
+        """Across dimensions the larger directed angle is pi/2 and on equal
+        dimensions the two directed angles are one value, so the
+        Hausdorff distance and the max-symmetrized angle are the
+        Fubini-Study distance."""
+        assert fubini_study is max_symmetrized_angle is hausdorff
+
     def test_contained_gives_zero(self, rng):
         W = haar_subspace(rng, 6, 4, Field.REAL)
         V = from_basis_matrix(W.basis[:, :2], Field.REAL)

@@ -3,7 +3,6 @@ import pytest
 
 from spangle import Field
 from spangle.principal import (
-    Partition,
     is_partially_orthogonal,
     is_principal_partition,
     principal_angles,
@@ -142,7 +141,7 @@ class TestPrincipalPartition:
     def test_singleton_partition(self, rng):
         V = haar_subspace(rng, 6, 3, Field.REAL)
         W = haar_subspace(rng, 6, 4, Field.REAL)
-        assert is_principal_partition(V, Partition([V]), W)
+        assert is_principal_partition(V, [V], W)
 
     def test_split_along_principal_vectors(self, rng):
         for field in (Field.REAL, Field.COMPLEX):
@@ -151,7 +150,7 @@ class TestPrincipalPartition:
             d = principal_decomposition(V, W)
             P1 = Subspace(6, field, d.left_basis[:, :1])
             P2 = Subspace(6, field, d.left_basis[:, 1:])
-            assert is_principal_partition(V, Partition([P1, P2]), W)
+            assert is_principal_partition(V, [P1, P2], W)
 
     def test_generic_orthogonal_split_is_not(self, rng):
         hits = 0
@@ -160,7 +159,7 @@ class TestPrincipalPartition:
             W = haar_subspace(rng, 6, 3, Field.REAL)
             P1 = Subspace(6, Field.REAL, V.basis[:, :1])
             P2 = Subspace(6, Field.REAL, V.basis[:, 1:])
-            hits += is_principal_partition(V, Partition([P1, P2]), W)
+            hits += is_principal_partition(V, [P1, P2], W)
         assert hits == 0  # probability-one event over 8 draws
 
     def test_parts_must_sum_to_v(self, rng):
@@ -168,7 +167,7 @@ class TestPrincipalPartition:
         W = haar_subspace(rng, 6, 3, Field.REAL)
         stray = haar_subspace(rng, 6, 1, Field.REAL)
         with pytest.raises(ValueError, match="sum"):
-            is_principal_partition(V, Partition([stray]), W)
+            is_principal_partition(V, [stray], W)
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

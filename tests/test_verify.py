@@ -69,8 +69,8 @@ def test_seeded_draw_order_is_pinned(seed):
 
 
 # Exported functions the verify suites never call, each with its reason.
-# An alias counts through the function it names (``hausdorff`` through
-# max_symmetrized_angle).  Wiring one in takes it off this list.
+# An alias counts through the function it names (``hausdorff`` and
+# ``max_symmetrized_angle`` through fubini_study).  Wiring one in takes it off this list.
 UNREACHED_BY_VERIFY = {
     "angle_from_complement": "not yet checked against the angle with complement(V)",
     "angle_report": "what `spangle angle` prints; its fields are not yet checked against their own routes",
@@ -79,7 +79,6 @@ UNREACHED_BY_VERIFY = {
     "from_basis_matrix": "the entry for a user's basis; verify builds its bases itself",
     "full_space": "the complement of {0}; verify takes complements of nonzero subspaces only",
     "geodesic_point": "verify takes the geodesic through the private _geodesic, once per pair",
-    "max_symmetrized_angle": "not yet checked against the two directed angles",
     "min_symmetrized_angle": "not yet checked against the two directed angles",
     "project_vector": "not yet checked",
     "projection_factor": "not yet checked against cos theta (real) or cos^2 theta (complex)",
