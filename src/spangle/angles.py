@@ -22,8 +22,7 @@ from .linalg import (
     COMPARE_TOL,
     HALF_PI,
     Field,
-    _rank,
-    _svd,
+    _unit_scaled,
     angle_from_cosine,
     arccos_clamped,
     as_field_array,
@@ -32,7 +31,7 @@ from .linalg import (
     stack_columns,
 )
 from .principal import intersect, pair_spectrum
-from .subspace import Subspace, _check_pair, realify, zero_subspace
+from .subspace import Subspace, _check_pair, _span, realify
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,7 @@ def vector_angles(v, w, field: Field) -> VectorAngles:
     w = as_field_array(w, field)
     if v.shape != w.shape:
         raise ValueError(f"vector shape mismatch: {v.shape} vs {w.shape}")
+    v, w = _unit_scaled(v), _unit_scaled(w)  # exact, so no norm overflows or underflows
     nv = float(np.linalg.norm(v))
     nw = float(np.linalg.norm(w))
     if nv == 0.0:
@@ -189,18 +189,13 @@ class OrientedSubspace:
 
 def oriented_from_spanning(vectors, field: Field, ambient_dim: int | None = None) -> OrientedSubspace:
     """Oriented subspace whose orientation is the wedge of the given
-    ordered vectors (which must be independent)."""
+    ordered vectors M (which must be independent): the basis Q that
+    ``from_spanning`` builds, with the phase of det(Q* M) (1 for no vectors)."""
     M = stack_columns(vectors, field, ambient_dim=ambient_dim)
-    if M.shape[1] == 0:
-        return OrientedSubspace(zero_subspace(M.shape[0], field), 1.0)
-    Q, R = np.linalg.qr(M)
-    # |diag R| of an unpivoted QR does not reveal the rank; the singular
-    # values of R, those of M, do, by the rank rule of from_spanning.
-    if _rank(_svd(R, compute_uv=False), M.shape) < M.shape[1]:
+    space = _span(M, field)
+    if space.dim < M.shape[1]:
         raise ValueError("orientation requires linearly independent vectors")
-    det_r = np.prod(np.diagonal(R))
-    coeff = det_r / abs(det_r)
-    return OrientedSubspace(Subspace._trusted(M.shape[0], field, Q), complex(coeff))
+    return OrientedSubspace(space, np.linalg.slogdet(space.basis.conj().T @ M).sign)
 
 
 def oriented_angle(V: OrientedSubspace, W: OrientedSubspace) -> OrientedAngle:

@@ -15,7 +15,18 @@ import math
 
 import numpy as np
 
-from .linalg import Field, _svd, angle_from_cosine, as_field_array, clamp01, det, rank_cutoff, stack_columns
+from .linalg import (
+    Field,
+    _svd,
+    _unit_scaled,
+    _vector_list,
+    angle_from_cosine,
+    as_field_array,
+    clamp01,
+    det,
+    rank_cutoff,
+    stack_columns,
+)
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -28,14 +39,22 @@ class ProjectionAngleMode(enum.Enum):
 def _gram_matrices(basis_v, basis_w, field: Field, ambient_dim: int | None):
     # Empty lists denote the zero subspace; the ambient size then comes from
     # an explicit ambient_dim or, through stack_columns, the other list.
-    if ambient_dim is None and not len(basis_v):
-        if not len(basis_w):
+    basis_v, basis_w = _vector_list(basis_v), _vector_list(basis_w)
+    if ambient_dim is None and not basis_v:
+        if not basis_w:
             raise ValueError("cannot infer the ambient dimension from two empty lists")
         Wm = stack_columns(basis_w, field)
         Vm = stack_columns(basis_v, field, ambient_dim=Wm.shape[0])
     else:
         Vm = stack_columns(basis_v, field, ambient_dim=ambient_dim)
         Wm = stack_columns(basis_w, field, ambient_dim=Vm.shape[0])
+    # Every ratio below, and the condition test, is unchanged when one list
+    # is multiplied by a scalar.  The Gram determinants have degree 2p in a
+    # list of p vectors, and one route multiplies two of them, so a list
+    # whose largest entry is 2**e with |e| p > 128 is brought into [0.5, 1)
+    # by an exact power of two; the rest keep their bits.
+    Vm = _unit_scaled(Vm, 128 // max(Vm.shape[1], 1))
+    Wm = _unit_scaled(Wm, 128 // max(Wm.shape[1], 1))
     A = Wm.conj().T @ Wm
     B = Wm.conj().T @ Vm
     D = Vm.conj().T @ Vm

@@ -126,13 +126,33 @@ def _norm_within_compare_tol(M: np.ndarray) -> bool:
     return float(_svd(M, compute_uv=False)[0]) <= COMPARE_TOL
 
 
+def _unit_scaled(x: np.ndarray, keep_within: int = 0) -> np.ndarray:
+    """x times 2**-e, e the binary exponent of its largest entry (real and
+    imaginary parts apart), which brings that entry into [0.5, 1); x itself
+    when |e| <= keep_within (a zero or empty x has e = 0).  ``np.ldexp`` on
+    the float64 view of a C-contiguous x is exact unless an entry falls
+    below the normal range."""
+    flat = x.view(np.float64)
+    e = int(np.frexp(np.abs(flat).max(initial=0.0))[1])
+    return x if abs(e) <= keep_within else np.ldexp(flat, -e).view(x.dtype)
+
+
+def _vector_list(vectors) -> list:
+    """The spanning vectors as a list; a scalar in place of the list is a
+    ValueError."""
+    try:
+        return list(vectors)
+    except TypeError:
+        raise ValueError("spanning vectors must be given as a list of vectors") from None
+
+
 def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = None) -> np.ndarray:
     """Stack vectors as matrix columns, checking dimensions and field.
 
     Empty input is allowed when ``ambient_dim`` is given and yields an
     ``(ambient_dim, 0)`` matrix.
     """
-    vecs = list(vectors)
+    vecs = _vector_list(vectors)
     try:
         lengths = [len(v) for v in vecs]
     except TypeError:  # a scalar entry

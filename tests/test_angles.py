@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -17,11 +18,11 @@ from spangle.angles import (
     real_complex_relation,
     vector_angles,
 )
-from spangle.exterior import blade_of, inner
+from spangle.exterior import blade_of, inner, scalar_multivector
 from spangle.identities import ANGLE_TOL
 from spangle.metrics import max_symmetrized_angle
 from spangle.principal import intersect, is_partially_orthogonal
-from spangle.sampling import haar_subspace, random_unitary, random_vector
+from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
     complement,
     from_basis_matrix,
@@ -30,6 +31,8 @@ from spangle.subspace import (
     sum_subspace,
     zero_subspace,
 )
+
+from exterior_oracles import wedge_vector
 
 HALF_PI = math.pi / 2
 
@@ -117,6 +120,23 @@ class TestVectorAngles:
         of 1e-14 have none: the rule reads |zeta_cos|, as oriented_angle
         does, not the raw inner product."""
         assert vector_angles(v, w, field).phase == phase
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**-1070, 2.0**1020])
+    @pytest.mark.parametrize(
+        "v, w, field",
+        [
+            ([1, 0], [0, 1], Field.REAL),
+            ([1, 0], [1, 1], Field.REAL),
+            ([1, 0], [0, 1], Field.COMPLEX),
+            ([1, 0], [1j, 1], Field.COMPLEX),
+        ],
+    )
+    def test_any_finite_scale(self, v, w, field, scale):
+        """Norms that would underflow or overflow do not reach the angles."""
+        scaled = vector_angles(np.multiply(v, scale), np.multiply(w, scale), field)
+        unscaled = vector_angles(v, w, field)
+        for name in ("theta", "gamma", "zeta_cos", "phase"):
+            assert getattr(scaled, name) == pytest.approx(getattr(unscaled, name), abs=1e-15)
 
     def test_spherical_relation_for_vectors(self, rng):
         # cos(theta) = cos(phase) * cos(gamma) whenever the phase exists
@@ -363,15 +383,20 @@ class TestOrientedAngle:
             oriented_angle(a, b)
 
     def test_matches_blade_inner_product(self, rng):
+        """The orienting blade is the normalized wedge of the vectors in
+        order, and the oriented cosine the inner product of two blades."""
         for field in (Field.REAL, Field.COMPLEX):
-            vs = [random_vector(rng, 4, field) for _ in range(2)]
-            ws = [random_vector(rng, 4, field) for _ in range(2)]
-            A = oriented_from_spanning(vs, field)
-            B = oriented_from_spanning(ws, field)
-            oa = oriented_angle(A, B)
-            nu = blade_of(A.space).scale(A.coefficient)
-            om = blade_of(B.space).scale(B.coefficient)
-            assert oa.cos_value == pytest.approx(inner(nu, om), abs=1e-10)
+            for p in range(5):
+                vs = [random_vector(rng, 4, field) for _ in range(p)]
+                ws = [random_vector(rng, 4, field) for _ in range(p)]
+                A = oriented_from_spanning(vs, field, ambient_dim=4)
+                B = oriented_from_spanning(ws, field, ambient_dim=4)
+                oa = oriented_angle(A, B)
+                nu = blade_of(A.space).scale(A.coefficient)
+                om = blade_of(B.space).scale(B.coefficient)
+                wedge = functools.reduce(wedge_vector, vs, scalar_multivector(4, field))
+                np.testing.assert_allclose(nu.coeffs, wedge.coeffs / wedge.norm, rtol=0, atol=1e-12)
+                assert oa.cos_value == pytest.approx(inner(nu, om), abs=1e-10)
 
     def test_modulus_is_unoriented_cosine(self, rng):
         vs = [random_vector(rng, 5, Field.COMPLEX) for _ in range(3)]
@@ -405,6 +430,47 @@ class TestOrientedAngle:
         assert from_spanning(kahan_vectors, Field.REAL).dim == 59
         with pytest.raises(ValueError, match="independent"):
             oriented_from_spanning(kahan_vectors, Field.REAL)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_space_is_the_one_from_spanning_builds(self, field):
+        """One orthonormalization gives the subspace, bit for bit, on the SVD
+        route and, from QR_ROUTE_MIN vectors on, the QR route."""
+        rng = np.random.default_rng(26)
+        for n in [*range(2, 9), 64]:
+            for p in range(n + 1):
+                vs = list(gaussian_matrix(rng, n, p, field).T)
+                O = oriented_from_spanning(vs, field, ambient_dim=n)
+                assert np.array_equal(O.space.basis, from_spanning(vs, field, ambient_dim=n).basis)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("kind", ["duplicated", "wide", "kahan"])
+    def test_lists_from_spanning_ranks_below_full_rejected(self, field, kind, kahan_vectors):
+        rng = np.random.default_rng(7)
+        if kind == "duplicated":
+            M = gaussian_matrix(rng, 5, 3, field)
+            vs = [*M.T, M[:, 1]]
+        elif kind == "wide":
+            vs = list(gaussian_matrix(rng, 3, 4, field).T)
+        else:
+            vs = [v.astype(field.dtype) for v in kahan_vectors]
+        assert from_spanning(vs, field).dim < len(vs)
+        with pytest.raises(ValueError, match="independent"):
+            oriented_from_spanning(vs, field)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_coefficient_at_any_finite_scale(self, field, scale):
+        """A list at 1e-200 or 1e200 has the coefficient of its unscaled
+        copy, with no overflow or underflow on the way."""
+        rng = np.random.default_rng(11)
+        lists = [
+            [[1.0, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, -1.0]],
+            *(list(gaussian_matrix(rng, n, p, field).T) for n, p in ((4, 2), (5, 3), (32, 20))),
+        ]
+        for vs in lists:
+            scaled = oriented_from_spanning([np.multiply(v, scale) for v in vs], field)
+            assert scaled.coefficient == pytest.approx(oriented_from_spanning(vs, field).coefficient, abs=1e-12)
 
     def test_more_vectors_than_dimensions_rejected(self, rng):
         with pytest.raises(ValueError, match="independent"):

@@ -286,3 +286,25 @@ def test_gram_routes_reject_malformed_lists_with_value_error(route, basis_v, bas
 def test_projection_route_rejects_malformed_matrices_with_value_error(P, mode):
     with pytest.raises(ValueError):
         angle_from_projection_matrix(P, mode)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("scale", [1e-200, 1e-60, 1e60, 1e200])
+def test_routes_at_any_finite_scale(field, scale):
+    """A list multiplied by any nonzero scalar spans the same subspace, so
+    each list route returns the angle of the unscaled lists, however far the
+    Gram products would leave the float range."""
+    rng = np.random.default_rng(5)
+    for p in (1, 2, 4):
+        vs = list(gaussian_matrix(rng, 6, p, field).T)
+        ws = list(gaussian_matrix(rng, 6, p, field).T)
+        scaled_vs, scaled_ws = [v * scale for v in vs], [w * scale for w in ws]
+        for route in _GRAM_ROUTES:
+            expected = route(vs, ws, field)
+            for left, right in ((scaled_vs, ws), (vs, scaled_ws), (scaled_vs, scaled_ws)):
+                assert route(left, right, field) == pytest.approx(expected, abs=1e-12)
+    # The projection route takes a contraction, so only small scales apply:
+    # the cosine tends to 0, and that of the complementary angle to 1.
+    P = min(scale, 1 / scale) * random_unitary(rng, 3, field)
+    assert angle_from_projection_matrix(P, ProjectionAngleMode.THETA) == HALF_PI
+    assert angle_from_projection_matrix(P, ProjectionAngleMode.PERP) == 0.0

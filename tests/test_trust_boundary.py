@@ -16,6 +16,7 @@ import pytest
 from spangle import Field
 from spangle import exterior, linalg, verify
 from spangle.angles import oriented_from_spanning
+from spangle.gram import angle_from_gram, angle_from_gram_equal_dim, complementary_from_gram
 from spangle.identities import check_coordinate_identity, check_oriented_sum
 from spangle.metrics import TriangleTag, classify_triangle_equality, geodesic_point
 from spangle.principal import intersect
@@ -215,6 +216,24 @@ def test_public_constructor_still_checks():
         Subspace(2, Field.REAL, np.array([[np.nan], [0.0]]))
     with pytest.raises(ValueError, match="two-dimensional"):
         from_basis_matrix(np.ones(3), Field.REAL)
+
+
+_ROW = [[1.0, 0.0]]
+_GRAM_LIST_ROUTES = (angle_from_gram, angle_from_gram_equal_dim, complementary_from_gram)
+_LIST_TAKERS = {
+    "from_spanning": lambda x: from_spanning(x, Field.REAL),
+    "from_basis_matrix": lambda x: from_basis_matrix(x, Field.REAL),
+    "oriented_from_spanning": lambda x: oriented_from_spanning(x, Field.REAL),
+    **{f"{r.__name__}_first": lambda x, r=r: r(x, _ROW, Field.REAL) for r in _GRAM_LIST_ROUTES},
+    **{f"{r.__name__}_second": lambda x, r=r: r(_ROW, x, Field.REAL) for r in _GRAM_LIST_ROUTES},
+}
+
+
+@pytest.mark.parametrize("call", list(_LIST_TAKERS.values()), ids=list(_LIST_TAKERS))
+@pytest.mark.parametrize("scalar", [3.0, np.float64(3.0), np.array(3.0), None])
+def test_a_scalar_in_place_of_a_list_is_a_value_error(call, scalar):
+    with pytest.raises(ValueError):
+        call(scalar)
 
 
 @pytest.mark.parametrize("field", BOTH_FIELDS)
