@@ -192,7 +192,12 @@ def oriented_from_spanning(vectors, field: Field, ambient_dim: int | None = None
     ordered vectors M (which must be independent): the basis Q that
     ``from_spanning`` builds, with the phase of det(Q* M) (1 for no vectors)."""
     M = stack_columns(vectors, field, ambient_dim=ambient_dim)
-    space = _span(M, field)
+    return _oriented(_span(M, field), M)
+
+
+def _oriented(space: Subspace, M: np.ndarray) -> OrientedSubspace:
+    """``space``, the span of the columns of M, oriented by their wedge in
+    order: the phase of det(Q* M) on its basis Q."""
     if space.dim < M.shape[1]:
         raise ValueError("orientation requires linearly independent vectors")
     return OrientedSubspace(space, np.linalg.slogdet(space.basis.conj().T @ M).sign)

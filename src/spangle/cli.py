@@ -5,10 +5,18 @@ Subspaces travel as the JSON documents described in :mod:`spangle.io`.
 Output is JSON on every exit path; angles are serialized in radians with
 15 significant digits unless ``--degrees`` is given (presentation only).
 Exit codes: 0 success, 1 failed verification, 2 parse/validation error.
+
+Each command imports the modules it computes with once its input has
+passed the checks, so a process loads only its own command's: ``angle``
+loads ``principal`` and ``angles``, ``principal`` only ``principal``,
+``random`` only ``sampling``.  The process entry :func:`run` freezes the
+collector's objects before exit, so the interpreter's final collection
+does not walk numpy, click and the package again.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 
@@ -16,13 +24,8 @@ import click
 import numpy as np
 
 from ._suites import DIM_MAX_LIMIT, HAUSDORFF_DIM_CAP, ORACLE_DIM_CAP, ORIENTED_DIM_CAP, REALIFIED_DIM_CAP, SUITE_NAMES
-from .angles import (
-    angle_report,
-    grassmann_angle,
-    oriented_angle,
-    oriented_from_spanning,
-)
 from .io import (
+    MAX_ENTRIES,
     SubspaceDocumentError,
     _sigdigits as _sig,
     dump_json,
@@ -30,16 +33,7 @@ from .io import (
     subspace_document,
     write_subspace_file,
 )
-from .linalg import Field
-from .metrics import fubini_study, geodesic_point
-from .principal import principal_angles
-from .sampling import haar_subspace
-
-
-# ``spangle random`` draws an ambient_dim x dim Gaussian: 2**22 entries
-# are 64 MiB as complex128.  A zero-dimensional request counts as dim 1,
-# so the ambient dimension is bounded too.
-RANDOM_MAX_ENTRIES = 2**22
+from .linalg import Field, stack_columns
 
 
 def _fail(field_name: str, message: str) -> None:
@@ -75,6 +69,8 @@ def _load_pair(left: str, right: str):
 def _pair_header(V, W, degrees: bool) -> dict:
     """What every pair report starts with: the pair's shape and its
     principal angles."""
+    from .principal import principal_angles
+
     return {
         "ambient_dim": V.ambient_dim,
         "field": V.field.value,
@@ -137,6 +133,8 @@ def main() -> None:
 def cmd_angle(left: str, right: str, degrees: bool, oriented_flag: bool) -> None:
     """Full angle report for a pair of subspace files."""
     V, v_vectors, W, w_vectors = _load_pair(left, right)
+    from .angles import _oriented, angle_report, grassmann_angle, oriented_angle
+
     report = angle_report(V, W)
     out = {
         **_pair_header(V, W, degrees),
@@ -146,15 +144,17 @@ def cmd_angle(left: str, right: str, degrees: bool, oriented_flag: bool) -> None
         "theta_min_sym": _angle_out(report.theta_min_sym, degrees),
         "theta_max_sym": _angle_out(report.theta_max_sym, degrees),
         "projection_factor": _sig(report.projection_factor),
-        "fubini_study": _angle_out(fubini_study(V, W), degrees),
+        # The Fubini-Study distance is the max-symmetrized angle.
+        "fubini_study": _angle_out(report.theta_max_sym, degrees),
     }
     if oriented_flag:
         if V.dim != W.dim:
             _fail("vectors", "oriented angles require equal dimensions")
         try:
-            ov = oriented_from_spanning(v_vectors, V.field, ambient_dim=V.ambient_dim)
-            ow = oriented_from_spanning(w_vectors, W.field, ambient_dim=W.ambient_dim)
-            oa = oriented_angle(ov, ow)
+            oa = oriented_angle(
+                _oriented(V, stack_columns(v_vectors, V.field, ambient_dim=V.ambient_dim)),
+                _oriented(W, stack_columns(w_vectors, W.field, ambient_dim=W.ambient_dim)),
+            )
         except ValueError as exc:
             _fail("vectors", f"orientation needs independent vectors: {exc}")
         cz = complex(oa.cos_value)
@@ -188,9 +188,12 @@ def cmd_random(ambient_dim: int, dim: int, field_name: str, seed: int, out_path:
     before anything is drawn."""
     if not 0 <= dim <= ambient_dim:
         _fail("dim", f"need 0 <= dim <= ambient_dim, got dim={dim}, ambient_dim={ambient_dim}")
-    if ambient_dim * max(dim, 1) > RANDOM_MAX_ENTRIES:
-        _fail("dim", f"need ambient_dim * max(dim, 1) <= {RANDOM_MAX_ENTRIES}, got {ambient_dim} * {max(dim, 1)}")
+    # The Gaussian drawn is ambient_dim x dim, bounded as documents are.
+    if ambient_dim * max(dim, 1) > MAX_ENTRIES:
+        _fail("dim", f"need ambient_dim * max(dim, 1) <= {MAX_ENTRIES}, got {ambient_dim} * {max(dim, 1)}")
     _check_seed(seed)
+    from .sampling import haar_subspace
+
     field = Field.COMPLEX if field_name == "complex" else Field.REAL
     rng = np.random.default_rng(seed)
     V = haar_subspace(rng, ambient_dim, dim, field)
@@ -252,6 +255,8 @@ def cmd_geodesic(left: str, right: str, t_param: float, phase: float | None, out
         if value is not None and not math.isfinite(value):
             _fail(name, f"{name} must be finite")
     U, _, W, _ = _load_pair(left, right)
+    from .metrics import geodesic_point
+
     try:
         V = geodesic_point(U, W, t_param, phase=phase)
     except ValueError as exc:
@@ -263,5 +268,16 @@ def cmd_geodesic(left: str, right: str, t_param: float, phase: float | None, out
         click.echo(dump_json({"out": out_path}), nl=False)
 
 
+def run() -> None:
+    """The process entry (``python -m spangle.cli`` and the ``spangle``
+    script): :func:`main`, then the collector's objects are frozen, so
+    that the interpreter's exit does not walk them in a last collection.
+    Output is flushed and files are closed by then."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -10,8 +10,9 @@ Schema:
 
 Entries are numbers in the real case and two-element [re, im] arrays in
 the complex case.  The vectors are spanning, not necessarily orthonormal
-or independent.  Serialization is deterministic: sorted keys, two-space
-indent, trailing newline, floats at 15 significant digits.
+or independent, and ambient_dim * max(1, len(vectors)) is at most
+``MAX_ENTRIES`` (2**22).  Serialization is deterministic: sorted keys,
+two-space indent, trailing newline, floats at 15 significant digits.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ import numpy as np
 
 from .linalg import Field
 from .subspace import Subspace, from_spanning
+
+# The most entries a document may hold, ambient_dim * max(1, vectors):
+# 2**22 entries are 64 MiB as complex128.  A document without vectors
+# counts as one vector, so the ambient dimension is bounded too.
+MAX_ENTRIES = 2**22
 
 
 class SubspaceDocumentError(ValueError):
@@ -87,6 +93,10 @@ def parse_subspace_document(doc: Any) -> tuple[Field, int, list[np.ndarray]]:
     raw = doc["vectors"]
     if not isinstance(raw, list):
         raise SubspaceDocumentError("vectors", "must be a list of vectors")
+    if n * max(1, len(raw)) > MAX_ENTRIES:
+        raise SubspaceDocumentError(
+            "vectors", f"need ambient_dim * max(1, len(vectors)) <= {MAX_ENTRIES}, got {n} * {max(1, len(raw))}"
+        )
     vectors: list[np.ndarray] = []
     for i, rv in enumerate(raw):
         if not isinstance(rv, list):

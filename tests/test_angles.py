@@ -20,8 +20,8 @@ from spangle.angles import (
 )
 from spangle.exterior import blade_of, inner, scalar_multivector
 from spangle.identities import ANGLE_TOL
-from spangle.metrics import max_symmetrized_angle
-from spangle.principal import intersect, is_partially_orthogonal
+from spangle.metrics import fubini_study, max_symmetrized_angle
+from spangle.principal import intersect, is_partially_orthogonal, pair_spectrum
 from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
     complement,
@@ -542,3 +542,18 @@ class TestAngleReport:
         assert rep.theta_max_sym == max_symmetrized_angle(V, W)
         assert rep.theta_min_sym <= rep.theta <= rep.theta_max_sym
         assert rep.projection_factor == pytest.approx(math.cos(rep.theta))
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_max_symmetrized_angle_is_fubini_study_bit_for_bit(self, rng, field):
+        """``spangle angle`` prints ``theta_max_sym`` as the Fubini-Study
+        distance: the two agree in every bit, each from its own spectrum,
+        with p < q, p = q, p > q and {0} on either side."""
+        shapes = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            V, W = (haar_subspace(rng, n, int(rng.integers(0, n + 1)), field) for _ in range(2))
+            distance = fubini_study(V, W)
+            pair_spectrum(V, V)  # so that the report takes a spectrum of its own
+            assert angle_report(V, W).theta_max_sym == distance
+            shapes.add((np.sign(V.dim - W.dim), V.is_zero or W.is_zero))
+        assert shapes >= {(-1, False), (0, False), (1, False), (-1, True), (0, True), (1, True)}

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spangle import cli
 from spangle.cli import main
-from spangle.io import dump_json, load_subspace_file, write_subspace_file
+from spangle.io import MAX_ENTRIES, dump_json, load_subspace_file, write_subspace_file
 from spangle.linalg import Field
 from spangle.subspace import from_spanning, spans_equal
 
@@ -183,12 +182,12 @@ class TestRandomCommand:
         def unreachable(*_):
             raise AssertionError("haar_subspace reached")
 
-        monkeypatch.setattr(cli, "haar_subspace", unreachable)
+        monkeypatch.setattr("spangle.sampling.haar_subspace", unreachable)
         result = runner.invoke(main, ["random", *args, "--field", "complex"])
         assert result.exit_code == 2, result.output
         out = json.loads(result.output)
-        assert out["field"] == "dim" and str(cli.RANDOM_MAX_ENTRIES) in out["error"]
-        assert str(cli.RANDOM_MAX_ENTRIES) in runner.invoke(main, ["random", "--help"]).output
+        assert out["field"] == "dim" and str(MAX_ENTRIES) in out["error"]
+        assert str(MAX_ENTRIES) in runner.invoke(main, ["random", "--help"]).output
 
 
 @pytest.mark.parametrize("command", [["random", "4", "2"], ["verify", "--trials", "1"]])
@@ -350,25 +349,139 @@ class TestIoRoundTrip:
         assert a.endswith("\n")
 
 
-def test_angle_commands_do_not_load_the_verify_stack():
-    """A fresh interpreter that imports the CLI loads neither verify nor
-    the modules only verify needs; every export still resolves."""
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
     import spangle
 
     src = os.path.dirname(os.path.dirname(spangle.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# What importing the command line loads of the package; each command adds
+# the modules it computes with.
+_CLI_MODULES = {"spangle", "spangle._suites", "spangle.cli", "spangle.io", "spangle.linalg", "spangle.subspace"}
+
+
+def test_angle_commands_do_not_load_the_verify_stack():
+    """A fresh interpreter that imports the CLI loads only the modules
+    every command shares (none of verify's stack, nor the modules that
+    compute); every export still resolves."""
     code = (
         "import sys, spangle.cli\n"
-        "heavy = [m for m in ('verify', 'exterior', 'identities', 'gram') if 'spangle.' + m in sys.modules]\n"
-        "assert not heavy, heavy\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'spangle'))\n"
         "import spangle\n"
         "missing = [n for n in spangle.__all__ if getattr(spangle, n, None) is None]\n"
         "assert not missing, missing\n"
         "print(len(spangle.__all__))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "74"  # 66 functions and classes, 8 modules
+    loaded, exports = proc.stdout.splitlines()
+    assert loaded == str(sorted(_CLI_MODULES))
+    assert exports == "74"  # 66 functions and classes, 8 modules
+
+
+def _imported_modules(importtime: str) -> set[str]:
+    """The package's modules in a ``python -X importtime`` report."""
+    names = (line.rsplit("|", 1)[-1].strip() for line in importtime.splitlines() if line.startswith("import time:"))
+    return {name for name in names if name.split(".")[0] == "spangle"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["angle", "U", "W"], {"principal", "angles"}),
+        (["angle", "U", "W", "--degrees", "--oriented"], {"principal", "angles"}),
+        (["angle", "A", "B", "--oriented"], {"principal", "angles"}),
+        (["principal", "U", "W"], {"principal"}),
+        (["random", "5", "2", "--field", "complex", "--seed", "3", "--out", "OUT"], {"sampling"}),
+        (["geodesic", "U", "W", "--t", "0.25"], {"principal", "angles", "metrics"}),
+        (["angle", "BAD", "W"], set()),
+        (["principal", "U", "BAD"], set()),
+    ],
+)
+def test_child_process_prints_what_main_prints(runner, tmp_path, argv, loads):
+    """``python -m spangle.cli`` exits with the code and prints the bytes
+    that ``main`` gives under CliRunner, writes the same file, and loads
+    only its own command's modules beyond the shared ones."""
+    t = 0.4
+    paths = {
+        "U": write_doc(tmp_path / "u.json", "real", 3, [[1, 0, 0], [0, 1, 0]]),
+        "W": write_doc(tmp_path / "w.json", "real", 3, [[1, 0, 0], [0, math.cos(t), math.sin(t)]]),
+        "A": write_doc(tmp_path / "a.json", "complex", 3, [[[1, 0], [0, 1], [0, 0]], [[0, 1], [-1, 0], [-1, 0]]]),
+        "B": write_doc(tmp_path / "b.json", "complex", 3, [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]),
+        "BAD": write_doc(tmp_path / "bad.json", "real", 3, [[1, 0, "x"]]),
+        "OUT": str(tmp_path / "out.json"),
+    }
+    args = [paths.get(a, a) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "spangle.cli", *args],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    written = (tmp_path / "out.json").read_bytes() if "OUT" in argv else None
+    result = runner.invoke(main, args)
+    assert (proc.returncode, proc.stdout.encode()) == (result.exit_code, result.stdout_bytes)
+    assert written is None or (tmp_path / "out.json").read_bytes() == written
+    assert proc.returncode == (2 if "BAD" in argv else 0)
+    assert _imported_modules(proc.stderr) == _CLI_MODULES - {"spangle.cli"} | {f"spangle.{m}" for m in loads}
+
+
+def test_oriented_angle_orients_the_loaded_subspaces(runner, tmp_path, monkeypatch):
+    """``angle --oriented`` orthonormalizes each document once, as plain
+    ``angle`` does: it orients the subspaces it loaded."""
+    import spangle.subspace
+
+    calls = []
+    orthonormalize = spangle.subspace.orthonormalize_columns
+    monkeypatch.setattr(spangle.subspace, "orthonormalize_columns", lambda M: calls.append(M.shape) or orthonormalize(M))
+    left = write_doc(tmp_path / "v.json", "real", 6, np.eye(6)[:3].tolist())
+    right = write_doc(tmp_path / "w.json", "real", 6, (np.eye(6)[:3] + np.eye(6)[3:]).tolist())
+    for argv in (["angle", left, right], ["angle", left, right, "--oriented"]):
+        calls.clear()
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert calls == [(6, 3), (6, 3)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["angle", "BIG", "V"], ["principal", "V", "BIG"], ["geodesic", "BIG", "V", "--t", "0.5"]],
+)
+@pytest.mark.parametrize(
+    "ambient_dim, vectors",
+    [(MAX_ENTRIES + 1, []), (MAX_ENTRIES // 2, [["x"], [], []])],
+)
+def test_oversized_document_exits_2_before_any_entry_is_read(runner, tmp_path, monkeypatch, argv, ambient_dim, vectors):
+    """A document of more than 2**22 entries, ambient_dim * max(1,
+    len(vectors)), is refused before its entries are read or spanned."""
+    import spangle.io
+
+    from_spanning = spangle.io.from_spanning
+
+    def small_only(vectors, field, ambient_dim):
+        assert ambient_dim == 2, "from_spanning reached on the oversized document"
+        return from_spanning(vectors, field, ambient_dim=ambient_dim)
+
+    monkeypatch.setattr(spangle.io, "from_spanning", small_only)
+    paths = {
+        "BIG": write_doc(tmp_path / "big.json", "real", ambient_dim, vectors),
+        "V": write_doc(tmp_path / "v.json", "real", 2, [[1, 0]]),
+    }
+    result = runner.invoke(main, [paths.get(a, a) for a in argv])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    out = json.loads(result.output)
+    side = "left" if argv[1] == "BIG" else "right"
+    assert out["field"] == f"{side}:vectors"
+    assert f"<= {MAX_ENTRIES}, got {ambient_dim} * {max(1, len(vectors))}" in out["error"]
+
+
+def test_largest_document_is_read(runner, tmp_path):
+    """A document of exactly 2**22 entries is within the bound."""
+    path = write_doc(tmp_path / "zero.json", "real", MAX_ENTRIES, [])
+    result = runner.invoke(main, ["principal", path, path])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["principal_angles"] == []
 
 
 _REAL_PAIR = '{"field": "real", "ambient_dim": 2, "vectors": [[1, 0]]}'
