@@ -33,7 +33,7 @@ from .io import (
     subspace_document,
     write_subspace_file,
 )
-from .linalg import Field, stack_columns
+from .linalg import Field
 
 
 def _fail(field_name: str, message: str) -> None:
@@ -55,15 +55,15 @@ def _load(path: str, side: str):
 
 
 def _load_pair(left: str, right: str):
-    """``(V, v_vectors, W, w_vectors)`` from the two files of a pair
-    command, which must share the field and the ambient dimension."""
-    V, v_vectors = _load(left, "left")
-    W, w_vectors = _load(right, "right")
+    """``(V, Mv, W, Mw)`` from the two files of a pair command, Mv and Mw
+    their vectors as columns; the files must share field and ambient dimension."""
+    V, Mv = _load(left, "left")
+    W, Mw = _load(right, "right")
     if V.field is not W.field:
         _fail("field", f"field mismatch: {V.field.value} vs {W.field.value}")
     if V.ambient_dim != W.ambient_dim:
         _fail("ambient_dim", f"ambient dimension mismatch: {V.ambient_dim} vs {W.ambient_dim}")
-    return V, v_vectors, W, w_vectors
+    return V, Mv, W, Mw
 
 
 def _pair_header(V, W, degrees: bool) -> dict:
@@ -132,7 +132,7 @@ def main() -> None:
 @click.option("--oriented", "oriented_flag", is_flag=True, help="include the oriented angle (equal dimensions)")
 def cmd_angle(left: str, right: str, degrees: bool, oriented_flag: bool) -> None:
     """Full angle report for a pair of subspace files."""
-    V, v_vectors, W, w_vectors = _load_pair(left, right)
+    V, Mv, W, Mw = _load_pair(left, right)
     from .angles import _oriented, angle_report, grassmann_angle, oriented_angle
 
     report = angle_report(V, W)
@@ -151,10 +151,7 @@ def cmd_angle(left: str, right: str, degrees: bool, oriented_flag: bool) -> None
         if V.dim != W.dim:
             _fail("vectors", "oriented angles require equal dimensions")
         try:
-            oa = oriented_angle(
-                _oriented(V, stack_columns(v_vectors, V.field, ambient_dim=V.ambient_dim)),
-                _oriented(W, stack_columns(w_vectors, W.field, ambient_dim=W.ambient_dim)),
-            )
+            oa = oriented_angle(_oriented(V, Mv), _oriented(W, Mw))
         except ValueError as exc:
             _fail("vectors", f"orientation needs independent vectors: {exc}")
         cz = complex(oa.cos_value)

@@ -58,23 +58,23 @@ def _gram_matrices(basis_v, basis_w, field: Field, ambient_dim: int | None):
     A = Wm.conj().T @ Wm
     B = Wm.conj().T @ Vm
     D = Vm.conj().T @ Vm
-    _check_conditioning(A, "second")
-    _check_conditioning(D, "first")
-    return A, B, D
+    return A, B, D, _check_conditioning(A, "second"), _check_conditioning(D, "first")
 
 
-def _check_conditioning(G: np.ndarray, which: str) -> None:
+def _check_conditioning(G: np.ndarray, which: str) -> float:
+    """The largest singular value of G (0.0 if empty), once G is known to be well conditioned."""
     if G.shape[0] == 0:
-        return
+        return 0.0
     sigma = _svd(G, compute_uv=False)
     if sigma[-1] == 0.0 or sigma[0] / sigma[-1] > GRAM_CONDITION_LIMIT:
         raise ValueError(
             f"the {which} basis list is numerically dependent "
             f"(Gram condition above {GRAM_CONDITION_LIMIT:.0e})"
         )
+    return float(sigma[0])
 
 
-def _psd_det_rank_floored(M: np.ndarray, reference: np.ndarray) -> float:
+def _psd_det_rank_floored(M: np.ndarray, top: float) -> float:
     """Determinant of a Hermitian PSD matrix with noise eigenvalues
     zeroed.
 
@@ -82,17 +82,14 @@ def _psd_det_rank_floored(M: np.ndarray, reference: np.ndarray) -> float:
     complements) are often *structurally* singular: eigenvalues that are
     mathematically zero come back as determinant residue of order eps
     that a naive det would turn into sqrt(eps)-sized cosines.  Both are
-    dominated (in the PSD order) by ``reference``, so eigenvalues below
-    the rank threshold relative to the reference's scale are exact zeros.
+    dominated (in the PSD order) by a reference matrix whose largest
+    eigenvalue, positive, is ``top``, so eigenvalues below the rank
+    threshold relative to that scale are exact zeros.
     """
     if M.shape[0] == 0:
         return 1.0
-    H = (M + M.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(H)
-    ref_top = float(np.linalg.eigvalsh((reference + reference.conj().T) / 2.0)[-1])
-    if ref_top <= 0.0:
-        return 0.0
-    floor = rank_cutoff(ref_top, M.shape)
+    eigs = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+    floor = rank_cutoff(top, M.shape)
     eigs = np.where(eigs > floor, eigs, 0.0)
     return float(np.prod(eigs))
 
@@ -108,14 +105,14 @@ def angle_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | None = No
     When p > q the product matrix is rank deficient and its floored
     determinant vanishes, giving pi/2 as it must.
     """
-    A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
-    numerator = _psd_det_rank_floored(B.conj().T @ np.linalg.solve(A, B), D)
+    A, B, D, _, top_d = _gram_matrices(basis_v, basis_w, field, ambient_dim)
+    numerator = _psd_det_rank_floored(B.conj().T @ np.linalg.solve(A, B), top_d)
     return _angle_from_cos_sq(numerator / float(np.real(det(D))))
 
 
 def angle_from_gram_equal_dim(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
     """Equal-dimension shortcut: cos^2 = |det B|^2 / (det A det D)."""
-    A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
+    A, B, D, _, _ = _gram_matrices(basis_v, basis_w, field, ambient_dim)
     if B.shape[0] != B.shape[1]:
         raise ValueError(
             f"the equal-dimension shortcut needs equally many vectors, got {B.shape[1]} and {B.shape[0]}"
@@ -125,9 +122,9 @@ def angle_from_gram_equal_dim(basis_v, basis_w, field: Field, ambient_dim: int |
 
 def complementary_from_gram(basis_v, basis_w, field: Field, ambient_dim: int | None = None) -> float:
     """Complementary angle from raw bases via the Schur complement."""
-    A, B, D = _gram_matrices(basis_v, basis_w, field, ambient_dim)
+    A, B, D, top_a, _ = _gram_matrices(basis_v, basis_w, field, ambient_dim)
     schur = A - B @ np.linalg.solve(D, B.conj().T)
-    return _angle_from_cos_sq(_psd_det_rank_floored(schur, A) / float(np.real(det(A))))
+    return _angle_from_cos_sq(_psd_det_rank_floored(schur, top_a) / float(np.real(det(A))))
 
 
 def angle_from_projection_matrix(P: np.ndarray, mode: ProjectionAngleMode) -> float:
@@ -148,4 +145,4 @@ def angle_from_projection_matrix(P: np.ndarray, mode: ProjectionAngleMode) -> fl
         M = np.eye(P.shape[0], dtype=P.dtype) - P @ P.conj().T
     else:
         raise ValueError(f"unknown mode: {mode!r}")
-    return _angle_from_cos_sq(_psd_det_rank_floored(M, np.eye(M.shape[0], dtype=M.dtype)))
+    return _angle_from_cos_sq(_psd_det_rank_floored(M, 1.0))

@@ -147,7 +147,7 @@ def _sum_in_order(terms: np.ndarray):
 
 def check_coordinate_identity(V: Subspace, basis: np.ndarray, q: int) -> IdentityResult:
     """Sum of squared cosines against all coordinate q-subspaces of an
-    orthogonal ambient basis.
+    orthogonal ambient basis, for an integer q in 0..n.
 
     For p = dim V <= q the sum over angle(V, W_I) equals C(n-p, n-q);
     for p > q the sum over angle(W_I, V) equals C(p, q).  One cross-Gram
@@ -158,6 +158,8 @@ def check_coordinate_identity(V: Subspace, basis: np.ndarray, q: int) -> Identit
     if basis.shape != (V.ambient_dim, V.ambient_dim):
         raise ValueError(f"basis must be square of size {V.ambient_dim}, got {basis.shape}")
     n, p = V.ambient_dim, V.dim
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 0 <= q <= n:
+        raise ValueError(f"q must be an integer in 0..{n}, got {q!r}")
     unit = _unit_orthogonal_columns(basis)
     stack = (unit.conj().T @ V.basis)[_index_sets(n, q)]  # (C(n, q), q, p)
     if p <= q:

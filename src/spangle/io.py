@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .linalg import Field
-from .subspace import Subspace, from_spanning
+from .subspace import Subspace, _span
 
 # The most entries a document may hold, ambient_dim * max(1, vectors):
 # 2**22 entries are 64 MiB as complex128.  A document without vectors
@@ -74,8 +74,9 @@ def _decode_entry(entry: Any, field: Field, where: str):
     return value
 
 
-def parse_subspace_document(doc: Any) -> tuple[Field, int, list[np.ndarray]]:
-    """Validate a parsed JSON object and return (field, ambient_dim, vectors)."""
+def parse_subspace_document(doc: Any) -> tuple[Field, int, np.ndarray]:
+    """Validate a parsed JSON object and return (field, ambient_dim, M), M
+    the C-ordered matrix whose columns are the vectors."""
     if not isinstance(doc, dict):
         raise SubspaceDocumentError("document", "expected a JSON object")
     if "field" not in doc:
@@ -97,7 +98,7 @@ def parse_subspace_document(doc: Any) -> tuple[Field, int, list[np.ndarray]]:
         raise SubspaceDocumentError(
             "vectors", f"need ambient_dim * max(1, len(vectors)) <= {MAX_ENTRIES}, got {n} * {max(1, len(raw))}"
         )
-    vectors: list[np.ndarray] = []
+    rows = []
     for i, rv in enumerate(raw):
         if not isinstance(rv, list):
             raise SubspaceDocumentError(f"vectors[{i}]", "must be a list of entries")
@@ -105,23 +106,23 @@ def parse_subspace_document(doc: Any) -> tuple[Field, int, list[np.ndarray]]:
             raise SubspaceDocumentError(
                 f"vectors[{i}]", f"has {len(rv)} entries, ambient_dim is {n}"
             )
-        entries = [
-            _decode_entry(entry, field, f"vectors[{i}][{j}]") for j, entry in enumerate(rv)
-        ]
-        vectors.append(np.array(entries, dtype=field.dtype))
-    return field, n, vectors
+        rows.append([_decode_entry(entry, field, f"vectors[{i}][{j}]") for j, entry in enumerate(rv)])
+    # One conversion, laid out by columns: every entry is a finite number by now.
+    M = np.array(rows, dtype=field.dtype).reshape(len(rows), n).T.copy()
+    return field, n, M
 
 
-def load_subspace_file(path: str) -> tuple[Subspace, list[np.ndarray]]:
+def load_subspace_file(path: str) -> tuple[Subspace, np.ndarray]:
     """Read and validate a subspace document; returns the subspace and
-    the raw spanning vectors (whose order carries the orientation)."""
+    the matrix of its spanning vectors, as columns in the document's
+    order (which carries the orientation)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SubspaceDocumentError("document", f"invalid JSON: {exc}") from exc
-    field, n, vectors = parse_subspace_document(doc)
-    return from_spanning(vectors, field, ambient_dim=n), vectors
+    field, _, M = parse_subspace_document(doc)
+    return _span(M, field), M
 
 
 def subspace_document(V: Subspace) -> dict:

@@ -270,17 +270,17 @@ def _geodesic(U: Subspace, W: Subspace, phase: float | None):
         )
     u = _unit_complement_direction(U, K)
     w = _unit_complement_direction(W, K)
-    ip = complex(np.vdot(u, w))
-    if U.field is Field.COMPLEX and abs(ip) > 0:
-        w = w * np.exp(-1j * np.angle(ip))  # make <u, w> real nonnegative
-    elif U.field is Field.REAL and ip.real < 0:
-        w = -w
-    c = float(np.real(np.vdot(u, w)))
-    c = min(max(c, -1.0), 1.0)
-    alpha = math.acos(c)
-    if alpha <= COMPARE_TOL:
+    # w aligned so that <u, w> = c is real and nonnegative; the angle is atan2
+    # of |r| and c, r = w - c u, which keeps what acos(c) rounds away near 1.
+    ip = np.vdot(u, w)
+    c = float(abs(ip))
+    if c:
+        w = w * (np.conj(ip) / c)
+    r = w - c * u
+    sine = float(np.linalg.norm(r))
+    if math.atan2(sine, c) <= COMPARE_TOL:
         raise ValueError("subspaces coincide; the geodesic is degenerate")
-    tangent = (w - u * c) / math.sin(alpha)
+    tangent = r / sine
     if phase is not None:
         if U.field is Field.REAL:
             factor = math.cos(phase)

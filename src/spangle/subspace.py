@@ -49,12 +49,13 @@ class Subspace:
         if basis.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension cannot exceed the ambient dimension")
         if basis.shape[1]:
-            # The 2-norm of B*B - I, its largest |eigenvalue|.
-            if np.abs(np.linalg.eigvalsh(basis.conj().T @ basis - np.eye(basis.shape[1]))).max() > _ORTHO_CHECK_TOL:
+            # One SVD B = U S Vh: the 2-norm of B*B - I is max |s_i^2 - 1|,
+            # decided on the s_i themselves, so no square can overflow.
+            U, s, Vh = _svd(basis, full_matrices=False)
+            if not (1.0 - _ORTHO_CHECK_TOL) ** 0.5 <= s[-1] <= s[0] <= (1.0 + _ORTHO_CHECK_TOL) ** 0.5:
                 raise ValueError("basis columns are not orthonormal")
             # The nearest orthonormal basis, B's polar factor, so that no
             # result inherits an error the check let through.
-            U, _, Vh = _svd(basis, full_matrices=False)
             basis = U @ Vh
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)

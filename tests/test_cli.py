@@ -161,7 +161,7 @@ class TestRandomCommand:
         result = runner.invoke(main, ["random", "4", "0", "--seed", "1", "--out", str(out)])
         assert result.exit_code == 0
         V, vectors = load_subspace_file(str(out))
-        assert V.dim == 0 and vectors == []
+        assert V.dim == 0 and vectors.shape == (4, 0)
 
     def test_full_dimension_self_angle_zero(self, runner, tmp_path):
         out = tmp_path / "full.json"
@@ -456,13 +456,13 @@ def test_oversized_document_exits_2_before_any_entry_is_read(runner, tmp_path, m
     len(vectors)), is refused before its entries are read or spanned."""
     import spangle.io
 
-    from_spanning = spangle.io.from_spanning
+    span = spangle.io._span
 
-    def small_only(vectors, field, ambient_dim):
-        assert ambient_dim == 2, "from_spanning reached on the oversized document"
-        return from_spanning(vectors, field, ambient_dim=ambient_dim)
+    def small_only(M, field):
+        assert M.shape[0] == 2, "_span reached on the oversized document"
+        return span(M, field)
 
-    monkeypatch.setattr(spangle.io, "from_spanning", small_only)
+    monkeypatch.setattr(spangle.io, "_span", small_only)
     paths = {
         "BIG": write_doc(tmp_path / "big.json", "real", ambient_dim, vectors),
         "V": write_doc(tmp_path / "v.json", "real", 2, [[1, 0]]),

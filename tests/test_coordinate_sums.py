@@ -152,6 +152,21 @@ def test_validation_messages_kept(rng):
         check_oriented_sum(O, O, np.eye(3)[:, :2])
 
 
+@pytest.mark.parametrize("q", [2.0, True, 4, -1, "2", None])
+def test_coordinate_identity_refuses_q_outside_0_to_n(q, rng):
+    """q is an integer in 0..n; anything else is a ValueError naming q,
+    not a TypeError or a message from math.comb."""
+    V = haar_subspace(rng, 3, 1, Field.REAL)
+    with pytest.raises(ValueError, match=r"^q must be an integer in 0\.\.3, got "):
+        check_coordinate_identity(V, np.eye(3), q)
+
+
+@pytest.mark.parametrize("q", [0, 3, np.int64(2)])
+def test_coordinate_identity_accepts_q_from_0_to_n(q, rng):
+    V = haar_subspace(rng, 3, 1, Field.REAL)
+    assert check_coordinate_identity(V, np.eye(3), q).passed
+
+
 @pytest.mark.parametrize("field", BOTH_FIELDS)
 def test_basis_orthogonality_is_a_2_norm_test(field, rng):
     """A basis is orthogonal when unit* unit - I has 2-norm at most

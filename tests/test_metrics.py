@@ -20,7 +20,7 @@ from spangle.metrics import (
     sampled_directed_hausdorff,
 )
 from spangle.principal import intersect
-from spangle.sampling import gaussian_matrix, haar_subspace, random_vector
+from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
     from_basis_matrix,
     from_spanning,
@@ -399,6 +399,23 @@ class TestGeodesic:
         assert fubini_study(geodesic_point(U, W, total), W) <= ANGLE_TOL
         mid = geodesic_point(U, W, total / 2)
         assert abs(grassmann_angle(U, mid) - total / 2) <= ANGLE_TOL
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("p, a", [(1, 3e-9), (1, 2e-8), (1, 1e-6), (1, 0.5), (3, 1e-6), (3, 0.5)])
+    def test_point_lands_at_arc_length_near_coincidence(self, field, p, a):
+        """U = span(K, u0) and W = span(K, cos a u0 + sin a v0), for an
+        orthonormal frame (K, u0, v0) in six dimensions: the point at t =
+        0.3 is at principal sine sin 0.3 from U, read as the 2-norm of its
+        residual from U, even when a is so small that <u, w> rounds to 1."""
+        frame = random_unitary(np.random.default_rng([p, 7]), 6, field)
+        K, u0, v0 = frame[:, : p - 1], frame[:, p - 1], frame[:, p]
+        moving = (math.cos(a) * u0 + math.sin(a) * v0) * (np.exp(0.7j) if field is Field.COMPLEX else 1.0)
+        U = from_basis_matrix(np.column_stack([K, u0]), field)
+        W = from_basis_matrix(np.column_stack([K, moving]), field)
+        V = geodesic_point(U, W, 0.3)
+        residual = V.basis - U.basis @ (U.basis.conj().T @ V.basis)
+        assert V.dim == p
+        assert abs(np.linalg.norm(residual, 2) - math.sin(0.3)) <= 1e-7 * math.sin(0.3)
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_zero_subspaces_rejected(self, n):

@@ -82,6 +82,31 @@ class TestConstruction:
         assert Subspace(4, field, columns(4e-9)).dim == 3
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_column_length_boundary(self, field):
+        """A column of length 1 + d has |s^2 - 1| about 2d: d = 4e-9 is
+        within the 1e-8 check and d = 6e-9 is not."""
+        basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=field.dtype)
+        basis[0, 0] = 1 + 4e-9
+        assert Subspace(3, field, basis).dim == 2
+        basis[0, 0] = 1 + 6e-9
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(3, field, basis)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_huge_basis_is_refused_without_overflow(self, scale):
+        """The check reads the singular values themselves, so a column
+        whose squared length overflows is refused with the documented
+        error and no numeric warning (which Tier-1 turns into an error)."""
+        with pytest.raises(ValueError, match="^basis columns are not orthonormal$"):
+            Subspace(2, Field.REAL, [[scale], [0]])
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValueError, match=r"^basis must be \(3, p\), got shape \(2, 1\)$"):
+            Subspace(3, Field.REAL, np.ones((2, 1)))
+        with pytest.raises(ValueError, match="^subspace dimension cannot exceed the ambient dimension$"):
+            Subspace(2, Field.REAL, np.eye(2, 3))
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     def test_near_orthonormal_basis_is_stored_orthonormal(self, field, rng):
         """A Haar basis mixed within its span so that its Gram is off by
         about 5e-9 passes the check; the stored basis is its nearest
