@@ -22,6 +22,9 @@ from .linalg import (
     COMPARE_TOL,
     HALF_PI,
     Field,
+    _det,
+    _norm,
+    _slogdet,
     _unit_scaled,
     angle_from_cosine,
     arccos_clamped,
@@ -83,11 +86,13 @@ def vector_angles(v, w, field: Field) -> VectorAngles:
     theta(0, w) = 0 and theta(v, 0) = pi/2."""
     v = as_field_array(v, field)
     w = as_field_array(w, field)
+    if v.ndim != 1 or w.ndim != 1:
+        raise ValueError(f"vectors must be one-dimensional, got shapes {v.shape} and {w.shape}")
     if v.shape != w.shape:
         raise ValueError(f"vector shape mismatch: {v.shape} vs {w.shape}")
     v, w = _unit_scaled(v), _unit_scaled(w)  # exact, so no norm overflows or underflows
-    nv = float(np.linalg.norm(v))
-    nw = float(np.linalg.norm(w))
+    nv = float(_norm(v))
+    nw = float(_norm(w))
     if nv == 0.0:
         return VectorAngles(theta=0.0, gamma=0.0, zeta_cos=1.0 + 0j if field is Field.COMPLEX else 1.0, phase=None)
     if nw == 0.0:
@@ -200,7 +205,7 @@ def _oriented(space: Subspace, M: np.ndarray) -> OrientedSubspace:
     order: the phase of det(Q* M) on its basis Q."""
     if space.dim < M.shape[1]:
         raise ValueError("orientation requires linearly independent vectors")
-    return OrientedSubspace(space, np.linalg.slogdet(space.basis.conj().T @ M).sign)
+    return OrientedSubspace(space, _slogdet(space.basis.conj().T @ M)[0])
 
 
 def oriented_angle(V: OrientedSubspace, W: OrientedSubspace) -> OrientedAngle:
@@ -216,7 +221,7 @@ def oriented_angle(V: OrientedSubspace, W: OrientedSubspace) -> OrientedAngle:
     if A.dim != B.dim:
         raise ValueError(f"oriented angles require equal dimensions, got {A.dim} and {B.dim}")
     gram = A.basis.conj().T @ B.basis
-    det = np.linalg.det(gram).item() if A.dim else 1.0
+    det = _det(gram).item() if A.dim else 1.0
     cos_value = np.conj(V.coefficient) * W.coefficient * det
     if A.field is Field.REAL:
         cos_value = complex(cos_value).real

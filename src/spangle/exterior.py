@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Field, arccos_clamped, as_field_array
+from .linalg import Field, _norm, arccos_clamped, as_field_array
 from .subspace import Subspace, _check_pair
 
 REAL_AMBIENT_CAP = 12
@@ -37,36 +37,33 @@ def _check_cap(n: int, field: Field) -> None:
         )
 
 
-def shuffle_sign(mask_a: int, mask_b: int) -> int:
+def shuffle_sign(mask_a, mask_b) -> np.ndarray:
     """Sign of reordering the concatenation (A, B) of disjoint index sets
-    into ascending order: parity of the number of pairs a > b."""
-    sign = 1
-    b = mask_b
-    while b:
-        low = b & -b
-        j = low.bit_length() - 1
-        if (mask_a >> (j + 1)).bit_count() & 1:
-            sign = -sign
-        b ^= low
-    return sign
+    into ascending order, elementwise over integer arrays of masks (below
+    2**16): the parity of the number of pairs a > b, that is of the bits
+    of B at which an odd number of bits of A lie above.  Bit j of ``odd``
+    is the parity of the bits of A above j, a suffix XOR of A >> 1."""
+    odd = np.asarray(mask_a) >> 1
+    for shift in (1, 2, 4, 8):
+        odd = odd ^ (odd >> shift)
+    return np.where(np.bitwise_count(odd & mask_b) & 1, -1, 1)
 
 
 @lru_cache(maxsize=None)
 def _right_wedge_tables(n: int):
-    """Per-index scatter tables for blade := blade ^ e_j.
-
-    For each j: (src, dst, sign) with dst = src | bit_j over all masks src
-    not containing j, and sign the parity of the bits of src above j.
-    """
-    all_masks = np.arange(1 << n, dtype=np.int64)
-    tables = []
-    for j in range(n):
-        src = all_masks[(all_masks >> j) & 1 == 0]
-        dst = src | (1 << j)
-        above = np.bitwise_count((src >> (j + 1)).astype(np.uint64)).astype(np.int64)
-        sign = 1 - 2 * (above & 1)
-        tables.append((src, dst, sign))
-    return tables
+    """Gather tables (src, sign), each (n, 2^n), for blade := blade ^ e_j:
+    in row j, a mask dst holding bit j takes src = dst ^ bit_j with sign
+    the parity of the bits of src above j, and a mask without it takes
+    sign 0 (src 0).  Both are read-only: every caller shares them."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    j = np.arange(n, dtype=np.int64)[:, None]
+    holds = (masks >> j) & 1 == 1
+    src = np.where(holds, masks ^ (1 << j), 0)
+    above = np.bitwise_count(src >> (j + 1)) & 1
+    sign = np.where(holds, 1 - 2 * above.astype(np.int64), 0)
+    src.setflags(write=False)
+    sign.setflags(write=False)
+    return src, sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +99,7 @@ class Multivector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return float(_norm(self.coeffs))
 
     def scale(self, c) -> "Multivector":
         return Multivector(self.ambient_dim, self.field, self.coeffs * c)
@@ -116,31 +113,40 @@ def scalar_multivector(n: int, field: Field) -> Multivector:
 
 
 def _wedge_vector_coeffs(coeffs: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of (multivector ^ vector)."""
-    out = np.zeros_like(coeffs)
-    for j in range(n):
-        vj = v[j]
-        if vj == 0:
-            continue
-        src, dst, sign = _right_wedge_tables(n)[j]
-        out[dst] += coeffs[src] * sign * vj
+    """Coefficients of (multivector ^ vector): the term of each v[j], in
+    one gather, summed over j in order onto 0."""
+    src, sign = _right_wedge_tables(n)
+    return np.add.reduce(coeffs[src] * sign * v[:, None], axis=0, initial=0.0)
+
+
+def _mask_pairs(x: np.ndarray, y: np.ndarray, disjoint: bool):
+    """The masks (i, j) of the nonzero coefficients of x and y, in i-major
+    order: the disjoint pairs, or those with i inside j."""
+    nz_x, nz_y = np.flatnonzero(x), np.flatnonzero(y)
+    rows, cols = np.nonzero((nz_x[:, None] & (nz_y if disjoint else ~nz_y)) == 0)
+    return nz_x[rows], nz_y[cols]
+
+
+def _signed_products(sign, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sign * x * y elementwise, rounded as the scalar (sign * x) * y: a
+    complex product is formed from real parts, since numpy's array
+    multiply may fuse its multiply-adds and round each part once."""
+    if x.dtype.kind != "c":
+        return sign * x * y
+    xr, xi = sign * x.real, sign * x.imag
+    out = np.empty(y.shape, dtype=y.dtype)
+    out.real = xr * y.real - xi * y.imag
+    out.imag = xr * y.imag + xi * y.real
     return out
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product, bilinear and graded-anticommutative."""
+    """Exterior product, bilinear and graded-anticommutative.  Each
+    disjoint pair of blades adds its signed product in i-major order."""
     _check_pair(a, b)
+    i, j = _mask_pairs(a.coeffs, b.coeffs, disjoint=True)
     out = np.zeros_like(a.coeffs)
-    nz_a = np.nonzero(a.coeffs)[0]
-    nz_b = np.nonzero(b.coeffs)[0]
-    for i_mask in nz_a:
-        ai = a.coeffs[i_mask]
-        i_mask = int(i_mask)
-        for j_mask in nz_b:
-            j_mask = int(j_mask)
-            if i_mask & j_mask:
-                continue
-            out[i_mask | j_mask] += shuffle_sign(i_mask, j_mask) * ai * b.coeffs[j_mask]
+    np.add.at(out, i | j, _signed_products(shuffle_sign(i, j), a.coeffs[i], b.coeffs[j]))
     return Multivector._trusted(a.ambient_dim, a.field, out)
 
 
@@ -157,21 +163,14 @@ def contract(nu: Multivector, omega: Multivector) -> Multivector:
 
     <mu, contract(nu, omega)> = <nu ^ mu, omega> for every mu.  Vanishes
     when grade(nu) > grade(omega) and reduces to the inner product on
-    equal grades (landing in the scalar slot).
+    equal grades (landing in the scalar slot).  Each pair of blades with
+    the first inside the second adds its signed product in i-major order.
     """
     _check_pair(nu, omega)
+    i, j = _mask_pairs(nu.coeffs, omega.coeffs, disjoint=False)
+    rest = j ^ i
     out = np.zeros_like(omega.coeffs)
-    nz_nu = np.nonzero(nu.coeffs)[0]
-    nz_om = np.nonzero(omega.coeffs)[0]
-    for i_mask in nz_nu:
-        i_mask = int(i_mask)
-        ci = np.conj(nu.coeffs[i_mask])
-        for j_mask in nz_om:
-            j_mask = int(j_mask)
-            if (i_mask & j_mask) != i_mask:
-                continue
-            rest = j_mask & ~i_mask
-            out[rest] += shuffle_sign(i_mask, rest) * ci * omega.coeffs[j_mask]
+    np.add.at(out, rest, _signed_products(shuffle_sign(i, rest), np.conj(nu.coeffs[i]), omega.coeffs[j]))
     return Multivector._trusted(nu.ambient_dim, nu.field, out)
 
 

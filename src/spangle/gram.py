@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     Field,
+    _eigvalsh,
     _svd,
     _unit_scaled,
     _vector_list,
@@ -88,7 +89,7 @@ def _psd_det_rank_floored(M: np.ndarray, top: float) -> float:
     """
     if M.shape[0] == 0:
         return 1.0
-    eigs = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+    eigs = _eigvalsh((M + M.conj().T) / 2.0)
     floor = rank_cutoff(top, M.shape)
     eigs = np.where(eigs > floor, eigs, 0.0)
     return float(np.prod(eigs))

@@ -16,6 +16,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .linalg import (
     HALF_PI,
     ZERO_ANGLE_COS_BAND,
     Field,
+    _det,
+    _norm,
     _norm_within_compare_tol,
     _svd,
     as_field_array,
@@ -115,7 +118,7 @@ def _unit_orthogonal_columns(basis: np.ndarray) -> np.ndarray:
     ``as_field_array``), checked and scaled to unit length."""
     if basis.ndim != 2:
         raise ValueError(f"basis must be a matrix, got shape {basis.shape}")
-    norms = np.linalg.norm(basis, axis=0)
+    norms = _norm(basis, axis=0)
     if np.any(norms == 0):
         raise ValueError("basis contains a zero vector")
     unit = basis / norms
@@ -124,10 +127,14 @@ def _unit_orthogonal_columns(basis: np.ndarray) -> np.ndarray:
     return unit
 
 
+@lru_cache(maxsize=64)
 def _index_sets(n: int, q: int) -> np.ndarray:
     """The q-subsets of range(n) in lexicographic order, one per row
-    (shape (C(n, q), q))."""
-    return np.array(list(itertools.combinations(range(n), q)), dtype=np.intp).reshape(math.comb(n, q), q)
+    (shape (C(n, q), q)), read-only: one table per (n, q), built on first
+    use and shared (the suites, at n <= 8, use at most 45)."""
+    sets = np.array(list(itertools.combinations(range(n), q)), dtype=np.intp).reshape(math.comb(n, q), q)
+    sets.setflags(write=False)
+    return sets
 
 
 def _stacked_cosines(stack: np.ndarray) -> np.ndarray:
@@ -200,8 +207,8 @@ def check_oriented_sum(V: OrientedSubspace, W: OrientedSubspace, basis: np.ndarr
     if unit.shape[1] != unit.shape[0]:
         raise ValueError(f"basis must be square of size {unit.shape[0]}, got {unit.shape}")
     rows = _index_sets(unit.shape[1], p)
-    left = np.conj(V.coefficient) * np.linalg.det((V.space.basis.conj().T @ unit)[:, rows].swapaxes(0, 1))
-    right = W.coefficient * np.linalg.det((unit.conj().T @ W.space.basis)[rows])
+    left = np.conj(V.coefficient) * _det((V.space.basis.conj().T @ unit)[:, rows].swapaxes(0, 1))
+    right = W.coefficient * _det((unit.conj().T @ W.space.basis)[rows])
     if field is Field.REAL:
         left, right = left.real, right.real
     total = _sum_in_order(left * right)

@@ -7,16 +7,26 @@ vectors stored as columns.  All routines are pure functions on immutable
 values and are sized for small dense problems (ambient dimension up to a
 few hundred).
 
-Every SVD in the package goes through :func:`_svd`, which calls numpy's
-own SVD gufuncs (``numpy.linalg._umath_linalg.svd``, ``svd_s`` and
-``svd_f``, the names of numpy 2.0 on) with the signature read off the
-dtype: the same LAPACK calls as ``np.linalg.svd``, bit for bit, without
-its per-call Python wrapper (array wrapping, type resolution, an
-``errstate`` context and ``astype``), which is about half of a small call.
-Values only, on numpy 2.4: 8.8 -> 4.5 us for a real 8 x 4 matrix, 6.8 ->
-2.7 us for a real 4 x 2, 15.7 -> 7.8 us for a complex 8 x 4.  A numpy
-without one of the three gufuncs fails this module's import with an
-ImportError that names it.
+Every LAPACK call in the package but four goes through a raw entry here:
+:func:`_svd`, :func:`_qr`, :func:`_det`, :func:`_slogdet` and
+:func:`_eigvalsh` call numpy's own gufuncs in
+``numpy.linalg._umath_linalg`` (the names of numpy 2.0 on) with the
+signature read off the dtype: the same LAPACK calls as ``np.linalg.svd``,
+``qr``, ``det``, ``slogdet`` and ``eigvalsh``, bit for bit, without their
+per-call Python wrapper (array wrapping, type resolution, an ``errstate``
+context and ``astype``).  On numpy 2.4 and one x86-64 core, a
+values-only SVD of a real 8 x 4 matrix takes 8.8 -> 4.5 us, a QR of a
+real 8 x 8 one 23 -> 14 us and its slogdet 8.6 -> 2.7 us.  :func:`_norm`
+repeats the formula of ``np.linalg.norm`` for the two forms the package
+uses.  A numpy without one of the gufuncs fails this module's import
+with an ImportError that names it.
+
+Cholesky, solve and lstsq keep numpy's wrappers: they report a singular
+or indefinite matrix as LinAlgError through the wrapper's ``errstate``
+callback, where a raw gufunc would return NaN and warn.  cond keeps its
+wrapper too: it runs only in the verify suites, and its SVD through
+:func:`_svd` would add to the SVD count the tests pin, for no less
+LAPACK work.
 """
 
 from __future__ import annotations
@@ -28,11 +38,12 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-_missing_gufuncs = [name for name in ("svd", "svd_s", "svd_f") if not hasattr(_umath_linalg, name)]
+_GUFUNCS = ("svd", "svd_s", "svd_f", "qr_r_raw", "qr_reduced", "det", "slogdet", "eigvalsh_lo")
+_missing_gufuncs = [name for name in _GUFUNCS if not hasattr(_umath_linalg, name)]
 if _missing_gufuncs:
     raise ImportError(
         f"numpy {np.__version__} has no numpy.linalg._umath_linalg.{_missing_gufuncs[0]}, a private "
-        "SVD gufunc that spangle.linalg calls; spangle is tested on numpy 2.0 and 2.4"
+        "LAPACK gufunc that spangle.linalg calls; spangle is tested on numpy 2.0 and 2.4"
     )
 
 HALF_PI = math.pi / 2
@@ -114,14 +125,61 @@ def _svd(M: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     return out
 
 
+def _qr(M: np.ndarray):
+    """``np.linalg.qr(M)`` (reduced) for a float64 or complex128 matrix or
+    stack of them: the tuple (Q, R).  numpy's QR gufuncs report an error
+    only for arguments LAPACK finds invalid, which these are not, so
+    nothing is checked."""
+    complex_in = M.dtype.kind == "c"
+    a = M.copy(order="K")  # overwritten by R and the Householder vectors
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D" if complex_in else "d->d")
+    Q = _umath_linalg.qr_reduced(a, tau, signature="DD->D" if complex_in else "dd->d")
+    return Q, np.triu(a[..., : min(M.shape[-2:]), :])
+
+
+def _det(M: np.ndarray):
+    """``np.linalg.det(M)`` for a float64 or complex128 square matrix (a
+    numpy scalar) or stack of them (an array)."""
+    return _umath_linalg.det(M, signature="D->D" if M.dtype.kind == "c" else "d->d")
+
+
+def _slogdet(M: np.ndarray):
+    """``np.linalg.slogdet(M)`` for a float64 or complex128 square matrix
+    or stack of them: the tuple (sign, log |det|)."""
+    return _umath_linalg.slogdet(M, signature="D->Dd" if M.dtype.kind == "c" else "d->dd")
+
+
+def _eigvalsh(M: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(M)`` (lower triangle) for a float64 or
+    complex128 Hermitian matrix: its eigenvalues, ascending.  A failed
+    LAPACK call raises ``np.linalg.LinAlgError``, as in ``_svd``."""
+    w = _umath_linalg.eigvalsh_lo(M, signature="D->d" if M.dtype.kind == "c" else "d->d")
+    if w.size and w[0] != w[0]:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _norm(x: np.ndarray, axis: int | None = None):
+    """``np.linalg.norm(x)`` (the 2-norm of x flattened) or
+    ``np.linalg.norm(x, axis=axis)`` for a float64 or complex128 array,
+    by numpy's own formula: the same operations in the same order."""
+    if axis is not None:
+        return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(x.dot(x))
+
+
 def _norm_within_compare_tol(M: np.ndarray) -> bool:
     """The one relation test: whether the spectral norm of M, a residual's
     largest principal sine or a cross-Gram's largest cosine, is at most
     COMPARE_TOL.  It is bounded by the Frobenius norm above and the largest
     column norm below; the SVD is taken only when those two disagree."""
-    if np.linalg.norm(M) <= COMPARE_TOL:
+    if _norm(M) <= COMPARE_TOL:
         return True
-    if np.linalg.norm(M, axis=0).max() > COMPARE_TOL:
+    if _norm(M, axis=0).max() > COMPARE_TOL:
         return False
     return float(_svd(M, compute_uv=False)[0]) <= COMPARE_TOL
 
@@ -248,7 +306,7 @@ def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
         U, sigma, _ = _svd(M, full_matrices=False)
         rank = _rank(sigma, M.shape)
         return U if rank == size else np.ascontiguousarray(U[:, :rank])
-    Q, R = np.linalg.qr(M)
+    Q, R = _qr(M)
     if _full_rank_certified(R, M.shape):
         return Q
     U_R, sigma, _ = _svd(R, full_matrices=False)
@@ -265,7 +323,7 @@ def det(M: np.ndarray):
         return complex(1.0) if np.iscomplexobj(M) else 1.0
     if M.shape[0] == 1:
         return M[0, 0].item()
-    return np.linalg.det(M).item()
+    return _det(M).item()
 
 
 def clamped_products(values: np.ndarray):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import grassmann_angle, vector_angles
-from .linalg import COMPARE_TOL, HALF_PI, Field, _svd, angle_from_cosine, clamped_products
+from .linalg import COMPARE_TOL, HALF_PI, Field, _det, _norm, _svd, angle_from_cosine, clamped_products
 from .principal import intersect, is_partially_orthogonal
 from .subspace import (
     Subspace,
@@ -75,12 +75,12 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
     by sample: k, then one normal draw holding A and, only when q >= k,
     the four B (each matrix's real part, then its imaginary part); none
     when k = 0.  A sample of dimension 0 is at distance 0; one above
-    dim W has no candidate and is at pi/2.  Negative ``samples`` raise
-    ValueError.
+    dim W has no candidate and is at pi/2.  ``samples`` that is not an
+    integer >= 0 (a bool included) raises ValueError.
     """
     _check_pair(V, W)
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 0:
+        raise ValueError(f"samples must be an integer >= 0, got {samples!r}")
     p, q, field = V.dim, W.dim, V.field
     parts = 2 if field is Field.COMPLEX else 1
     groups: dict[int, list] = {}  # k -> each sample's draw
@@ -105,7 +105,7 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
         sigma = _svd(MA, compute_uv=False)
         full_rank = sigma[:, -1] > COMPARE_TOL
         projection = np.where(full_rank, clamped_products(sigma), 0.0)
-        frames = np.abs(np.linalg.det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
+        frames = np.abs(_det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
         best = np.maximum(projection, np.minimum(frames, 1.0).max(axis=1))
         worst = min(worst, float(best.min()))
     return angle_from_cosine(worst)
@@ -197,13 +197,15 @@ def _triangle_witness(
         return None
     u = _unit_complement_direction(U, A)
     v_dir = project_vector(V, u)
-    if np.linalg.norm(v_dir) <= COMPARE_TOL:
+    v_norm = _norm(v_dir)
+    if v_norm <= COMPARE_TOL:
         return None
-    v = v_dir / np.linalg.norm(v_dir)
+    v = v_dir / v_norm
     w_dir = project_vector(W, v)
-    if np.linalg.norm(w_dir) <= COMPARE_TOL:
+    w_norm = _norm(w_dir)
+    if w_norm <= COMPARE_TOL:
         return None
-    w = w_dir / np.linalg.norm(w_dir)
+    w = w_dir / w_norm
 
     witness_tol = math.sqrt(COMPARE_TOL)
     ip_uw = complex(np.vdot(u, w))
@@ -213,7 +215,7 @@ def _triangle_witness(
     plane = np.column_stack([u, w])
     coeffs, residual, *_ = np.linalg.lstsq(plane, v, rcond=None)
     recon = plane @ coeffs
-    if np.linalg.norm(recon - v) > witness_tol:
+    if _norm(recon - v) > witness_tol:
         return None
     a, b = complex(coeffs[0]), complex(coeffs[1])
     if abs(a.imag) > witness_tol or abs(b.imag) > witness_tol or a.real < -witness_tol or b.real < -witness_tol:
@@ -277,7 +279,7 @@ def _geodesic(U: Subspace, W: Subspace, phase: float | None):
     if c:
         w = w * (np.conj(ip) / c)
     r = w - c * u
-    sine = float(np.linalg.norm(r))
+    sine = float(_norm(r))
     if math.atan2(sine, c) <= COMPARE_TOL:
         raise ValueError("subspaces coincide; the geodesic is degenerate")
     tangent = r / sine

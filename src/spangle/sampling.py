@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Field
+from .linalg import Field, _qr
 from .subspace import Subspace, _span, zero_subspace
 
 
 def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, field: Field) -> np.ndarray:
+    """A rows x cols matrix of standard normal entries; complex entries
+    take their real parts, then their imaginary parts, from one draw."""
     if field is Field.COMPLEX:
-        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        parts = rng.standard_normal((2, rows, cols))
+        M = np.empty((rows, cols), dtype=np.complex128)
+        M.real, M.imag = parts
+        return M
     return rng.standard_normal((rows, cols))
 
 
@@ -31,7 +36,7 @@ def haar_subspace(rng: np.random.Generator, ambient_dim: int, dim: int, field: F
 def random_unitary(rng: np.random.Generator, n: int, field: Field) -> np.ndarray:
     """Haar-distributed orthogonal (real) or unitary (complex) matrix,
     via QR with the phase-of-R correction."""
-    Q, R = np.linalg.qr(gaussian_matrix(rng, n, n, field))
+    Q, R = _qr(gaussian_matrix(rng, n, n, field))
     d = np.diagonal(R)
     phase = d / np.abs(d)
     return Q * phase

@@ -1,10 +1,13 @@
-"""Slow reference routes for the left contraction of ``spangle.exterior``,
-and ``wedge_vector``, which builds blades from arbitrary vectors.
+"""Slow reference routes for the products of ``spangle.exterior``, and
+``wedge_vector``, which builds blades from arbitrary vectors.
 
-The contraction is checked two independent ways: straight from its
-adjoint identity, against every coordinate blade, and by the explicit
-coordinate-decomposition expansion of a decomposed blade.  Both are
-exponential loops kept here, next to the tests that use them.
+The array kernels of ``wedge``, ``contract`` and ``_wedge_vector_coeffs``
+are checked bit for bit against the scalar loops they replaced, kept here
+with the scalar ``shuffle_sign``.  The contraction is also checked two
+independent ways: straight from its adjoint identity, against every
+coordinate blade, and by the explicit coordinate-decomposition expansion
+of a decomposed blade.  All are exponential loops kept here, next to the
+tests that use them.
 """
 
 import itertools
@@ -14,6 +17,61 @@ import numpy as np
 
 from spangle.exterior import Multivector, _wedge_vector_coeffs, inner, scalar_multivector, wedge
 from spangle.linalg import Field, as_field_array
+
+
+def shuffle_sign_loop(mask_a: int, mask_b: int) -> int:
+    """Sign of reordering the concatenation (A, B) of disjoint index sets
+    into ascending order: parity of the number of pairs a > b, counted
+    bit by bit of B."""
+    sign = 1
+    b = mask_b
+    while b:
+        low = b & -b
+        j = low.bit_length() - 1
+        if (mask_a >> (j + 1)).bit_count() & 1:
+            sign = -sign
+        b ^= low
+    return sign
+
+
+def wedge_loop(a: Multivector, b: Multivector) -> np.ndarray:
+    """The coefficients of a ^ b, one scalar product per disjoint pair of
+    nonzero blades, added in i-major order."""
+    out = np.zeros_like(a.coeffs)
+    for i_mask in map(int, np.flatnonzero(a.coeffs)):
+        ai = a.coeffs[i_mask]
+        for j_mask in map(int, np.flatnonzero(b.coeffs)):
+            if not i_mask & j_mask:
+                out[i_mask | j_mask] += shuffle_sign_loop(i_mask, j_mask) * ai * b.coeffs[j_mask]
+    return out
+
+
+def contract_loop(nu: Multivector, omega: Multivector) -> np.ndarray:
+    """The coefficients of the left contraction of omega by nu, one scalar
+    product per pair of nonzero blades with the first inside the second,
+    added in i-major order."""
+    out = np.zeros_like(omega.coeffs)
+    for i_mask in map(int, np.flatnonzero(nu.coeffs)):
+        ci = np.conj(nu.coeffs[i_mask])
+        for j_mask in map(int, np.flatnonzero(omega.coeffs)):
+            if i_mask & j_mask == i_mask:
+                rest = j_mask & ~i_mask
+                out[rest] += shuffle_sign_loop(i_mask, rest) * ci * omega.coeffs[j_mask]
+    return out
+
+
+def wedge_vector_loop(coeffs: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The coefficients of (multivector ^ vector), one scatter per nonzero
+    v[j], in order of j."""
+    out = np.zeros_like(coeffs)
+    masks = np.arange(1 << n, dtype=np.int64)
+    for j in range(n):
+        if v[j] == 0:
+            continue
+        src = masks[(masks >> j) & 1 == 0]
+        sign = np.array([shuffle_sign_loop(int(m), 1 << j) for m in src], dtype=np.int64)
+        out[src | (1 << j)] += coeffs[src] * sign * v[j]
+    return out
 
 
 def wedge_vector(x: Multivector, v) -> Multivector:

@@ -97,6 +97,23 @@ class TestVectorAngles:
         assert vector_angles(w, z, Field.REAL).theta == HALF_PI
         assert vector_angles(w, z, Field.REAL).phase is None
 
+    @pytest.mark.parametrize(
+        "v, w",
+        [
+            (np.eye(2), [[0, 1], [1, 0]]),
+            ([[1.0, 0.0]], [[0.0, 1.0]]),
+            ([1.0, 0.0], [[0.0], [1.0]]),
+        ],
+    )
+    def test_only_one_dimensional_vectors(self, v, w):
+        """A matrix is not a vector: its flattened angle is no answer."""
+        with pytest.raises(ValueError, match="vectors must be one-dimensional"):
+            vector_angles(v, w, Field.REAL)
+
+    def test_scalars_enter_as_length_one_vectors(self):
+        assert vector_angles(2.0, -3.0, Field.REAL).theta == math.pi
+        assert vector_angles(2.0, 3.0, Field.REAL) == vector_angles([2.0], [3.0], Field.REAL)
+
     def test_phase_absent_for_orthogonal(self):
         va = vector_angles([1, 0], [0, 1], Field.REAL)
         assert va.phase is None

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spangle import Field
 from spangle.exterior import (
     Multivector,
+    _wedge_vector_coeffs,
     blade_of,
     contract,
     inner,
@@ -17,6 +18,7 @@ from spangle.exterior import (
     oracle_grassmann_angle,
     project_multivector,
     scalar_multivector,
+    shuffle_sign,
     wedge,
 )
 from spangle.linalg import det
@@ -26,13 +28,17 @@ from spangle.subspace import from_spanning, zero_subspace
 
 from exterior_oracles import (
     basis_blade,
+    contract_loop,
     contract_via_adjoint,
     contract_via_coordinate_expansion,
     coordinate_blade,
     epsilon_sign,
     grades,
     multi_index_complement,
+    shuffle_sign_loop,
+    wedge_loop,
     wedge_vector,
+    wedge_vector_loop,
 )
 
 BOTH = (Field.REAL, Field.COMPLEX)
@@ -223,6 +229,92 @@ class TestExhaustiveSmallCases:
         assert epsilon_sign((1,)) == 1
         assert epsilon_sign((2,)) == -1
         assert epsilon_sign((1, 2)) == 1
+
+
+def _graded(rng, n: int, field: Field, grade: int, zero_share: float = 0.25) -> Multivector:
+    """A random multivector of one grade, a share of whose blades have an
+    exact zero coefficient."""
+    coeffs = np.zeros(1 << n, dtype=field.dtype)
+    masks = [m for m in range(1 << n) if m.bit_count() == grade]
+    values = random_vector(rng, len(masks), field)
+    values[rng.random(len(masks)) < zero_share] = 0
+    coeffs[masks] = values
+    return Multivector(n, field, coeffs)
+
+
+class TestArrayKernels:
+    """``wedge``, ``contract`` and ``_wedge_vector_coeffs`` are array kernels:
+    each must give the bits of the scalar loops in ``exterior_oracles``."""
+
+    def test_shuffle_sign_is_the_loop_elementwise(self):
+        masks = np.arange(1 << 8)
+        a, b = np.meshgrid(masks, masks, indexing="ij")
+        disjoint = (a & b) == 0
+        want = [shuffle_sign_loop(int(x), int(y)) for x, y in zip(a[disjoint], b[disjoint])]
+        assert shuffle_sign(a[disjoint], b[disjoint]).tolist() == want
+        # masks up to the real cap of 12 bits, and plain integers
+        a = np.random.default_rng(12).integers(0, 1 << 12, 500)
+        b = np.random.default_rng(13).integers(0, 1 << 12, 500) & ~a
+        assert shuffle_sign(a, b).tolist() == [shuffle_sign_loop(int(x), int(y)) for x, y in zip(a, b)]
+        assert shuffle_sign((1 << 12) - 2, 1) == -1 and shuffle_sign(0b1010_0000_0000, 0b0101) == 1
+
+    @pytest.mark.parametrize("field", BOTH)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_products_match_the_loops(self, field, n):
+        """Every pair of grades for n <= 6; from n = 7 on, each grade with
+        itself, its complement and a grade off by one."""
+        rng = np.random.default_rng([n, field is Field.COMPLEX])
+        if n <= 6:
+            pairs = itertools.product(range(n + 1), repeat=2)
+        else:
+            pairs = {(g, h) for g in range(n + 1) for h in (g, n - g, max(g - 1, 0))}
+        for ga, gb in pairs:
+            a, b = _graded(rng, n, field, ga), _graded(rng, n, field, gb)
+            assert wedge(a, b).coeffs.tobytes() == wedge_loop(a, b).tobytes(), (ga, gb)
+            assert contract(a, b).coeffs.tobytes() == contract_loop(a, b).tobytes(), (ga, gb)
+        mixed = Multivector(n, field, sum(_graded(rng, n, field, g).coeffs for g in range(n + 1)))
+        assert wedge(mixed, mixed).coeffs.tobytes() == wedge_loop(mixed, mixed).tobytes()
+        assert contract(mixed, mixed).coeffs.tobytes() == contract_loop(mixed, mixed).tobytes()
+
+    @pytest.mark.parametrize("field", BOTH)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_wedge_vector_matches_the_loop(self, field, n):
+        """Random vectors, some entries exactly zero, and the coordinate
+        vectors, onto blades of every grade."""
+        rng = np.random.default_rng([n, 7, field is Field.COMPLEX])
+        vectors = [random_vector(rng, n, field) for _ in range(3)]
+        vectors[1][rng.random(n) < 0.5] = 0
+        vectors += list(np.eye(n, dtype=field.dtype))
+        for grade in range(n + 1):
+            coeffs = _graded(rng, n, field, grade).coeffs
+            for v in vectors:
+                assert _wedge_vector_coeffs(coeffs, v, n).tobytes() == wedge_vector_loop(coeffs, v, n).tobytes()
+
+    def test_empty_operands(self):
+        zero = Multivector(3, Field.COMPLEX, np.zeros(8, dtype=complex))
+        one = scalar_multivector(3, Field.COMPLEX)
+        for op in (wedge, contract):
+            assert op(zero, one).coeffs.tobytes() == np.zeros(8, dtype=complex).tobytes()
+            assert op(one, zero).coeffs.tobytes() == np.zeros(8, dtype=complex).tobytes()
+
+    def test_complex_products_round_each_product_apart(self):
+        """(1 + e + i)(1 - e + i) with e = 2**-30 has real part
+        (1 - e**2) - 1: 0 when each product is rounded, as the scalar loop
+        does, but -e**2 when a fused multiply-add rounds once, as numpy's
+        array multiply may.  Both kernels must give the loop's 0."""
+        e = 2.0**-30
+        x, y = complex(1 + e, 1), complex(1 - e, 1)
+        n = 2
+        scalar = np.zeros(4, dtype=complex)
+        vector = np.zeros(4, dtype=complex)
+        scalar[0], vector[0b01] = x, y
+        a, b = Multivector(n, Field.COMPLEX, scalar), Multivector(n, Field.COMPLEX, vector)
+        assert wedge(a, b).coeffs[0b01] == complex(0.0, 2.0)
+        assert wedge(a, b).coeffs.tobytes() == wedge_loop(a, b).tobytes()
+        scalar[0] = x.conjugate()  # contract conjugates its left operand
+        a = Multivector(n, Field.COMPLEX, scalar)
+        assert contract(a, b).coeffs[0b01] == complex(0.0, 2.0)
+        assert contract(a, b).coeffs.tobytes() == contract_loop(a, b).tobytes()
 
 
 class TestBladeOf:

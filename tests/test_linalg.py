@@ -16,7 +16,12 @@ from spangle.linalg import (
     QR_ROUTE_MIN,
     RANK_REL_TOL,
     ZERO_ANGLE_COS_BAND,
+    _det,
+    _eigvalsh,
+    _norm,
     _norm_within_compare_tol,
+    _qr,
+    _slogdet,
     _svd,
     angle_from_cosine,
     arccos_clamped,
@@ -55,6 +60,101 @@ def test_relation_test_is_the_2_norm_against_compare_tol(field, svd_calls):
     for scale in np.geomspace(3e-10, 3e-9, 40):
         M = scale * gaussian_matrix(rng, 5, 3, field)
         assert _norm_within_compare_tol(M) is bool(np.linalg.svd(M, compute_uv=False)[0] <= COMPARE_TOL)
+
+
+# Every gufunc of numpy.linalg._umath_linalg that spangle.linalg calls.
+GUFUNCS = ("svd", "svd_s", "svd_f", "qr_r_raw", "qr_reduced", "det", "slogdet", "eigvalsh_lo")
+
+
+def _same_bits(ours, theirs) -> None:
+    """Equal types, dtypes, shapes and bytes, output by output."""
+    ours, theirs = (x if isinstance(x, tuple) else (x,) for x in (ours, theirs))
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert type(a) is type(b)
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+class TestRawEntries:
+    """``linalg._qr``, ``_det``, ``_slogdet``, ``_eigvalsh`` and ``_norm``
+    call numpy's gufuncs, or repeat its norm formula, without the wrapper:
+    every output must be numpy's, bit for bit."""
+
+    # Tall, wide and square matrices, 1 x 1 and empty ones, a stack, and
+    # views that are not C-ordered.
+    QR_SHAPES = [(8, 4), (4, 8), (8, 8), (1, 1), (0, 0), (4, 0), (0, 3), (3, 6, 2)]
+    SQUARE_SHAPES = [(0, 0), (1, 1), (2, 2), (5, 5), (8, 8), (4, 0, 0), (70, 3, 3), (6, 4, 2, 2)]
+    NORM_SHAPES = [(0,), (1,), (8,), (256,), (0, 3), (3, 0), (1, 1), (8, 4), (4, 8), (16, 16)]
+
+    @staticmethod
+    def _matrix(shape, field, seed=0):
+        return gaussian_matrix(np.random.default_rng([seed, *shape]), math.prod(shape), 1, field).reshape(shape)
+
+    @staticmethod
+    def _views(M):
+        """M, its transpose (Fortran-ordered) and a strided slice of it."""
+        return [M, M.swapaxes(-1, -2), M[..., ::2, ::2]]
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("shape", QR_SHAPES)
+    def test_qr(self, field, shape):
+        for M in self._views(self._matrix(shape, field)):
+            before = M.copy()
+            _same_bits(_qr(M), tuple(np.linalg.qr(M)))
+            assert M.tobytes() == before.tobytes()  # the input is not overwritten
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("shape", SQUARE_SHAPES)
+    def test_det_and_slogdet(self, field, shape):
+        for M in self._views(self._matrix(shape, field)):
+            _same_bits(_det(M), np.linalg.det(M))
+            _same_bits(_slogdet(M), tuple(np.linalg.slogdet(M)))
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_singular_det_and_slogdet(self, field):
+        """A singular matrix: det 0 and slogdet (0, -inf), as numpy gives."""
+        M = self._matrix((4, 3), field)
+        M = M @ M.conj().T  # rank 3 of 4
+        M[:, -1] = M[:, 0]
+        _same_bits(_det(M), np.linalg.det(M))
+        _same_bits(_slogdet(M), tuple(np.linalg.slogdet(M)))
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+    def test_eigvalsh(self, field, n):
+        M = self._matrix((n, n), field)
+        H = (M + M.conj().T) / 2.0
+        for view in (H, H.T):
+            _same_bits(_eigvalsh(view), np.linalg.eigvalsh(view))
+
+    def test_eigvalsh_nan_result_raises(self, monkeypatch):
+        """numpy's gufunc fills the eigenvalues of a failed call with NaN."""
+        gufuncs = {name: getattr(linalg._umath_linalg, name) for name in GUFUNCS}
+
+        def failing(M, signature):
+            w = gufuncs["eigvalsh_lo"](M, signature=signature)
+            w[...] = np.nan
+            return w
+
+        monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(**{**gufuncs, "eigvalsh_lo": failing}))
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            _eigvalsh(np.eye(3))
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("shape", NORM_SHAPES)
+    def test_norm(self, field, shape):
+        for x in self._views(self._matrix(shape, field)) if len(shape) == 2 else [self._matrix(shape, field)]:
+            _same_bits(_norm(x), np.linalg.norm(x))
+            _same_bits(_norm(x, axis=0), np.linalg.norm(x, axis=0))
+
+    def test_norm_of_a_real_view_of_complex(self):
+        """Real parts of a complex array, a strided float64 view."""
+        z = self._matrix((6, 5), Field.COMPLEX)
+        for x in (z.real, z.imag, z.real.T):
+            _same_bits(_norm(x), np.linalg.norm(x))
+            _same_bits(_norm(x, axis=0), np.linalg.norm(x, axis=0))
 
 
 class TestSvdEntry:
@@ -112,20 +212,41 @@ class TestSvdEntry:
     def test_missing_gufunc_fails_the_import(self):
         """A numpy without one of the private gufuncs fails ``import
         spangle.linalg`` with an ImportError that names the gufunc and the
-        numpy versions spangle is tested on."""
+        numpy versions spangle is tested on: each gufunc the module calls
+        is deleted in turn, in one child process."""
         code = (
+            "import importlib, sys\n"
             "from numpy.linalg import _umath_linalg\n"
-            "del _umath_linalg.svd_s\n"
-            "try:\n"
-            "    import spangle.linalg\n"
-            "except ImportError as exc:\n"
-            "    print(exc)\n"
+            f"for name in {GUFUNCS!r}:\n"
+            "    saved = getattr(_umath_linalg, name)\n"
+            "    delattr(_umath_linalg, name)\n"
+            "    for module in [m for m in sys.modules if m.startswith('spangle')]:\n"
+            "        del sys.modules[module]\n"
+            "    try:\n"
+            "        importlib.import_module('spangle.linalg')\n"
+            "        print('imported without', name)\n"
+            "    except ImportError as exc:\n"
+            "        print(exc)\n"
+            "    setattr(_umath_linalg, name, saved)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(linalg.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert "numpy.linalg._umath_linalg.svd_s" in out.stdout
-        assert "tested on numpy 2.0 and 2.4" in out.stdout
+        lines = out.stdout.splitlines()
+        assert len(lines) == len(GUFUNCS)
+        for name, line in zip(GUFUNCS, lines):
+            assert f"numpy.linalg._umath_linalg.{name}," in line
+            assert "tested on numpy 2.0 and 2.4" in line
+
+    def test_the_import_check_names_every_gufunc_called(self):
+        """The gufuncs the import checks are those ``linalg`` calls."""
+        tree = ast.parse(Path(linalg.__file__).read_text())
+        called = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_umath_linalg"
+        }
+        assert called == set(GUFUNCS) == set(linalg._GUFUNCS)
 
     def test_no_module_calls_numpy_svd(self):
         """Every SVD in the package goes through the entry: no module calls

@@ -230,6 +230,25 @@ class TestSampledDirectedHausdorff:
         with pytest.raises(ValueError, match="samples"):
             sampled_directed_hausdorff(V, W, rng, samples=-5)
 
+    @pytest.mark.parametrize("samples", [-1, 2.5, True, False, "3", None])
+    def test_samples_must_be_an_integer_at_least_zero(self, samples):
+        """A bool, a float or a negative count is refused with a message
+        that names samples, before any draw."""
+        rng = np.random.default_rng(0)
+        V, W = haar_subspace(rng, 4, 2, Field.REAL), haar_subspace(rng, 4, 2, Field.REAL)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="samples must be an integer >= 0"):
+            sampled_directed_hausdorff(V, W, rng, samples=samples)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integer_samples(self):
+        """A numpy integer count runs as the same Python int."""
+        rng = np.random.default_rng(1)
+        V, W = haar_subspace(rng, 5, 3, Field.REAL), haar_subspace(rng, 5, 3, Field.REAL)
+        got = sampled_directed_hausdorff(V, W, np.random.default_rng(2), samples=np.int64(3))
+        assert got > 0.0
+        assert got == sampled_directed_hausdorff(V, W, np.random.default_rng(2), samples=3)
+
     @pytest.mark.parametrize(
         "other",
         [lambda rng: haar_subspace(rng, 4, 2, Field.COMPLEX), lambda rng: haar_subspace(rng, 5, 2, Field.REAL)],

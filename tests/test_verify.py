@@ -1,6 +1,7 @@
 import inspect
 import sys
 
+import numpy as np
 import pytest
 
 import spangle
@@ -118,12 +119,33 @@ class TestMutationSmoke:
 
         def broken(mask_a, mask_b):
             # miscounts transpositions whenever the first index set
-            # contains the lowest basis direction
-            return -original(mask_a, mask_b) if mask_a & 1 else original(mask_a, mask_b)
+            # contains the lowest basis direction (elementwise, as the
+            # kernels call it on arrays of masks)
+            s = original(mask_a, mask_b)
+            return np.where(mask_a & 1, -s, s)
 
         monkeypatch.setattr(exterior, "shuffle_sign", broken)
         report = verify.run_oracle_equivalence(seed=5, trials=40, dim_max=5)
         assert not report.passed
+
+    def test_both_products_reach_the_patched_sign(self, monkeypatch):
+        """The smoke tests patch ``exterior.shuffle_sign``: both kernels
+        must look it up at call time, so the mutation reaches them."""
+        calls = []
+        original = exterior.shuffle_sign
+
+        def counting(mask_a, mask_b):
+            calls.append(len(mask_a))
+            return original(mask_a, mask_b)
+
+        monkeypatch.setattr(exterior, "shuffle_sign", counting)
+        line = exterior.Multivector(2, spangle.Field.REAL, np.array([0.0, 1.0, 0.0, 0.0]))
+        plane = exterior.Multivector(2, spangle.Field.REAL, np.array([0.0, 0.0, 0.0, 1.0]))
+        other = exterior.Multivector(2, spangle.Field.REAL, np.array([0.0, 0.0, 1.0, 0.0]))
+        assert exterior.wedge(line, other).coeffs[3] == 1.0
+        assert calls == [1]
+        assert exterior.contract(other, plane).coeffs[1] == -1.0
+        assert calls == [1, 1]
 
     def test_sign_flatten_breaks_oracle_equivalence(self, monkeypatch):
         monkeypatch.setattr(exterior, "shuffle_sign", lambda a, b: 1)
