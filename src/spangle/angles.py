@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     COMPARE_TOL,
     HALF_PI,
+    _COMPLEX,
     Field,
     _det,
     _norm,
@@ -243,6 +244,6 @@ def angle_report(V: Subspace, W: Subspace) -> AngleReport:
         theta_perp=s.theta_perp,
         theta_min_sym=min(forward, backward),
         theta_max_sym=max(forward, backward),
-        projection_factor=c * c if V.field is Field.COMPLEX else c,
+        projection_factor=c * c if V.field is _COMPLEX else c,
     )
     return report

@@ -15,7 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import COMPARE_TOL, HALF_PI, ZERO_ANGLE_COS_BAND, Field, _norm_within_compare_tol, _svd, angle_from_cosine
+from .linalg import (
+    COMPARE_TOL,
+    HALF_PI,
+    ZERO_ANGLE_COS_BAND,
+    _COMPLEX,
+    _norm_within_compare_tol,
+    _svd,
+    angle_from_cosine,
+)
 from .subspace import (
     Subspace,
     _check_pair,
@@ -105,11 +113,6 @@ class PairSpectrum:
         return min(cos_max * c[0] + sin_max * s[0], 1.0)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 # (weakref(V), weakref(W), spectrum of (V, W), spectrum of (W, V) or None
 # until the reverse order is asked for), read and replaced whole, so
 # threads sharing it see one consistent slot; it keeps no pair alive.
@@ -136,30 +139,34 @@ def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
                 _last_pair = memo = (*memo[:3], memo[2]._reversed())
             return memo[3]
     _check_pair(V, W)
-    A, B = V.basis, W.basis
-    p, q = A.shape[1], B.shape[1]
+    p, q = V.dim, W.dim
     if p and q:
-        if p > q:
-            A, B = B, A
+        A, B = (W.basis, V.basis) if p > q else (V.basis, W.basis)
         # A real B needs no conjugate, which would copy it.
-        cosines = _svd((B.T if V.field is Field.REAL else B.conj().T) @ A, compute_uv=False)
+        cosines = _svd((B.conj().T if V.field is _COMPLEX else B.T) @ A, compute_uv=False)
+        cos = cosines.tolist()
         # Singular values are never negative, and they descend: only the
         # upper clamp can act, and only when the first is above 1.
-        if cosines[0] > 1.0:
+        if cos[0] > 1.0:
             cosines = np.minimum(cosines, 1.0)
+            cos = cosines.tolist()
     else:
         cosines = np.zeros(0)
-    cos = cosines.tolist()
+        cos = []
     # The zero-angle band, as in angle_from_cosine; (1 - c)(1 + c) is never
     # negative, so only the upper clamp acts.
     sin = [0.0 if c >= ZERO_ANGLE_COS_BAND else math.sqrt(min((1.0 - c) * (1.0 + c), 1.0)) for c in cos]
     cos_product = math.prod(cos, start=1.0)
     cos_theta_perp = math.prod(sin, start=1.0)
     theta = angle_from_cosine(cos_product)
+    sines = np.array(sin)
+    angles = np.array([angle_from_cosine(c) for c in cos])
+    cosines.setflags(write=False)
+    sines.setflags(write=False)
+    angles.setflags(write=False)
     spectrum = object.__new__(PairSpectrum)
     spectrum.__dict__.update(
-        cosines=_read_only(cosines), p=p, q=q, sines=_read_only(np.array(sin)),
-        angles=_read_only(np.array([angle_from_cosine(c) for c in cos])), cos_theta=0.0 if p > q else cos_product,
+        cosines=cosines, p=p, q=q, sines=sines, angles=angles, cos_theta=0.0 if p > q else cos_product,
         theta=HALF_PI if p > q else theta, theta_back=HALF_PI if q > p else theta,
         cos_theta_perp=cos_theta_perp, theta_perp=angle_from_cosine(cos_theta_perp),
         _cos=cos, _sin=sin, _cos_product=cos_product,

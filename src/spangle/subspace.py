@@ -33,8 +33,11 @@ _ORTHO_CHECK_TOL = 1e-8
 class Subspace:
     """A subspace given by an orthonormal basis matrix (columns).
 
-    ``==`` and ``hash`` are by identity, since one subspace has many
-    bases: :func:`spans_equal` tests whether two subspaces are equal."""
+    ``dim``, the basis width p, is stored beside the three fields when the
+    subspace is built (a plain attribute, read on every pair, not a
+    dataclass field), and like them cannot be assigned.  ``==`` and
+    ``hash`` are by identity, since one subspace has many bases:
+    :func:`spans_equal` tests whether two subspaces are equal."""
 
     ambient_dim: int
     field: Field
@@ -58,7 +61,7 @@ class Subspace:
             # result inherits an error the check let through.
             basis = U @ Vh
         basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        self.__dict__.update(basis=basis, dim=basis.shape[1])
 
     @classmethod
     def _trusted(cls, ambient_dim: int, field: Field, basis: np.ndarray) -> Subspace:
@@ -71,12 +74,8 @@ class Subspace:
         basis = np.ascontiguousarray(basis)
         basis.setflags(write=False)
         self = object.__new__(cls)
-        self.__dict__.update(ambient_dim=ambient_dim, field=field, basis=basis)
+        self.__dict__.update(ambient_dim=ambient_dim, field=field, basis=basis, dim=basis.shape[1])
         return self
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
     @property
     def is_zero(self) -> bool:

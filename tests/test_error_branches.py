@@ -17,7 +17,7 @@ from spangle.identities import check_line_partition, check_oriented_sum, complex
 from spangle.linalg import stack_columns
 from spangle.metrics import geodesic_point
 from spangle.sampling import haar_subspace
-from spangle.subspace import from_spanning, full_space, zero_subspace
+from spangle.subspace import Subspace, from_basis_matrix, from_spanning, full_space, zero_subspace
 
 E = np.eye(3)
 LINE = from_spanning([E[0]], Field.REAL)
@@ -53,6 +53,58 @@ REFUSALS = [
 def test_refusal_message(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+# The spanning-list intake: each bad list, through every public route
+# that takes one, and the whole message it raises.
+INTAKE_ROUTES = {
+    "from_spanning": lambda vectors, ambient_dim: from_spanning(vectors, Field.REAL, ambient_dim),
+    "oriented_from_spanning": lambda vectors, ambient_dim: oriented_from_spanning(vectors, Field.REAL, ambient_dim),
+    "angle_from_gram": lambda vectors, ambient_dim: angle_from_gram(vectors, vectors, Field.REAL, ambient_dim),
+}
+ONE_DIMENSIONAL = r"each spanning vector must be one-dimensional"
+BAD_LISTS = [
+    ("ragged", [[1.0, 0.0], [1.0, 0.0, 0.0]], None, r"dimension mismatch: expected vectors of length 2, got 3"),
+    ("scalar entry", [[1.0, 0.0], 3.0], None, ONE_DIMENSIONAL),
+    ("0-d array entry", [[1.0, 0.0], np.array(2.0)], None, ONE_DIMENSIONAL),
+    ("3-D nested list", [[[1.0, 0.0]], [[0.0, 1.0]]], None, ONE_DIMENSIONAL),
+    ("3-D ragged list", [[[1.0], [0.0, 1.0]], [[0.0, 1.0], [1.0]]], None, ONE_DIMENSIONAL),
+    ("strings", ["ab", "cd"], None, ONE_DIMENSIONAL),
+    # The length check comes first: equal-length strings against another
+    # ambient_dim are a dimension mismatch.
+    ("strings against ambient_dim", ["ab", "cd"], 3, r"dimension mismatch: vectors have length 2, ambient_dim is 3"),
+    ("list against ambient_dim", [[1.0, 0.0], [0.0, 1.0]], 3, r"dimension mismatch: vectors have length 2, ambient_dim is 3"),
+    ("scalar list", 3.0, None, r"spanning vectors must be given as a list of vectors"),
+]
+
+
+@pytest.mark.parametrize("route", sorted(INTAKE_ROUTES))
+@pytest.mark.parametrize("vectors, ambient_dim, message", [row[1:] for row in BAD_LISTS], ids=[row[0] for row in BAD_LISTS])
+def test_spanning_list_refusal(route, vectors, ambient_dim, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        INTAKE_ROUTES[route](vectors, ambient_dim)
+
+
+@pytest.mark.parametrize("route, message", [
+    ("from_spanning", r"ambient_dim is required for an empty vector list"),
+    ("oriented_from_spanning", r"ambient_dim is required for an empty vector list"),
+    ("angle_from_gram", r"cannot infer the ambient dimension from two empty lists"),
+])
+def test_empty_list_without_ambient_dim(route, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        INTAKE_ROUTES[route]([], None)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("call", [
+    lambda field: from_spanning([[object(), 1.0]], field),
+    lambda field: from_basis_matrix([[object()], [1.0]], field),
+    lambda field: Subspace(2, field, [[object()], [1.0]]),
+    lambda field: vector_angles([object()], [1.0], field),
+], ids=["from_spanning", "from_basis_matrix", "Subspace", "vector_angles"])
+def test_non_numeric_entry_is_a_value_error(call, field):
+    with pytest.raises(ValueError, match="^entries must be numbers$"):
+        call(field)
 
 
 @pytest.mark.parametrize("name", ["angles", "gram", "identities", "linalg", "metrics", "principal", "sampling", "subspace"])

@@ -519,6 +519,27 @@ class TestStackColumns:
         with pytest.raises(ValueError, match="complex entries"):
             stack_columns([[1, 2j]], Field.REAL)
 
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_every_container_gives_the_same_matrix(self, rng, field):
+        """A list of arrays, of lists or of tuples, a tuple, an array and
+        an iterator of the same rows give one C-ordered matrix, bit for
+        bit; an empty array of rows with ambient_dim gives the empty one."""
+        rows = gaussian_matrix(rng, 3, 5, field)
+        expected = np.ascontiguousarray(rows.T)
+        for vectors in (list(rows), [list(r) for r in rows], [tuple(r) for r in rows], tuple(rows), rows, iter(rows)):
+            M = stack_columns(vectors, field, ambient_dim=5)
+            assert M.dtype == field.dtype and M.flags.c_contiguous
+            assert M.tobytes() == expected.tobytes()
+        assert stack_columns(np.zeros((0, 5)), field, ambient_dim=4).shape == (4, 0)
+
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+    def test_matrix_subclass_rows_are_not_vectors(self):
+        """The rows of an np.matrix are themselves 2-D, as before."""
+        with pytest.raises(ValueError, match="one-dimensional"):
+            stack_columns(np.matrix([[1.0, 2.0], [3.0, 4.0]]), Field.REAL, ambient_dim=1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            stack_columns(np.matrix([[1.0, 2.0], [3.0, 4.0]]), Field.REAL, ambient_dim=2)
+
 
 class TestDet:
     def test_identity(self):

@@ -136,11 +136,35 @@ def test_alternating_orders_keep_both_frames(svd_calls, rng, field):
     assert svd_calls.vectors == [False, True, True]
 
 
+def _spectrum_routes(rng, field):
+    """(route, spectrum): a fresh spectrum, a memo hit, the reversed
+    order, and a pair whose top singular value is above 1, so that the
+    clamp runs."""
+    V, W = random_pair(rng, 5, 2, 3, field)
+    fresh = pair_spectrum(V, W)
+    yield "fresh", fresh
+    hit = pair_spectrum(V, W)
+    assert hit is fresh
+    yield "memo hit", hit
+    yield "reversed", pair_spectrum(W, V)
+    # Unit columns lengthened by one ulp: stored as the library's own
+    # bases are, their cross-Gram's top singular value is above 1.
+    basis = haar_subspace(rng, 4, 2, field).basis * (1.0 + 2.0**-52)
+    U, X = Subspace._trusted(4, field, basis), Subspace._trusted(4, field, basis)
+    assert np.linalg.svd(basis.conj().T @ basis, compute_uv=False)[0] > 1.0
+    clamped = pair_spectrum(U, X)
+    assert clamped.cosines[0] == 1.0
+    yield "clamp", clamped
+
+
 def test_spectrum_arrays_are_read_only(rng):
-    s = pair_spectrum(*random_pair(rng, 4, 2, 2, Field.REAL))
-    for arr in (s.cosines, s.sines, s.angles):
-        with pytest.raises(ValueError):
-            arr[0] = 0.5
+    for field in BOTH_FIELDS:
+        for route, s in _spectrum_routes(rng, field):
+            for name in ("cosines", "sines", "angles"):
+                arr = getattr(s, name)
+                assert not arr.flags.writeable, (field, route, name)
+                with pytest.raises(ValueError):
+                    arr[0] = 0.5
 
 
 @pytest.mark.parametrize("field", BOTH_FIELDS)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -400,3 +403,50 @@ class TestSum:
     def test_field_mismatch_rejected(self):
         with pytest.raises(ValueError, match="field"):
             sum_subspace(full_space(2, Field.REAL), full_space(2, Field.COMPLEX))
+
+
+class TestStoredDim:
+    """``dim`` is stored once when a subspace is built, on every route, and
+    stays outside the dataclass fields, the repr and assignment."""
+
+    @staticmethod
+    def _routes(rng, field):
+        V = haar_subspace(rng, 5, 2, field)
+        W = from_spanning([rng.standard_normal(5), rng.standard_normal(5)], field)
+        built = {
+            "public": Subspace(5, field, V.basis),
+            "_trusted": Subspace._trusted(5, field, V.basis[:, :1]),
+            "from_spanning": W,
+            "from_spanning_deficient": from_spanning([W.basis[:, 0], 2 * W.basis[:, 0]], field),
+            "from_basis_matrix": from_basis_matrix(gaussian_matrix(rng, 5, 3, field), field),
+            "zero_subspace": zero_subspace(5, field),
+            "full_space": full_space(5, field),
+            "complement": complement(V),
+            "project_subspace": project_subspace(W, V),
+            "replace": dataclasses.replace(V, basis=W.basis),
+            "copy": copy.copy(V),
+            "deepcopy": copy.deepcopy(V),
+            "pickle": pickle.loads(pickle.dumps(V)),
+        }
+        if field is Field.COMPLEX:
+            built["realify"] = realify(V)
+        return built
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_dim_is_the_basis_width_on_every_route(self, rng, field):
+        for route, S in self._routes(rng, field).items():
+            assert "dim" in vars(S), route
+            assert type(S.dim) is int and S.dim == S.basis.shape[1], route
+
+    def test_dim_cannot_be_assigned_or_deleted(self):
+        V = from_spanning([[1.0, 0.0]], Field.REAL)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            V.dim = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del V.dim
+        assert V.dim == 1
+
+    def test_fields_and_repr_leave_dim_out(self):
+        assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient_dim", "field", "basis"]
+        V = from_spanning([[1.0, 0.0]], Field.REAL)
+        assert repr(V) == f"Subspace(ambient_dim=2, field={Field.REAL!r}, basis={V.basis!r})"
