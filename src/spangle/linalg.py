@@ -80,6 +80,9 @@ COMPARE_TOL = 1e-9
 ZERO_ANGLE_COS_BAND = 1.0 - 256.0 * _EPS
 
 
+_NOT_FINITE = "entries must be finite (no NaN or infinity)"
+
+
 def as_field_array(values: Iterable, field: Field) -> np.ndarray:
     """Convert to the dtype of ``field``, rejecting complex data under REAL,
     entries that are not numbers and non-finite entries (NaN or infinity)
@@ -94,8 +97,10 @@ def as_field_array(values: Iterable, field: Field) -> np.ndarray:
         arr = np.array(arr, dtype=dtype, order="C", ndmin=1)  # a fresh C-ordered copy, at least 1-D
     except TypeError:  # an entry numpy cannot read as a number, such as an arbitrary object
         raise ValueError("entries must be numbers") from None
+    except OverflowError:  # a Python int beyond float range
+        raise ValueError(_NOT_FINITE) from None
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
-        raise ValueError("entries must be finite (no NaN or infinity)")
+        raise ValueError(_NOT_FINITE)
     return arr
 
 
@@ -135,16 +140,17 @@ def _svd(M: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     return out
 
 
-def _qr(M: np.ndarray):
+def _qr(M: np.ndarray, with_r: bool = True):
     """``np.linalg.qr(M)`` (reduced) for a float64 or complex128 matrix or
-    stack of them: the tuple (Q, R).  numpy's QR gufuncs report an error
-    only for arguments LAPACK finds invalid, which these are not, so
-    nothing is checked."""
+    stack of them: the tuple (Q, R), or Q alone when not ``with_r`` (R's
+    ``np.triu`` costs about as much as a small QR).  numpy's QR gufuncs
+    report an error only for arguments LAPACK finds invalid, which these
+    are not, so nothing is checked."""
     complex_in = M.dtype.kind == "c"
     a = M.copy(order="K")  # overwritten by R and the Householder vectors
     tau = _umath_linalg.qr_r_raw(a, signature="D->D" if complex_in else "d->d")
     Q = _umath_linalg.qr_reduced(a, tau, signature="DD->D" if complex_in else "dd->d")
-    return Q, np.triu(a[..., : min(M.shape[-2:]), :])
+    return (Q, np.triu(a[..., : min(M.shape[-2:]), :])) if with_r else Q
 
 
 def _det(M: np.ndarray):
@@ -324,6 +330,31 @@ def _full_rank_certified(R: np.ndarray, shape: tuple[int, ...]) -> bool:
     return True
 
 
+# A list that ranks below full is ranked again with its columns scaled
+# apart when their largest moduli spread by more than this factor: the
+# cut is relative to the largest singular value, so one long column can
+# hide short independent ones ([1e12, 1, 0, 0], [0, 1, 0, 0] and
+# [0, 0, 1, 0] rank 1 as given, 3 scaled).
+SCALE_SPREAD = 2.0**10
+
+
+def _columns_scaled_apart(M: np.ndarray) -> np.ndarray | None:
+    """M with each nonzero column times the power of two that brings its
+    largest modulus into [0.5, 1), exact at any scale, or None when the
+    nonzero columns' largest moduli spread by ``SCALE_SPREAD`` or less.
+    The moduli are compared as plain floats, so no array is masked."""
+    tops = np.abs(M).max(axis=0).tolist()
+    nonzero = [top for top in tops if top]
+    if not nonzero or max(nonzero) <= SCALE_SPREAD * min(nonzero):
+        return None
+    shifts = [-math.frexp(top)[1] for top in tops]
+    if M.dtype.kind == "c":
+        scaled = np.empty_like(M)
+        scaled.real, scaled.imag = np.ldexp(M.real, shifts), np.ldexp(M.imag, shifts)
+        return scaled
+    return np.ldexp(M, shifts)
+
+
 def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of a matrix, with the rank cut
     of ``rank_cutoff``: Q of shape (n, rank), its width the rank.
@@ -333,7 +364,10 @@ def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     Q itself is the basis when ``_full_rank_certified`` proves R, and so M,
     of full rank.  Else one SVD of R, whose singular values are those of M,
     gives the rank, and the basis is Q at full rank, else Q times the
-    leading left singular vectors of R.
+    leading left singular vectors of R.  A rank below full is taken again,
+    by the same rule, on ``_columns_scaled_apart(M)`` when that scales
+    anything: the columns' scales, not only their directions, would
+    otherwise decide it.
     """
     size = min(M.shape)
     if size == 0:
@@ -341,13 +375,20 @@ def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     if size < QR_ROUTE_MIN:
         U, sigma, _ = _svd(M, full_matrices=False)
         rank = _rank(sigma, M.shape)
-        return U if rank == size else np.ascontiguousarray(U[:, :rank])
-    Q, R = _qr(M)
-    if _full_rank_certified(R, M.shape):
-        return Q
-    U_R, sigma, _ = _svd(R, full_matrices=False)
-    rank = _rank(sigma, M.shape)
-    return Q if rank == size else Q @ U_R[:, :rank]
+        if rank == size:
+            return U
+        basis = np.ascontiguousarray(U[:, :rank])
+    else:
+        Q, R = _qr(M)
+        if _full_rank_certified(R, M.shape):
+            return Q
+        U_R, sigma, _ = _svd(R, full_matrices=False)
+        rank = _rank(sigma, M.shape)
+        if rank == size:
+            return Q
+        basis = Q @ U_R[:, :rank]
+    scaled = _columns_scaled_apart(M)
+    return basis if scaled is None else orthonormalize_columns(scaled)
 
 
 def det(M: np.ndarray):

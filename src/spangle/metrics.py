@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import grassmann_angle, vector_angles
-from .linalg import COMPARE_TOL, HALF_PI, Field, _det, _norm, _svd, angle_from_cosine, clamped_products
+from .linalg import _NOT_FINITE, COMPARE_TOL, HALF_PI, Field, _norm, _qr, _svd, angle_from_cosine, clamped_products
 from .principal import intersect, is_partially_orthogonal
 from .subspace import (
     Subspace,
@@ -59,64 +59,57 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
     """Monte-Carlo estimate of the directed Hausdorff distance.
 
     Samples subspaces of V, measures each one's Fubini-Study distance to
-    a candidate set of subspaces of W (four random ones plus its own
-    projection, which is the true nearest point when defined), and takes
-    the max.  One-sided check: never exceeds the closed form.
+    its projection onto W, which is its nearest subspace of W when
+    defined, and takes the max.  One-sided check: never exceeds the
+    closed form.
 
     Computed in the coordinates of V and W.  A k-dimensional sample is
-    V A and a random candidate is W B, for orthonormal p x k and q x k
-    coordinate frames A and B (Haar: orthonormalized Gaussians).  With
-    M = W* V formed once, the candidate's cosine is |det(B* M A)|, and the
-    projection's is the product of the singular values of M A, kept only
-    when none is at most COMPARE_TOL (``project_subspace``'s right-angle
-    rule).  Samples are batched by k: one stacked
-    SVD orthonormalizes each group's frames, one stacked SVD and one
-    stacked determinant give its cosines.  Random numbers are drawn sample
-    by sample: k, then one normal draw holding A and, only when q >= k,
-    the four B (each matrix's real part, then its imaginary part); none
-    when k = 0.  A sample of dimension 0 is at distance 0; one above
-    dim W has no candidate and is at pi/2.  ``samples`` that is not an
-    integer >= 0 (a bool included) raises ValueError.
+    V A for an orthonormal p x k coordinate frame A (Haar: an
+    orthonormalized Gaussian).  With M = W* V formed once, its
+    projection's cosine is the product of the singular values of M A,
+    kept only when none is at most COMPARE_TOL (``project_subspace``'s
+    right-angle rule); no other subspace of W comes closer, since
+    |det(B* M A)| is at most that product for every orthonormal q x k
+    frame B.  Random numbers come from two generator calls: one draws
+    every sample's k, then, unless no sample needs one, one normal draw
+    holds a p x p Gaussian matrix per sample (for a complex field, all
+    real parts, then all imaginary parts), whose first k columns are that
+    sample's frame.  That stream is not the one the sampler read when it
+    also scored four random frames B per sample, so a seeded call's value
+    moved in its last digits with it.  Samples are batched by k: one
+    stacked QR orthonormalizes each group's frames and one stacked
+    values-only SVD gives its cosines.  A sample of dimension 0 is at
+    distance 0; one above dim W has no candidate and is at pi/2.
+    ``samples`` that is not an integer >= 0 (a bool included) raises
+    ValueError.
     """
     _check_pair(V, W)
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 0:
         raise ValueError(f"samples must be an integer >= 0, got {samples!r}")
-    p, q, field = V.dim, W.dim, V.field
-    parts = 2 if field is Field.COMPLEX else 1
-    groups: dict[int, list] = {}  # k -> each sample's draw
-    for _ in range(samples):
-        k = int(rng.integers(0, p + 1))
-        if k:
-            groups.setdefault(k, []).append(rng.standard_normal(parts * k * (p + 4 * q if q >= k else p)))
-    if not groups:
+    p, q = V.dim, W.dim
+    ks = rng.integers(0, p + 1, size=samples)
+    top = int(ks.max(initial=0))
+    if top == 0:
         return 0.0
-    if max(groups) > q:
+    if top > q:
         return HALF_PI
+    if V.field is Field.COMPLEX:
+        re, im = rng.standard_normal((2, samples, p, p))
+        Z = re + 1j * im
+    else:
+        Z = rng.standard_normal((samples, p, p))
+    order = ks.argsort()
+    Z, counts = Z[order], np.bincount(ks).tolist()
     M = W.basis.conj().T @ V.basis
-    worst = 1.0  # the smallest best-candidate cosine over the samples
-    for k, draws in groups.items():
-        z = np.stack(draws)
-        m, split = len(draws), parts * p * k
-        inner = _field_matrices(z[:, :split].reshape(m, parts, p, k), field)
-        outer = _field_matrices(z[:, split:].reshape(m, 4, parts, q, k), field)
-        A = _svd(inner, full_matrices=False)[0]  # (m, p, k)
-        B = _svd(outer, full_matrices=False)[0]  # (m, 4, q, k)
-        MA = M @ A
-        sigma = _svd(MA, compute_uv=False)
-        full_rank = sigma[:, -1] > COMPARE_TOL
-        projection = np.where(full_rank, clamped_products(sigma), 0.0)
-        frames = np.abs(_det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
-        best = np.maximum(projection, np.minimum(frames, 1.0).max(axis=1))
-        worst = min(worst, float(best.min()))
+    worst, stop = 1.0, counts[0]  # the smallest projection cosine; the k = 0 samples come first
+    for k in range(1, top + 1):
+        start, stop = stop, stop + counts[k]
+        if start == stop:
+            continue
+        sigma = _svd(M @ _qr(Z[start:stop, :, :k], with_r=False), compute_uv=False)
+        projection = np.where(sigma[:, -1] > COMPARE_TOL, clamped_products(sigma), 0.0)
+        worst = min(worst, float(projection.min()))
     return angle_from_cosine(worst)
-
-
-def _field_matrices(draws: np.ndarray, field: Field) -> np.ndarray:
-    """The matrices of a (..., parts, rows, cols) stack of normal draws:
-    real part plus i times imaginary part, as ``sampling.gaussian_matrix`` forms them."""
-    if field is Field.COMPLEX:
-        return draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
-    return draws[..., 0, :, :]
 
 
 class TriangleTag(enum.Enum):
@@ -250,7 +243,7 @@ def geodesic_point(U: Subspace, W: Subspace, t: float, phase: float | None = Non
     ValueError.
     """
     if not math.isfinite(t) or (phase is not None and not math.isfinite(phase)):
-        raise ValueError("entries must be finite (no NaN or infinity)")
+        raise ValueError(_NOT_FINITE)
     return _geodesic(U, W, phase)(t)
 
 

@@ -107,6 +107,20 @@ def test_non_numeric_entry_is_a_value_error(call, field):
         call(field)
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("call", [
+    lambda field: from_spanning([[10**400, 1]], field),
+    lambda field: from_basis_matrix([[-10**400], [1]], field),
+    lambda field: Subspace(2, field, [[10**400], [0]]),
+    lambda field: vector_angles([10**400], [1], field),
+], ids=["from_spanning", "from_basis_matrix", "Subspace", "vector_angles"])
+def test_int_beyond_float_range_is_a_value_error(call, field):
+    """A Python int that overflows float64 is refused as a non-finite
+    entry, not with numpy's OverflowError."""
+    with pytest.raises(ValueError, match=r"^entries must be finite \(no NaN or infinity\)$"):
+        call(field)
+
+
 @pytest.mark.parametrize("name", ["angles", "gram", "identities", "linalg", "metrics", "principal", "sampling", "subspace"])
 def test_module_on_first_access(name):
     """``spangle.<module>`` loads the module through the package's

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from spangle import Field, linalg
+from spangle.angles import grassmann_angle
 from spangle.linalg import (
     COMPARE_TOL,
     QR_ROUTE_MIN,
@@ -25,6 +26,7 @@ from spangle.linalg import (
     _svd,
     angle_from_cosine,
     arccos_clamped,
+    as_field_array,
     clamped_products,
     det,
     orthonormalize_columns,
@@ -103,6 +105,7 @@ class TestRawEntries:
         for M in self._views(self._matrix(shape, field)):
             before = M.copy()
             _same_bits(_qr(M), tuple(np.linalg.qr(M)))
+            _same_bits(_qr(M, with_r=False), np.linalg.qr(M)[0])
             assert M.tobytes() == before.tobytes()  # the input is not overwritten
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
@@ -162,9 +165,9 @@ class TestSvdEntry:
     must be ``np.linalg.svd``'s, bit for bit, and a failed call must still
     raise LinAlgError."""
 
-    # Tall, wide, square, 1 x 1 and empty matrices, then the stacks of
-    # metrics.sampled_directed_hausdorff: (m, p, k) frames, (m, 4, q, k)
-    # candidate frames, and their (m, q, k) products with the cross-Gram.
+    # Tall, wide, square, 1 x 1 and empty matrices, then stacks of one and
+    # two batch axes: (m, q, k) is the shape of the products of
+    # metrics.sampled_directed_hausdorff's frames with the cross-Gram.
     SHAPES = [(8, 4), (4, 2), (3, 7), (5, 5), (1, 1), (4, 0), (0, 3), (6, 5, 3), (6, 4, 4, 2), (6, 3, 2)]
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
@@ -449,6 +452,47 @@ class TestOrthonormalizeRoutes:
         Q = orthonormalize_columns(M)
         assert svd_calls == []
         assert Q.tobytes() == np.linalg.qr(M)[0].tobytes()
+
+
+class TestColumnScales:
+    """A list that ranks below full is ranked again with its columns scaled
+    apart when their largest moduli spread by more than SCALE_SPREAD."""
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_a_long_column_hides_no_short_one(self, field):
+        W = from_spanning([[1e12, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], field)
+        assert W.dim == 3
+        assert grassmann_angle(from_spanning([[0, 1, 0, 0]], field), W) == 0.0
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_any_finite_scale_is_scaled_exactly(self, field):
+        """Columns at 1e300 and 1e-300, and one below the normal range, are
+        each brought to [0.5, 1) by a power of two, with no overflow."""
+        W = from_spanning([[1e300, 1e300, 0], [1e-300, 0, 0], [0, 0, 1e-310]], field)
+        assert W.dim == 3
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_the_qr_route_is_scaled_too(self, field, svd_calls):
+        M = gaussian_matrix(np.random.default_rng(6), 40, 20, field)
+        M[:, 0] *= 1e14
+        assert _svd_route(M)[1] < 20
+        svd_calls.clear()
+        assert orthonormalize_columns(M).shape == (40, 20)
+        assert len(svd_calls) == 1  # the scaled list is certified full
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_a_spread_within_the_bound_is_ranked_as_given(self, field):
+        """Columns 2**9 apart keep the rank of the list as given; 2**12
+        apart, the same directions are ranked scaled."""
+        base = np.array([[1.0, 1.0], [0.0, 1e-10], [0.0, 0.0]])
+        for factor, rank in [(2.0**9, 1), (2.0**12, 2)]:
+            M = as_field_array(base * [factor, 1.0], field)
+            assert orthonormalize_columns(M).shape[1] == rank, factor
+
+    def test_dependent_columns_stay_dependent(self):
+        """Scaling apart moves no direction: a list whose scaled columns are
+        dependent still ranks below full."""
+        assert from_spanning([[1e12, 2e12, 0], [1e-3, 2e-3, 0], [0, 0, 1]], Field.REAL).dim == 2
 
 
 class TestFullRankCertificate:

@@ -20,7 +20,7 @@ from spangle.metrics import (
     sampled_directed_hausdorff,
 )
 from spangle.principal import intersect
-from spangle.sampling import gaussian_matrix, haar_subspace, random_unitary, random_vector
+from spangle.sampling import haar_subspace, random_unitary, random_vector
 from spangle.subspace import (
     from_basis_matrix,
     from_spanning,
@@ -124,60 +124,57 @@ class TestHausdorff:
             assert sampled <= directed_hausdorff(V, W) + 1e-7
 
 
-def reference_sampled_hausdorff(V, W, rng, samples):
+def sample_dims_and_frames(V, W, rng, samples):
+    """The sampler's two generator calls: every sample's k, then, when some
+    k is in 1..dim W, a p x p Gaussian per sample (all real parts, then all
+    imaginary parts), whose first k columns are that sample's frame."""
+    p = V.dim
+    ks = rng.integers(0, p + 1, size=samples).tolist()
+    if not 0 < max(ks, default=0) <= W.dim:
+        return ks, None
+    if V.field is Field.COMPLEX:
+        re, im = rng.standard_normal((2, samples, p, p))
+        return ks, re + 1j * im
+    return ks, rng.standard_normal((samples, p, p))
+
+
+def reference_sampled_hausdorff(V, W, rng, samples, candidate_rng):
     """The per-sample construction the coordinate sampler replaces: a
-    Subspace for each sample, its projection and four random candidates."""
+    Subspace for each sample, its projection and four random candidates,
+    these drawn from ``candidate_rng``.  A sample above dim W has no
+    candidate and is at pi/2, and so is the max."""
+    ks, frames = sample_dims_and_frames(V, W, rng, samples)
+    if frames is None:  # no sample above {0}, or one with no candidate
+        return HALF_PI if max(ks, default=0) else 0.0
     best = 0.0
-    for _ in range(samples):
-        k = int(rng.integers(0, V.dim + 1))
-        inner_coords = haar_subspace(rng, V.dim, k, V.field)
-        V_sub = from_basis_matrix(V.basis @ inner_coords.basis, V.field)
+    for k, Z in zip(ks, frames):
+        if k == 0:
+            continue
+        V_sub = from_basis_matrix(V.basis @ Z[:, :k], V.field)
         candidates = []
         projected = project_subspace(W, V_sub)
         if projected.dim == V_sub.dim:
             candidates.append(projected)
         for _ in range(4):
-            if W.dim >= V_sub.dim:
-                w_coords = haar_subspace(rng, W.dim, V_sub.dim, W.field)
-                candidates.append(from_basis_matrix(W.basis @ w_coords.basis, W.field))
-        if not candidates:
-            dist = HALF_PI
-        else:
-            dist = min(fubini_study(V_sub, C) for C in candidates)
-        best = max(best, dist)
+            w_coords = haar_subspace(candidate_rng, W.dim, k, W.field)
+            candidates.append(from_basis_matrix(W.basis @ w_coords.basis, W.field))
+        best = max(best, min(fubini_study(V_sub, C) for C in candidates))
     return best
 
 
-def draw_by_draw_sampled_hausdorff(V, W, rng, samples):
-    """The coordinate sampler as it drew before it took one normal draw per
-    sample: one generator call per matrix, and per complex matrix one for
-    its real part, then one for its imaginary part."""
-    p, q, field = V.dim, W.dim, V.field
-    groups = {}
-    for _ in range(samples):
-        k = int(rng.integers(0, p + 1))
-        if k == 0:
-            continue
-        inner = gaussian_matrix(rng, p, k, field)
-        outer = [gaussian_matrix(rng, q, k, field) for _ in range(4)] if q >= k else None
-        draws = groups.setdefault(k, ([], []))
-        draws[0].append(inner)
-        draws[1].append(outer)
-    if not groups:
-        return 0.0
-    if max(groups) > q:
-        return HALF_PI
+def projection_sampled_hausdorff(V, W, rng, samples):
+    """The coordinate sampler sample by sample, with numpy's own QR and
+    SVD: each sample's frame orthonormalized alone and scored by its
+    projection's cosine alone."""
+    ks, frames = sample_dims_and_frames(V, W, rng, samples)
+    if frames is None:
+        return HALF_PI if max(ks, default=0) else 0.0
     M = W.basis.conj().T @ V.basis
     worst = 1.0
-    for inner, outer in groups.values():
-        A = np.linalg.svd(np.stack(inner), full_matrices=False)[0]
-        B = np.linalg.svd(np.stack(outer), full_matrices=False)[0]
-        MA = M @ A
-        sigma = np.linalg.svd(MA, compute_uv=False)
-        projection = np.where(sigma[:, -1] > COMPARE_TOL, clamped_products(sigma), 0.0)
-        frames = np.abs(np.linalg.det(B.conj().swapaxes(-1, -2) @ MA[:, None]))
-        best = np.maximum(projection, np.minimum(frames, 1.0).max(axis=1))
-        worst = min(worst, float(best.min()))
+    for k, Z in zip(ks, frames):
+        if k:
+            sigma = np.linalg.svd(M @ np.linalg.qr(Z[:, :k])[0], compute_uv=False)
+            worst = min(worst, clamped_products(sigma) if sigma[-1] > COMPARE_TOL else 0.0)
     return angle_from_cosine(worst)
 
 
@@ -201,7 +198,7 @@ class TestSampledDirectedHausdorff:
             V, W = haar_subspace(pick, n, p, field), haar_subspace(pick, n, q, field)
             ours, theirs = np.random.default_rng(1000 + seed), np.random.default_rng(1000 + seed)
             got = sampled_directed_hausdorff(V, W, ours, samples=12)
-            want = reference_sampled_hausdorff(V, W, theirs, samples=12)
+            want = reference_sampled_hausdorff(V, W, theirs, 12, np.random.default_rng(2000 + seed))
             assert abs(got - want) <= 1e-12
             assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -209,16 +206,40 @@ class TestSampledDirectedHausdorff:
     @pytest.mark.parametrize("samples", [0, 1, 40])
     @pytest.mark.parametrize("p, q", [(2, 4), (3, 3), (4, 2), (3, 0), (0, 3), (0, 0), (5, 5)])
     def test_one_draw_per_sample_reads_the_same_stream(self, field, samples, p, q):
-        """Bit for bit the draw-by-draw sampler's value, and the generator
-        left in the same state; p > q and q = 0 draw samples above dim W."""
+        """Bit for bit the sample-by-sample sampler's value, and the
+        generator left in the same state; p > q and q = 0 draw samples
+        above dim W."""
         for seed in range(6):
             pick = np.random.default_rng(seed)
             V, W = haar_subspace(pick, 6, p, field), haar_subspace(pick, 6, q, field)
             ours, theirs = np.random.default_rng(500 + seed), np.random.default_rng(500 + seed)
             got = sampled_directed_hausdorff(V, W, ours, samples=samples)
-            want = draw_by_draw_sampled_hausdorff(V, W, theirs, samples)
+            want = projection_sampled_hausdorff(V, W, theirs, samples)
             assert got.hex() == want.hex()
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_no_frame_beats_the_projection(self, field):
+        """Why the sampler scores the projection alone: for orthonormal
+        p x k and q x k frames A and B, sigma_i(B* M A) <= sigma_i(M A)
+        (M = W* V has norm at most 1), so |det(B* M A)| is at most the
+        projection's cosine, the product of the singular values of M A."""
+        rng = np.random.default_rng(31)
+        for trial in range(400):
+            n = int(rng.integers(1, 9))
+            p = int(rng.integers(1, n + 1))
+            if trial % 2:  # k = q: B is a q x q unitary, and B* M A has M A's singular values
+                q = k = int(rng.integers(1, p + 1))
+            else:
+                q = int(rng.integers(1, n + 1))
+                k = int(rng.integers(1, min(p, q) + 1))
+            V, W = haar_subspace(rng, n, p, field), haar_subspace(rng, n, q, field)
+            A = haar_subspace(rng, p, k, field).basis
+            B = haar_subspace(rng, q, k, field).basis
+            MA = W.basis.conj().T @ V.basis @ A
+            frame = abs(np.linalg.det(B.conj().T @ MA))
+            projection = float(np.prod(np.linalg.svd(MA, compute_uv=False)))
+            assert frame <= (1 + 64 * np.finfo(float).eps) * projection
 
     def test_zero_samples(self, rng):
         V = haar_subspace(rng, 4, 2, Field.REAL)

@@ -584,10 +584,12 @@ def test_verify_all_svd_count_stays_down(svd_calls):
     checks evicting their pair from the memo between points (353), or a
     trial asking the memo again for a spectrum, complement or frame it
     already holds (327), or partition_angle_product taking again the
-    spectrum its disjointness test took (316), fails it."""
+    spectrum its disjointness test took (316), or the Hausdorff sampler
+    taking the SVDs of random candidate frames beside its projections
+    (310), fails it."""
     for seed in (0, 1):
         run_suites("all", seed, 1, 8)
-    assert len(svd_calls) <= 310
+    assert len(svd_calls) <= 300
 
 
 @pytest.mark.parametrize("field", BOTH_FIELDS)
@@ -607,11 +609,12 @@ def test_direct_sum_angle_decomposes_nothing_twice(svd_calls, rng, field):
 
 
 def test_verify_all_repeats_few_svds(svd_calls):
-    """SVDs of bytes already decomposed in the same verify-all op: 277 over
-    seeds 42..57 (17.3 per op; 302 when partition_angle_product took its
-    denominator's spectrum again, 363 when trials asked the memo again for
-    the spectra, complements and frames they held).  Where the rest come
-    from, per op:
+    """SVDs of bytes already decomposed in the same verify-all op: 276 over
+    seeds 42..57 (17.25 per op; 277 under the Hausdorff sampler's earlier
+    draws, which left one more 3 x 3 matrix alike in suites seeded alike;
+    302 when partition_angle_product took its denominator's spectrum
+    again, 363 when trials asked the memo again for the spectra,
+    complements and frames they held).  Where the rest come from, per op:
 
     - 11.8 from checking two public identities, direct_sum_angle and
       partition_angle_product, on the same (V1, V2, W): each builds its own
@@ -627,7 +630,7 @@ def test_verify_all_repeats_few_svds(svd_calls):
         svd_calls.clear()
         run_suites("all", seed, 1, 8)
         repeats += len(svd_calls.keys) - len(set(svd_calls.keys))
-    assert repeats <= 277
+    assert repeats <= 276
 
 
 # --- The one-pass reduction against the numpy one ----------------------------
