@@ -34,7 +34,7 @@ from .linalg import (
     principal_phase,
     stack_columns,
 )
-from .principal import intersect, pair_spectrum
+from .principal import _fresh_spectrum, _probe, intersect, pair_spectrum
 from .subspace import Subspace, _check_pair, _span, realify
 
 
@@ -117,7 +117,12 @@ def grassmann_angle(V: Subspace, W: Subspace) -> float:
     if V.dim > W.dim:  # the rule of PairSpectrum.theta, without an SVD
         _check_pair(V, W)
         return HALF_PI
-    return pair_spectrum(V, W).theta  # checks the pair
+    held = _probe(V, W)
+    if held is None:
+        return _fresh_spectrum(V, W).theta  # checks the pair
+    spectrum, reverse, _ = held
+    # A spectrum of (W, V) holds this angle as its theta_back.
+    return spectrum.theta_back if reverse else spectrum.theta
 
 
 def complementary_angle(V: Subspace, W: Subspace) -> float:
@@ -127,7 +132,9 @@ def complementary_angle(V: Subspace, W: Subspace) -> float:
     equals the directed angle against complement(W) and is symmetric in
     V and W.  Zero when either subspace is {0}.
     """
-    return pair_spectrum(V, W).theta_perp
+    held = _probe(V, W)
+    # Symmetric, so a spectrum of either order holds it.
+    return _fresh_spectrum(V, W).theta_perp if held is None else held[0].theta_perp
 
 
 def angle_from_complement(V: Subspace, W: Subspace) -> float:

@@ -140,17 +140,24 @@ def _svd(M: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     return out
 
 
-def _qr(M: np.ndarray, with_r: bool = True):
-    """``np.linalg.qr(M)`` (reduced) for a float64 or complex128 matrix or
-    stack of them: the tuple (Q, R), or Q alone when not ``with_r`` (R's
-    ``np.triu`` costs about as much as a small QR).  numpy's QR gufuncs
-    report an error only for arguments LAPACK finds invalid, which these
-    are not, so nothing is checked."""
+def _qr_factored(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, F) for a float64 or complex128 matrix or stack of them: Q of
+    ``np.linalg.qr(M)`` (reduced) and a copy of M that LAPACK overwrote
+    with R on and above the diagonal (its first min(m, n) rows) and the
+    Householder vectors below it.  numpy's QR gufuncs report an error only
+    for arguments LAPACK finds invalid, which these are not, so nothing is
+    checked."""
     complex_in = M.dtype.kind == "c"
-    a = M.copy(order="K")  # overwritten by R and the Householder vectors
-    tau = _umath_linalg.qr_r_raw(a, signature="D->D" if complex_in else "d->d")
-    Q = _umath_linalg.qr_reduced(a, tau, signature="DD->D" if complex_in else "dd->d")
-    return (Q, np.triu(a[..., : min(M.shape[-2:]), :])) if with_r else Q
+    F = M.copy(order="K")
+    tau = _umath_linalg.qr_r_raw(F, signature="D->D" if complex_in else "d->d")
+    return _umath_linalg.qr_reduced(F, tau, signature="DD->D" if complex_in else "dd->d"), F
+
+
+def _qr(M: np.ndarray, with_r: bool = True):
+    """``np.linalg.qr(M)`` (reduced): the tuple (Q, R), or Q alone when not
+    ``with_r`` (R's ``np.triu`` costs about as much as a small QR)."""
+    Q, F = _qr_factored(M)
+    return (Q, np.triu(F[..., : min(M.shape[-2:]), :])) if with_r else Q
 
 
 def _det(M: np.ndarray):
@@ -293,12 +300,13 @@ QR_ROUTE_MIN = 16
 
 
 def _rank(sigma: np.ndarray, shape: tuple[int, ...]) -> int:
-    """The number of descending singular values ``sigma`` of a matrix of
-    ``shape`` above ``rank_cutoff``: the full count less the trailing
-    values at or below it, read on plain floats."""
+    """The number of descending singular values ``sigma`` (at least one)
+    of a matrix of ``shape`` above ``rank_cutoff``: the full count less the
+    trailing values at or below it, read on plain floats."""
     values = sigma.tolist()
     rank = len(values)
-    while rank and values[rank - 1] <= rank_cutoff(values[0], shape):
+    cutoff = rank_cutoff(values[0], shape)
+    while rank and values[rank - 1] <= cutoff:
         rank -= 1
     return rank
 

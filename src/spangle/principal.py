@@ -40,8 +40,8 @@ class PairSpectrum:
     """Principal cosines (descending, clamped into [0, 1]), sines and
     angles (ascending) of an ordered pair of subspaces of dimensions p and
     q, each read-only and of length min(p, q), and the pair's angle family,
-    all reduced from the cosines at once when :func:`pair_spectrum`, which
-    alone builds spectra, takes the SVD:
+    all reduced from the cosines at once when :func:`_fresh_spectrum`,
+    which alone builds spectra from an SVD, takes it:
 
     cos_theta, theta            the directed angle of V with W (cos_theta
                                 is 1.0 when V = {0}): a right angle when
@@ -114,30 +114,53 @@ class PairSpectrum:
 
 
 # (weakref(V), weakref(W), spectrum of (V, W), spectrum of (W, V) or None
-# until the reverse order is asked for), read and replaced whole, so
-# threads sharing it see one consistent slot; it keeps no pair alive.
+# until pair_spectrum is asked for the reverse order), read and replaced
+# whole, so threads sharing it see one consistent slot; it keeps no pair
+# alive.  grassmann_angle and complementary_angle read a reverse hit off
+# the held spectrum, and build no reverse one.
 _last_pair: tuple | None = None
+
+
+def _probe(V: Subspace, W: Subspace) -> tuple[PairSpectrum, bool, tuple] | None:
+    """(held spectrum, whether it is of (W, V), the memo slot) when the slot
+    holds V and W in either order, else None.  Each reader probes once, so
+    a miss goes straight to :func:`_fresh_spectrum`."""
+    memo = _last_pair
+    if memo is not None:
+        a, b = memo[0](), memo[1]()
+        if a is V and b is W:
+            return memo[2], False, memo
+        if a is W and b is V:
+            return memo[2], True, memo
+    return None
 
 
 def pair_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
     """Spectrum of (V, W) from one SVD of the tall cross-Gram, with the
     higher-dimensional side (W on a tie) conjugate-transposed, reduced at
     once to the pair's angle family on plain floats.  Repeat calls on the
-    same two objects, in either order, reuse it.
+    same two objects, in either order, reuse it: the reverse order's
+    spectrum is built on its first hit and kept in the slot."""
+    global _last_pair
+    held = _probe(V, W)
+    if held is None:
+        return _fresh_spectrum(V, W)
+    spectrum, reverse, memo = held
+    if not reverse:
+        return spectrum
+    if memo[3] is None:
+        _last_pair = memo = (*memo[:3], spectrum._reversed())
+    return memo[3]
+
+
+def _fresh_spectrum(V: Subspace, W: Subspace) -> PairSpectrum:
+    """:func:`pair_spectrum` on a memo miss: check the pair, take the SVD
+    and put the spectrum in the memo slot.
 
     The products keep numpy's bits (sequential, started at 1.0 so that an
     empty one is a float), as do the sines (sqrt is correctly rounded), and
     both directed angles come from the one angle of the cosine product."""
     global _last_pair
-    memo = _last_pair
-    if memo is not None:
-        a, b = memo[0](), memo[1]()
-        if a is V and b is W:
-            return memo[2]
-        if a is W and b is V:
-            if memo[3] is None:
-                _last_pair = memo = (*memo[:3], memo[2]._reversed())
-            return memo[3]
     _check_pair(V, W)
     p, q = V.dim, W.dim
     if p and q:

@@ -450,15 +450,18 @@ def run_metric_axioms(seed: int, trials: int, dim_max: int) -> SuiteReport:
 
 
 def _dimension_schedule(rng, trials: int, dim_max: int, field: Field):
-    """``trials`` (n, p, q): every combination for small n first, then random draws."""
+    """``trials`` (n, p, q): every combination for small n first, listed
+    only until there are ``trials``, then random draws."""
     out = []
     for n in range(2, max(2, min(dim_max, ORACLE_DIM_CAP)) + 1):
         for p in range(0, n + 1):
             for q in range(0, n + 1):
+                if len(out) >= trials:
+                    return out
                 out.append((n, p, q))
     for _, n in _draws(rng, trials - len(out), min(dim_max, DIM_MAX_LIMIT), (field,)):
         out.append((n, int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))))
-    return out[:trials]
+    return out
 
 
 def run_oracle_equivalence(seed: int, trials: int, dim_max: int) -> SuiteReport:

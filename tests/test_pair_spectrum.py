@@ -31,6 +31,7 @@ from spangle.identities import (
 from spangle.linalg import COMPARE_TOL, HALF_PI, ZERO_ANGLE_COS_BAND, angle_from_cosine, clamped_products
 from spangle.metrics import fubini_study, max_symmetrized_angle
 from spangle.principal import (
+    PairSpectrum,
     PrincipalDecomposition,
     intersect,
     is_partially_orthogonal,
@@ -62,8 +63,23 @@ def _flush(rng, field):
     pair_spectrum(*random_pair(rng, 3, 1, 1, field))
 
 
+@pytest.fixture
+def reversed_builds(monkeypatch):
+    """The spectra whose reverse order ``PairSpectrum._reversed`` builds
+    while the test runs."""
+    builds = []
+    build = PairSpectrum._reversed
+
+    def counting(spectrum):
+        builds.append(spectrum)
+        return build(spectrum)
+
+    monkeypatch.setattr(PairSpectrum, "_reversed", counting)
+    return builds
+
+
 @pytest.mark.parametrize("field", BOTH_FIELDS)
-def test_angle_command_sequence_takes_one_cross_gram_svd(svd_calls, rng, field):
+def test_angle_command_sequence_takes_one_cross_gram_svd(svd_calls, reversed_builds, rng, field):
     n, p = 6, 3
     left = gaussian_matrix(rng, n, p, field)
     right = gaussian_matrix(rng, n, p, field)
@@ -74,6 +90,7 @@ def test_angle_command_sequence_takes_one_cross_gram_svd(svd_calls, rng, field):
     grassmann_angle(W, V)
     fubini_study(V, W)
     assert svd_calls == [(n, p), (n, p), (p, p)]
+    assert reversed_builds == []
 
 
 @pytest.mark.parametrize("field", BOTH_FIELDS)
@@ -109,6 +126,29 @@ def test_each_order_is_built_once(svd_calls, rng, field, p, q):
     assert (back.p, back.q) == (q, p)
     assert (back.theta, back.theta_back) == (s.theta_back, s.theta)
     assert len(svd_calls) == (1 if p and q else 0)
+
+
+@pytest.mark.parametrize("field", BOTH_FIELDS)
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 3), (3, 2), (0, 3), (3, 0)])
+def test_reverse_hits_read_the_held_spectrum(reversed_builds, rng, field, p, q):
+    """After pair_spectrum(V, W), the directed, complementary and
+    Fubini-Study angles of (W, V) are read off the held spectrum without
+    building the reverse order, each bit for bit the field of an
+    explicitly reversed spectrum.  A later pair_spectrum(W, V) still
+    builds the reverse order once and keeps it."""
+    V, W = random_pair(rng, 5, p, q, field)
+    s = pair_spectrum(V, W)
+    read = [grassmann_angle(W, V), complementary_angle(W, V), fubini_study(W, V)]
+    assert reversed_builds == []
+    reverse = s._reversed()
+    expected = [reverse.theta, reverse.theta_perp, reverse.theta if p == q else HALF_PI]
+    assert [x.hex() for x in read] == [x.hex() for x in expected]
+    reversed_builds.clear()
+    back = pair_spectrum(W, V)
+    assert pair_spectrum(W, V) is back
+    assert pair_spectrum(V, W) is s
+    assert reversed_builds == [s]
+    assert [grassmann_angle(W, V).hex(), complementary_angle(W, V).hex()] == [back.theta.hex(), back.theta_perp.hex()]
 
 
 def test_memo_slot_frees_both_orders(rng):
