@@ -53,9 +53,11 @@ def _gram_matrices(basis_v, basis_w, field: Field, ambient_dim: int | None):
     # is multiplied by a scalar.  The Gram determinants have degree 2p in a
     # list of p vectors, and one route multiplies two of them, so a list
     # whose largest entry is 2**e with |e| p > 128 is brought into [0.5, 1)
-    # by an exact power of two; the rest keep their bits.
-    Vm = _unit_scaled(Vm, 128 // max(Vm.shape[1], 1))
-    Wm = _unit_scaled(Wm, 128 // max(Wm.shape[1], 1))
+    # by an exact power of two; the rest keep their bits.  The products
+    # read C-ordered copies: numpy's matmul may round a column-major operand
+    # of the same values differently, and _unit_scaled views rows of floats.
+    Vm = _unit_scaled(np.ascontiguousarray(Vm), 128 // max(Vm.shape[1], 1))
+    Wm = _unit_scaled(np.ascontiguousarray(Wm), 128 // max(Wm.shape[1], 1))
     A = Wm.conj().T @ Wm
     B = Wm.conj().T @ Vm
     D = Vm.conj().T @ Vm

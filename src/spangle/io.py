@@ -11,7 +11,9 @@ Schema:
 Entries are numbers in the real case and two-element [re, im] arrays in
 the complex case.  The vectors are spanning, not necessarily orthonormal
 or independent, and ambient_dim * max(1, len(vectors)) is at most
-``MAX_ENTRIES`` (2**22).  Serialization is deterministic: sorted keys,
+``MAX_ENTRIES`` (2**22); a file is at most ``MAX_DOCUMENT_BYTES`` long,
+enough for any document ``write_subspace_file`` writes within that
+bound.  Serialization is deterministic: sorted keys,
 two-space indent, trailing newline, floats at 15 significant digits.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from typing import Any
 
 import numpy as np
@@ -76,7 +79,7 @@ def _decode_entry(entry: Any, field: Field, where: str):
 
 def parse_subspace_document(doc: Any) -> tuple[Field, int, np.ndarray]:
     """Validate a parsed JSON object and return (field, ambient_dim, M), M
-    the C-ordered matrix whose columns are the vectors."""
+    the column-major matrix whose columns are the vectors."""
     if not isinstance(doc, dict):
         raise SubspaceDocumentError("document", "expected a JSON object")
     if "field" not in doc:
@@ -107,8 +110,9 @@ def parse_subspace_document(doc: Any) -> tuple[Field, int, np.ndarray]:
                 f"vectors[{i}]", f"has {len(rv)} entries, ambient_dim is {n}"
             )
         rows.append([_decode_entry(entry, field, f"vectors[{i}][{j}]") for j, entry in enumerate(rv)])
-    # One conversion, laid out by columns: every entry is a finite number by now.
-    M = np.array(rows, dtype=field.dtype).reshape(len(rows), n).T.copy()
+    # One conversion, of the rows; every entry is a finite number by now.
+    # Its transpose is the column-major matrix, as stack_columns gives it.
+    M = np.array(rows, dtype=field.dtype).reshape(len(rows), n).T
     return field, n, M
 
 
@@ -118,6 +122,11 @@ def load_subspace_file(path: str) -> tuple[Subspace, np.ndarray]:
     order (which carries the orientation)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > MAX_DOCUMENT_BYTES:  # refused before any of it is read
+                raise SubspaceDocumentError(
+                    "document", f"need at most {MAX_DOCUMENT_BYTES} bytes, the file has {size}"
+                )
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SubspaceDocumentError("document", f"invalid JSON: {exc}") from exc
@@ -145,3 +154,25 @@ def dump_json(obj: Any) -> str:
 def write_subspace_file(path: str, V: Subspace) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_json(subspace_document(V)))
+
+
+def _document_bytes(vectors: list) -> int:
+    """The length of a document of these encoded vectors as
+    ``write_subspace_file`` writes it, at the largest ambient dimension
+    (the most digits) and under the longer field name."""
+    return len(dump_json({"field": "complex", "ambient_dim": MAX_ENTRIES, "vectors": vectors}))
+
+
+# The longest document write_subspace_file writes within MAX_ENTRIES, in
+# dump_json's own layout, indentation included.  Each entry is at most as
+# long as a complex one whose parts each have a sign, 15 significant
+# digits, a point and a three-digit exponent.  The document has at most
+# MAX_ENTRIES entries, and at most isqrt(MAX_ENTRIES) vectors, since a
+# subspace has at most ambient_dim of them.
+_LONGEST_ENTRY = encode_number(complex(-1.23456789012345e-300, -1.23456789012345e-300), Field.COMPLEX)
+_ONE_ENTRY_BYTES = _document_bytes([[_LONGEST_ENTRY]])
+_ENTRY_BYTES = _document_bytes([[_LONGEST_ENTRY] * 2]) - _ONE_ENTRY_BYTES
+_VECTOR_BYTES = _document_bytes([[_LONGEST_ENTRY]] * 2) - _ONE_ENTRY_BYTES - _ENTRY_BYTES
+MAX_DOCUMENT_BYTES = (
+    _ONE_ENTRY_BYTES + (MAX_ENTRIES - 1) * _ENTRY_BYTES + (math.isqrt(MAX_ENTRIES) - 1) * _VECTOR_BYTES
+)

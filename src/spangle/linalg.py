@@ -2,8 +2,10 @@
 
 Real scalars are float64, complex scalars are complex128; a :class:`Field`
 tag travels with every higher-level object so both cases run through one
-code path.  Matrices are plain numpy arrays in C (row-major) order with
-vectors stored as columns.  All routines are pure functions on immutable
+code path.  Matrices are plain numpy arrays with vectors stored as
+columns: a spanning matrix from :func:`stack_columns` is column-major,
+the layout LAPACK reads, and every computed basis is C (row-major)
+ordered.  All routines are pure functions on immutable
 values and are sized for small dense problems (ambient dimension up to a
 few hundred).
 
@@ -142,11 +144,15 @@ def _svd(M: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
 
 def _qr_factored(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q, F) for a float64 or complex128 matrix or stack of them: Q of
-    ``np.linalg.qr(M)`` (reduced) and a copy of M that LAPACK overwrote
-    with R on and above the diagonal (its first min(m, n) rows) and the
-    Householder vectors below it.  numpy's QR gufuncs report an error only
-    for arguments LAPACK finds invalid, which these are not, so nothing is
-    checked."""
+    ``np.linalg.qr(M)`` (reduced), C-ordered, and a copy of M, in M's own
+    layout, that LAPACK overwrote with R on and above the diagonal (its
+    first min(m, n) rows) and the Householder vectors below it.  Each
+    gufunc copies its operand into a column-major buffer, so the bits do
+    not depend on M's layout, but a column-major M (``stack_columns``
+    gives one) is copied column by column: a real 256 x 128 QR took 2267
+    -> 1642 us on one x86-64 core and OpenBLAS thread.  numpy's QR
+    gufuncs report an error only for arguments LAPACK finds invalid,
+    which these are not, so nothing is checked."""
     complex_in = M.dtype.kind == "c"
     F = M.copy(order="K")
     tau = _umath_linalg.qr_r_raw(F, signature="D->D" if complex_in else "d->d")
@@ -241,7 +247,8 @@ def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = Non
     The vectors are converted by one ``np.asarray``; a matrix with rows,
     of width ``ambient_dim`` when that is given, has passed every shape
     check.  Any other result goes to ``_shape_fault``, which names the
-    fault.
+    fault.  The matrix is column-major (F-contiguous) and shares no memory
+    with ``vectors``.
     """
     vecs = vectors if type(vectors) in _ROW_CONTAINERS else _vector_list(vectors)
     try:
@@ -250,7 +257,10 @@ def stack_columns(vectors: Sequence, field: Field, ambient_dim: int | None = Non
         rows = None
     if (rows is not None and rows.ndim == 2 and rows.shape[0]
             and (ambient_dim is None or rows.shape[1] == ambient_dim)):
-        return as_field_array(rows.T, field)  # the one C-ordered copy
+        # The one copy, of the rows as numpy laid them out: its transpose,
+        # the column-major (n, k) matrix, reaches each LAPACK gufunc in
+        # LAPACK's own layout, with no transposing copy on either side.
+        return as_field_array(rows, field).T
     return _shape_fault(vecs, field, ambient_dim)
 
 

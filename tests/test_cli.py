@@ -7,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spangle.cli import main
-from spangle.io import MAX_ENTRIES, dump_json, load_subspace_file, write_subspace_file
+from spangle.io import MAX_ENTRIES, dump_json, load_subspace_file, parse_subspace_document, write_subspace_file
 from spangle.linalg import Field
+from spangle.sampling import gaussian_matrix, haar_subspace
 from spangle.subspace import from_spanning, spans_equal
 
 
@@ -482,6 +485,100 @@ def test_largest_document_is_read(runner, tmp_path):
     result = runner.invoke(main, ["principal", path, path])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["principal_angles"] == []
+
+
+@pytest.mark.parametrize("over", [1, 0])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_document_over_the_byte_cap_exits_2_unread(runner, tmp_path, monkeypatch, side, over):
+    """A file one byte over MAX_DOCUMENT_BYTES exits 2 with one JSON error
+    naming its side's document, and json.load is never called on it; a
+    file of exactly that size reaches json.load.  The file is sparse
+    (os.truncate), so it takes no disk, and the patched json.load reads
+    none of it."""
+    import spangle.io
+
+    big = str(tmp_path / "big.json")
+    open(big, "wb").close()
+    os.truncate(big, spangle.io.MAX_DOCUMENT_BYTES + over)
+    small = write_doc(tmp_path / "v.json", "real", 2, [[1, 0]])
+    json_load, loaded = json.load, []
+
+    def guarded_load(fh):
+        loaded.append(fh.name)
+        if fh.name == big:
+            assert not over, "json.load reached on a file over the byte cap"
+            return {"field": "real", "ambient_dim": 2, "vectors": [[0, 1]]}
+        return json_load(fh)
+
+    monkeypatch.setattr(spangle.io.json, "load", guarded_load)
+    paths = [big, small] if side == "left" else [small, big]
+    result = runner.invoke(main, ["angle", *paths])
+    if over:
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        out = json.loads(result.output)
+        assert out == {
+            "field": f"{side}:document",
+            "error": f"document: need at most {spangle.io.MAX_DOCUMENT_BYTES} bytes, "
+            f"the file has {spangle.io.MAX_DOCUMENT_BYTES + 1}",
+        }
+        assert big not in loaded
+    else:
+        assert result.exit_code == 0, result.output
+        assert big in loaded
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_no_number_is_written_longer_than_the_cap_allows(x):
+    """Every finite number encode_number writes is at most as long as the
+    one MAX_DOCUMENT_BYTES is derived from."""
+    from spangle.io import _LONGEST_ENTRY, encode_number
+
+    assert len(json.dumps(encode_number(x, Field.REAL))) <= len(json.dumps(_LONGEST_ENTRY[0]))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (5, 2), (9, 9), (64, 32)])
+def test_every_written_document_fits_the_byte_cap(tmp_path, field, n, k):
+    """MAX_DOCUMENT_BYTES extends dump_json's layout linearly: a document
+    of k vectors of n longest entries is one entry's document plus n k - 1
+    entries and k - 1 vectors, and a document write_subspace_file writes
+    is no longer.  The cap is that length at n = k = isqrt(MAX_ENTRIES),
+    the most entries, and with them the most vectors, a subspace within
+    MAX_ENTRIES has."""
+    import spangle.io as sio
+
+    def bound(n, k):
+        return sio._ONE_ENTRY_BYTES + (n * k - 1) * sio._ENTRY_BYTES + (k - 1) * sio._VECTOR_BYTES
+
+    if k:
+        assert sio._document_bytes([[sio._LONGEST_ENTRY] * n] * k) == bound(n, k)
+    V = haar_subspace(np.random.default_rng(n + k), n, k, Field(field))
+    path = tmp_path / "doc.json"
+    write_subspace_file(str(path), V)
+    assert os.path.getsize(path) <= bound(n, k)
+    side = math.isqrt(MAX_ENTRIES)
+    assert side * side == MAX_ENTRIES and sio.MAX_DOCUMENT_BYTES == bound(side, side)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("n, k", [(6, 3), (40, 20), (20, 40)])
+def test_a_document_spans_as_its_vectors_do(tmp_path, field, n, k):
+    """parse_subspace_document gives the column-major matrix of the
+    document's vectors, and load_subspace_file's subspace is from_spanning's
+    of the same vectors, bit for bit (on the QR route too, at k >= 16)."""
+    rows = gaussian_matrix(np.random.default_rng(n * k), k, n, field)
+    entries = [[[z.real, z.imag] for z in r] if field is Field.COMPLEX else list(r) for r in rows.tolist()]
+    path = write_doc(tmp_path / "doc.json", field.value, n, entries)
+    with open(path, encoding="utf-8") as fh:
+        parsed_field, ambient_dim, M = parse_subspace_document(json.load(fh))
+    assert (parsed_field, ambient_dim) == (field, n)
+    assert M.shape == (n, k) and M.flags.f_contiguous and M.T.tobytes() == rows.tobytes()
+    V, vectors = load_subspace_file(path)
+    W = from_spanning(rows, field)
+    assert vectors.tobytes() == M.tobytes()
+    assert V.dim == W.dim and V.basis.tobytes() == W.basis.tobytes()
 
 
 _REAL_PAIR = '{"field": "real", "ambient_dim": 2, "vectors": [[1, 0]]}'

@@ -548,13 +548,15 @@ class TestFullRankCertificate:
 
 class TestStackColumns:
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-    def test_columns_in_c_order(self, field):
+    def test_columns_in_column_major_order(self, field):
         """Mixed ints, floats, arrays and (under REAL, zero-imaginary)
-        complex vectors stack as columns of one C-ordered matrix."""
+        complex vectors stack as the columns of one column-major matrix,
+        whose values are those of the vectors bit for bit."""
         vectors = [[1, 2, 3], np.array([0.5, -1.0, 2.0]), np.array([1 + 0j, 0j, 4 + 0j])]
         M = stack_columns(vectors, field)
-        assert M.dtype == field.dtype and M.flags.c_contiguous
-        assert np.array_equal(M, np.column_stack([np.asarray(v) for v in vectors]))
+        expected = np.column_stack([as_field_array(v, field) for v in vectors])
+        assert M.dtype == field.dtype and M.flags.f_contiguous
+        assert np.ascontiguousarray(M).tobytes() == expected.tobytes()
 
     def test_empty_and_mismatched(self):
         assert stack_columns([], Field.COMPLEX, ambient_dim=3).shape == (3, 0)
@@ -566,15 +568,27 @@ class TestStackColumns:
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     def test_every_container_gives_the_same_matrix(self, rng, field):
         """A list of arrays, of lists or of tuples, a tuple, an array and
-        an iterator of the same rows give one C-ordered matrix, bit for
-        bit; an empty array of rows with ambient_dim gives the empty one."""
+        an iterator of the same rows give one column-major matrix, the
+        rows' values bit for bit, that shares no memory with the caller's
+        arrays; an empty array of rows with ambient_dim gives the empty one."""
         rows = gaussian_matrix(rng, 3, 5, field)
-        expected = np.ascontiguousarray(rows.T)
         for vectors in (list(rows), [list(r) for r in rows], [tuple(r) for r in rows], tuple(rows), rows, iter(rows)):
             M = stack_columns(vectors, field, ambient_dim=5)
-            assert M.dtype == field.dtype and M.flags.c_contiguous
-            assert M.tobytes() == expected.tobytes()
+            assert M.shape == (5, 3) and M.dtype == field.dtype and M.flags.f_contiguous
+            assert M.T.tobytes() == rows.tobytes()
+            assert not np.shares_memory(M, rows)
         assert stack_columns(np.zeros((0, 5)), field, ambient_dim=4).shape == (4, 0)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_a_later_write_to_the_rows_changes_nothing(self, rng, field):
+        """The matrix and the subspace spanned from a caller's 2-D array
+        keep their bits when the caller then writes to that array."""
+        rows = gaussian_matrix(rng, 3, 5, field)
+        M = stack_columns(rows, field)
+        V = from_spanning(rows, field)
+        matrix, basis = M.tobytes(), V.basis.tobytes()
+        rows[...] = 0
+        assert M.tobytes() == matrix and V.basis.tobytes() == basis
 
     @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
     def test_matrix_subclass_rows_are_not_vectors(self):
@@ -583,6 +597,58 @@ class TestStackColumns:
             stack_columns(np.matrix([[1.0, 2.0], [3.0, 4.0]]), Field.REAL, ambient_dim=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             stack_columns(np.matrix([[1.0, 2.0], [3.0, 4.0]]), Field.REAL, ambient_dim=2)
+
+
+def _layouts(M):
+    """M's values as a C-ordered, an F-ordered and a strided matrix (a view
+    into a larger array, contiguous in neither order)."""
+    strided = np.zeros((2 * M.shape[0], 3 * M.shape[1]), dtype=M.dtype)
+    strided[1::2, ::3] = M
+    strided = strided[1::2, ::3]
+    assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+    return np.ascontiguousarray(M), np.asfortranarray(M), strided
+
+
+def _route_case(route, tall, field):
+    """A spanning matrix for one route of ``orthonormalize_columns``, tall
+    or wide, with the basis width and the SVD shapes that route gives it:
+    the list's own below QR_ROUTE_MIN, none for a certified QR, and R's
+    when the certificate fails (a scaled list is then certified on its
+    second pass)."""
+    rng = np.random.default_rng([tall, 17])
+    n, p = (8, 3) if route == "svd" else (40, 20)
+    if not tall:
+        n, p = p, n
+    if route == "svd":
+        return gaussian_matrix(rng, n, p, field), min(n, p), [(n, p)]
+    if route == "certified":
+        return gaussian_matrix(rng, n, p, field), min(n, p), []
+    if route == "deficient":
+        return _deficient(rng, n, p, 12, field), 12, [(min(n, p), p)]
+    M = gaussian_matrix(rng, n, p, field)
+    M[:, 0] *= 1e14  # ranks 1 as given, full once scaled apart
+    assert _svd_route(M)[1] < min(n, p)
+    return M, min(n, p), [(min(n, p), p)]
+
+
+class TestLayoutInvariance:
+    """A spanning matrix reaches LAPACK in whatever layout it comes in, and
+    every LAPACK gufunc reads it through its own column-major copy: the same
+    values as a C-ordered, an F-ordered or a strided matrix give one basis,
+    bit for bit, on each route of ``orthonormalize_columns``."""
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+    @pytest.mark.parametrize("route", ["svd", "certified", "deficient", "scaled"])
+    def test_every_layout_gives_one_basis(self, svd_calls, route, tall, field):
+        M, width, svd_shapes = _route_case(route, tall, field)
+        bases = []
+        for X in _layouts(M):
+            svd_calls.clear()
+            bases.append(orthonormalize_columns(X))
+            assert list(svd_calls) == svd_shapes
+        assert bases[0].shape == (M.shape[0], width) and bases[0].flags.c_contiguous
+        assert all(Q.shape == bases[0].shape and Q.tobytes() == bases[0].tobytes() for Q in bases[1:])
 
 
 class TestDet:
