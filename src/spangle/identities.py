@@ -102,6 +102,7 @@ def check_line_partition(L: Subspace, parts) -> IdentityResult:
     ambient space sum to 1."""
     if L.dim != 1:
         raise ValueError(f"expected a line, got dimension {L.dim}")
+    parts = list(parts)
     for p in parts:
         _check_pair(L, p)
     dims = sum(p.dim for p in parts)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from typing import Any
 
 import numpy as np
@@ -122,12 +123,17 @@ def load_subspace_file(path: str) -> tuple[Subspace, np.ndarray]:
     order (which carries the orientation)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size > MAX_DOCUMENT_BYTES:  # refused before any of it is read
-                raise SubspaceDocumentError(
-                    "document", f"need at most {MAX_DOCUMENT_BYTES} bytes, the file has {size}"
-                )
-            doc = json.load(fh)
+            info = os.fstat(fh.fileno())
+            cap = f"need at most {MAX_DOCUMENT_BYTES} bytes"
+            if stat.S_ISREG(info.st_mode):
+                if info.st_size > MAX_DOCUMENT_BYTES:  # refused before any of it is read
+                    raise SubspaceDocumentError("document", f"{cap}, the file has {info.st_size}")
+                doc = json.load(fh)
+            else:  # a pipe or FIFO has no size (fstat gives 0): read at most one byte past the cap
+                data = fh.buffer.read(MAX_DOCUMENT_BYTES + 1)
+                if len(data) > MAX_DOCUMENT_BYTES:
+                    raise SubspaceDocumentError("document", f"{cap}, the stream has more")
+                doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SubspaceDocumentError("document", f"invalid JSON: {exc}") from exc
     field, _, M = parse_subspace_document(doc)

@@ -16,12 +16,11 @@ Every LAPACK call in the package but four goes through a raw entry here:
 signature read off the dtype: the same LAPACK calls as ``np.linalg.svd``,
 ``qr``, ``det``, ``slogdet`` and ``eigvalsh``, bit for bit, without their
 per-call Python wrapper (array wrapping, type resolution, an ``errstate``
-context and ``astype``).  On numpy 2.4 and one x86-64 core, a
-values-only SVD of a real 8 x 4 matrix takes 8.8 -> 4.5 us, a QR of a
-real 8 x 8 one 23 -> 14 us and its slogdet 8.6 -> 2.7 us.  :func:`_norm`
-repeats the formula of ``np.linalg.norm`` for the two forms the package
-uses.  A numpy without one of the gufuncs fails this module's import
-with an ImportError that names it.
+context and ``astype``).  :func:`_qr`, the one QR entry, returns Q and
+the factored matrix, from which :func:`orthonormalize_columns` builds R.
+:func:`_norm` repeats the formula of ``np.linalg.norm`` for the two forms
+the package uses.  A numpy without one of the gufuncs fails this
+module's import with an ImportError that names it.
 
 Cholesky, solve and lstsq keep numpy's wrappers: they report a singular
 or indefinite matrix as LinAlgError through the wrapper's ``errstate``
@@ -142,28 +141,20 @@ def _svd(M: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     return out
 
 
-def _qr_factored(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q, F) for a float64 or complex128 matrix or stack of them: Q of
-    ``np.linalg.qr(M)`` (reduced), C-ordered, and a copy of M, in M's own
-    layout, that LAPACK overwrote with R on and above the diagonal (its
-    first min(m, n) rows) and the Householder vectors below it.  Each
-    gufunc copies its operand into a column-major buffer, so the bits do
-    not depend on M's layout, but a column-major M (``stack_columns``
-    gives one) is copied column by column: a real 256 x 128 QR took 2267
-    -> 1642 us on one x86-64 core and OpenBLAS thread.  numpy's QR
-    gufuncs report an error only for arguments LAPACK finds invalid,
-    which these are not, so nothing is checked."""
+    ``np.linalg.qr(M)`` (reduced), C-ordered, and F, a copy of M in M's
+    own layout that LAPACK overwrote with R on and above the diagonal and
+    the Householder vectors below it: numpy's R is the upper triangle of
+    F's first min(m, n) rows.  Each gufunc copies its operand into a
+    column-major buffer, so the bits do not depend on M's layout, and a
+    column-major M (``stack_columns`` gives one) is copied column by
+    column.  numpy's QR gufuncs report an error only for arguments LAPACK
+    finds invalid, which these are not, so nothing is checked."""
     complex_in = M.dtype.kind == "c"
     F = M.copy(order="K")
     tau = _umath_linalg.qr_r_raw(F, signature="D->D" if complex_in else "d->d")
     return _umath_linalg.qr_reduced(F, tau, signature="DD->D" if complex_in else "dd->d"), F
-
-
-def _qr(M: np.ndarray, with_r: bool = True):
-    """``np.linalg.qr(M)`` (reduced): the tuple (Q, R), or Q alone when not
-    ``with_r`` (R's ``np.triu`` costs about as much as a small QR)."""
-    Q, F = _qr_factored(M)
-    return (Q, np.triu(F[..., : min(M.shape[-2:]), :])) if with_r else Q
 
 
 def _det(M: np.ndarray):
@@ -378,14 +369,14 @@ def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     of ``rank_cutoff``: Q of shape (n, rank), its width the rank.
 
     Below ``QR_ROUTE_MIN`` it is the leading left singular vectors of M
-    (the SVD's own U at full rank).  From it on, M = QR by Householder, and
-    Q itself is the basis when ``_full_rank_certified`` proves R, and so M,
-    of full rank.  Else one SVD of R, whose singular values are those of M,
-    gives the rank, and the basis is Q at full rank, else Q times the
-    leading left singular vectors of R.  A rank below full is taken again,
-    by the same rule, on ``_columns_scaled_apart(M)`` when that scales
-    anything: the columns' scales, not only their directions, would
-    otherwise decide it.
+    (the SVD's own U at full rank).  From it on, M = QR by Householder (R
+    built here from the matrix ``_qr`` factored), and Q itself is the basis
+    when ``_full_rank_certified`` proves R, and so M, of full rank.  Else
+    one SVD of R, whose singular values are those of M, gives the rank, and
+    the basis is Q at full rank, else Q times the leading left singular
+    vectors of R.  A rank below full is taken again, by the same rule, on
+    ``_columns_scaled_apart(M)`` when that scales anything: the columns'
+    scales, not only their directions, would otherwise decide it.
     """
     size = min(M.shape)
     if size == 0:
@@ -397,7 +388,8 @@ def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
             return U
         basis = np.ascontiguousarray(U[:, :rank])
     else:
-        Q, R = _qr(M)
+        Q, F = _qr(M)
+        R = np.triu(F[:size])
         if _full_rank_certified(R, M.shape):
             return Q
         U_R, sigma, _ = _svd(R, full_matrices=False)

@@ -106,7 +106,7 @@ def sampled_directed_hausdorff(V: Subspace, W: Subspace, rng: np.random.Generato
         start, stop = stop, stop + counts[k]
         if start == stop:
             continue
-        sigma = _svd(M @ _qr(Z[start:stop, :, :k], with_r=False), compute_uv=False)
+        sigma = _svd(M @ _qr(Z[start:stop, :, :k])[0], compute_uv=False)
         projection = np.where(sigma[:, -1] > COMPARE_TOL, clamped_products(sigma), 0.0)
         worst = min(worst, float(projection.min()))
     return angle_from_cosine(worst)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Field, _qr_factored
+from .linalg import Field, _qr
 from .subspace import Subspace, _span, zero_subspace
 
 
@@ -37,7 +37,7 @@ def random_unitary(rng: np.random.Generator, n: int, field: Field) -> np.ndarray
     """Haar-distributed orthogonal (real) or unitary (complex) matrix,
     via QR with the phase-of-R correction (R's diagonal is read off the
     factored matrix, so R itself is never built)."""
-    Q, F = _qr_factored(gaussian_matrix(rng, n, n, field))
+    Q, F = _qr(gaussian_matrix(rng, n, n, field))
     d = np.diagonal(F)
     phase = d / np.abs(d)
     return Q * phase

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -526,6 +527,47 @@ def test_document_over_the_byte_cap_exits_2_unread(runner, tmp_path, monkeypatch
     else:
         assert result.exit_code == 0, result.output
         assert big in loaded
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("over", [1, 0])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_document_through_a_fifo_is_read_to_the_byte_cap(runner, tmp_path, monkeypatch, side, over):
+    """A FIFO reports size 0, so the byte cap bounds how much of it is
+    read: with the cap one byte below the document's length the run exits
+    2 naming its side's document, and at the cap its stdout is that of
+    the same bytes read from a regular file."""
+    import spangle.io
+
+    text = json.dumps({"field": "real", "ambient_dim": 4, "vectors": [[1, 0, 0, 0], [0, 0.6, 0.8, 0]]})
+    regular = tmp_path / "w.json"
+    regular.write_text(text)
+    other = write_doc(tmp_path / "v.json", "real", 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    fifo = str(tmp_path / "w.fifo")
+    os.mkfifo(fifo)
+    monkeypatch.setattr(spangle.io, "MAX_DOCUMENT_BYTES", len(text) - over)
+
+    def write_fifo():
+        with open(fifo, "w") as fh:  # blocks until the command opens the FIFO
+            fh.write(text)
+
+    def angle(path):
+        return runner.invoke(main, ["angle", path, other] if side == "left" else ["angle", other, path])
+
+    writer = threading.Thread(target=write_fifo, daemon=True)
+    writer.start()
+    result = angle(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    if over:
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.output) == {
+            "field": f"{side}:document",
+            "error": f"document: need at most {len(text) - 1} bytes, the stream has more",
+        }
+    else:
+        assert result.exit_code == 0, result.output
+        assert result.output == angle(str(regular)).output
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

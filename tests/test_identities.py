@@ -96,6 +96,14 @@ class TestLinePartition:
         L = haar_subspace(rng, 6, 1, Field.COMPLEX)
         assert check_line_partition(L, parts).residual <= 1e-10
 
+    def test_every_iterable_of_parts_gives_one_residual(self, rng):
+        """The parts are read once, so a generator passes as a list does."""
+        L = haar_subspace(rng, 4, 1, Field.REAL)
+        parts = [from_spanning([np.eye(4)[:, i]], Field.REAL) for i in range(4)]
+        containers = (list(parts), tuple(parts), (part for part in parts))
+        residuals = {check_line_partition(L, container).residual for container in containers}
+        assert len(residuals) == 1 and residuals.pop() <= 1e-10
+
     def test_non_spanning_partition_rejected(self, rng):
         L = haar_subspace(rng, 4, 1, Field.REAL)
         parts = [from_spanning([[1, 0, 0, 0]], Field.REAL)]

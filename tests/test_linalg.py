@@ -102,11 +102,28 @@ class TestRawEntries:
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     @pytest.mark.parametrize("shape", QR_SHAPES)
     def test_qr(self, field, shape):
+        """``_qr(M)`` is (Q, F): Q is numpy's reduced Q, C-ordered, and the
+        upper triangle of F's first k = min(m, n) rows is numpy's R; F is
+        column-major when M is."""
         for M in self._views(self._matrix(shape, field)):
-            before = M.copy()
-            _same_bits(_qr(M), tuple(np.linalg.qr(M)))
-            _same_bits(_qr(M, with_r=False), np.linalg.qr(M)[0])
+            before, k = M.copy(), min(M.shape[-2:])
+            Q, F = _qr(M)
+            Q_numpy, R_numpy = np.linalg.qr(M)
+            _same_bits(Q, Q_numpy)
+            assert Q.flags.c_contiguous
+            _same_bits(np.triu(F[..., :k, :]), R_numpy)
+            assert F.shape == M.shape and F.flags.f_contiguous == M.flags.f_contiguous
             assert M.tobytes() == before.tobytes()  # the input is not overwritten
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_random_unitary_is_numpys_phase_corrected_q(self, field, n):
+        """``random_unitary`` reads R's diagonal off ``_qr``'s factored
+        matrix: bit for bit numpy's Q times the phases of numpy's R
+        diagonal, from the same draw."""
+        Q, R = np.linalg.qr(gaussian_matrix(np.random.default_rng(n), n, n, field))
+        d = np.diagonal(R)
+        _same_bits(random_unitary(np.random.default_rng(n), n, field), Q * (d / np.abs(d)))
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     @pytest.mark.parametrize("shape", SQUARE_SHAPES)
