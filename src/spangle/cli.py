@@ -66,6 +66,19 @@ def _load_pair(left: str, right: str):
     return V, Mv, W, Mw
 
 
+def _emit(V, out_path: str | None, **summary) -> None:
+    """Print V's document, or write it to ``out_path`` and print the
+    summary with the path."""
+    if out_path is None:
+        click.echo(dump_json(subspace_document(V)), nl=False)
+        return
+    try:
+        write_subspace_file(out_path, V)
+    except OSError as exc:
+        _fail("out", f"cannot write {out_path}: {exc}")
+    click.echo(dump_json({"out": out_path, **summary}), nl=False)
+
+
 def _pair_header(V, W, degrees: bool) -> dict:
     """What every pair report starts with: the pair's shape and its
     principal angles."""
@@ -193,12 +206,7 @@ def cmd_random(ambient_dim: int, dim: int, field_name: str, seed: int, out_path:
 
     field = Field.COMPLEX if field_name == "complex" else Field.REAL
     rng = np.random.default_rng(seed)
-    V = haar_subspace(rng, ambient_dim, dim, field)
-    if out_path is None:
-        click.echo(dump_json(subspace_document(V)), nl=False)
-    else:
-        write_subspace_file(out_path, V)
-        click.echo(dump_json({"out": out_path, "ambient_dim": ambient_dim, "dim": dim}), nl=False)
+    _emit(haar_subspace(rng, ambient_dim, dim, field), out_path, ambient_dim=ambient_dim, dim=dim)
 
 
 @main.command("verify")
@@ -258,11 +266,7 @@ def cmd_geodesic(left: str, right: str, t_param: float, phase: float | None, out
         V = geodesic_point(U, W, t_param, phase=phase)
     except ValueError as exc:
         _fail("vectors", str(exc))
-    if out_path is None:
-        click.echo(dump_json(subspace_document(V)), nl=False)
-    else:
-        write_subspace_file(out_path, V)
-        click.echo(dump_json({"out": out_path}), nl=False)
+    _emit(V, out_path)
 
 
 def run() -> None:

@@ -136,6 +136,10 @@ def load_subspace_file(path: str) -> tuple[Subspace, np.ndarray]:
                 doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SubspaceDocumentError("document", f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SubspaceDocumentError("document", f"not UTF-8: {exc}") from exc
+    except RecursionError as exc:  # json's decoder recurses once per nesting level
+        raise SubspaceDocumentError("document", "nested too deeply") from exc
     field, _, M = parse_subspace_document(doc)
     return _span(M, field), M
 

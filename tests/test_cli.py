@@ -570,6 +570,67 @@ def test_document_through_a_fifo_is_read_to_the_byte_cap(runner, tmp_path, monke
         assert result.output == angle(str(regular)).output
 
 
+# Documents that no JSON object comes out of: bytes that are not UTF-8,
+# and nesting deeper than json's decoder recurses on any Python.
+_UNDECODABLE_DOCUMENTS = {
+    "not-utf-8": b"\xff\xfe{}",
+    "deep-array": b"[" * 100000,
+    "deep-object": b'{"a": ' * 100000 + b"1" + b"}" * 100000,
+}
+
+
+@pytest.mark.parametrize("through_fifo", [False, True])
+@pytest.mark.parametrize("document", list(_UNDECODABLE_DOCUMENTS))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_undecodable_document_exits_2_naming_its_side(runner, tmp_path, side, document, through_fifo):
+    """A document that is not UTF-8 or nests too deeply exits 2 with one
+    JSON error naming its side's document, read from a regular file or
+    through a FIFO."""
+    if through_fifo and not hasattr(os, "mkfifo"):
+        pytest.skip("needs os.mkfifo")
+    data = _UNDECODABLE_DOCUMENTS[document]
+    path = str(tmp_path / "bad.json")
+    other = write_doc(tmp_path / "v.json", "real", 2, [[1, 0]])
+
+    def write_bytes():
+        with open(path, "wb") as fh:  # on a FIFO, blocks until the command opens it
+            fh.write(data)
+
+    if through_fifo:
+        os.mkfifo(path)
+        writer = threading.Thread(target=write_bytes, daemon=True)
+        writer.start()
+    else:
+        write_bytes()
+    result = runner.invoke(main, ["angle", path, other] if side == "left" else ["angle", other, path])
+    if through_fifo:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    out = json.loads(result.output)
+    assert set(out) == {"error", "field"} and out["field"] == f"{side}:document"
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+@pytest.mark.parametrize("command", ["random", "geodesic"])
+def test_unwritable_out_path_exits_2_naming_out(runner, tmp_path, command, target):
+    """An --out path that cannot be written (a missing directory, a
+    directory) exits 2 with one JSON error naming ``out``."""
+    out_path = str(tmp_path / target)
+    if command == "random":
+        args = ["random", "3", "1"]
+    else:
+        left = write_doc(tmp_path / "u.json", "real", 3, [[1, 0, 0], [0, 1, 0]])
+        right = write_doc(tmp_path / "w.json", "real", 3, [[1, 0, 0], [0, 0.6, 0.8]])
+        args = ["geodesic", left, right, "--t", "0.1"]
+    result = runner.invoke(main, [*args, "--out", out_path])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    out = json.loads(result.output)
+    assert out["field"] == "out" and out["error"].startswith(f"cannot write {out_path}: ")
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=300, deadline=None)
 def test_no_number_is_written_longer_than_the_cap_allows(x):
